@@ -17,16 +17,9 @@ from .harness import (
     parse_experiment_config,
     run_experiment,
 )
-from .knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample
+from .knowledge import NAMED_REGIMES, KnowledgeRegime, KnowledgeStore, build_from_target_sample
 from .metrics import evaluate_model, tree_shift_distance, attribute_shift_report
 from .tree import TreeConfig, grow, predict, tree_from_json, tree_to_json
-
-_REGIME_NAMES = {
-    "ntdk": KnowledgeRegime.none,
-    "ftdk": KnowledgeRegime.full,
-    "ptdk2": lambda: KnowledgeRegime.partial(2),
-    "ptdk3": lambda: KnowledgeRegime.partial(3),
-}
 
 
 def _add_tree_args(p: argparse.ArgumentParser) -> None:
@@ -37,17 +30,14 @@ def _add_tree_args(p: argparse.ArgumentParser) -> None:
                    help="fixed source weight in [0,1]; omit for the dynamic rule")
     p.add_argument("--pivot", default=None,
                    help="attribute used to reconstruct class probabilities")
-    p.add_argument("--seed", type=int, default=0)
 
 
-def _tree_config(args, regime: KnowledgeRegime) -> TreeConfig:
+def _tree_config(args) -> TreeConfig:
     return TreeConfig(max_depth=args.max_depth,
                       min_node_fraction=args.min_node_fraction,
                       purity_stop=args.purity_stop,
-                      regime=regime,
                       alpha_override=args.alpha,
-                      x_w_override=args.pivot,
-                      seed=args.seed)
+                      x_w_override=args.pivot)
 
 
 def _cmd_synth(args) -> int:
@@ -72,7 +62,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     schema = schema_from_json(args.schema)
     source = load_dataset(args.source, schema)
-    regime = _REGIME_NAMES[args.regime]()
+    regime = NAMED_REGIMES[args.regime]
     if regime.is_none:
         ks = KnowledgeStore.empty(schema)
     else:
@@ -80,7 +70,7 @@ def _cmd_train(args) -> int:
             raise ConfigError(f"regime {args.regime} needs --target for knowledge")
         target = load_dataset(args.target, schema)
         ks = build_from_target_sample(target, regime)
-    tree = grow(source, ks, _tree_config(args, regime))
+    tree = grow(source, ks, _tree_config(args))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
     print(f"wrote tree to {args.out}")
@@ -170,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="grow one tree under one knowledge regime")
     p.add_argument("--source", required=True, help="labeled source CSV")
     p.add_argument("--schema", required=True, help="schema JSON")
-    p.add_argument("--regime", choices=sorted(_REGIME_NAMES), default="ntdk")
+    p.add_argument("--regime", choices=sorted(NAMED_REGIMES), default="ntdk")
     p.add_argument("--target", default=None,
                    help="target CSV supplying knowledge (labels optional)")
     p.add_argument("--out", required=True, help="tree JSON output path")

@@ -37,10 +37,6 @@ class NormalizationError(DadtError):
     """A stored distribution deviates from unit mass beyond tolerance."""
 
 
-class ArityOverflow(DadtError):
-    """A precomputed cross-table would exceed the cell budget."""
-
-
 class EmptyContext(DadtError):
     """Frequency estimation over zero rows; the caller decides the fallback."""
 

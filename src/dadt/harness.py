@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .data import (
     split_train_test,
 )
 from .errors import ConfigError, DadtError
-from .knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample
+from .knowledge import NAMED_REGIMES, KnowledgeStore, build_from_target_sample
 from .metrics import (
     EvalReport,
     GainValue,
@@ -38,9 +38,9 @@ from .metrics import (
     relative_gain_fairness,
     tree_shift_distance,
 )
-from .tree import DecisionTree, TreeConfig, grow
+from .tree import TreeConfig, grow
 
-REGIMES = ("tt", "ntdk", "ftdk", "ptdk2", "ptdk3")
+REGIMES = ("tt",) + tuple(NAMED_REGIMES)
 _MAX_CELLS = 2**20
 
 
@@ -139,6 +139,16 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
+def _checked_keys(section: str, settings, cls) -> dict:
+    """The settings object of a config section, refusing keys cls does not take."""
+    if not isinstance(settings, dict):
+        raise ConfigError(f"{section} must be an object")
+    unknown = sorted(set(settings) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{section}: unknown key(s) {', '.join(unknown)}")
+    return dict(settings)
+
+
 def parse_experiment_config(source, base_dir: str | None = None) -> ExperimentConfig:
     """Parse a config document; file paths resolve relative to the config file."""
     if isinstance(source, dict):
@@ -159,7 +169,8 @@ def parse_experiment_config(source, base_dir: str | None = None) -> ExperimentCo
     for i, p in enumerate(doc.get("pairs", [])):
         pid = str(p.get("id", i))
         if "synth" in p:
-            pairs.append(PairSpec(pair_id=pid, synth=SynthConfig(**p["synth"])))
+            synth = _checked_keys(f"pair {pid}: synth", p["synth"], SynthConfig)
+            pairs.append(PairSpec(pair_id=pid, synth=SynthConfig(**synth)))
         else:
             try:
                 pairs.append(PairSpec(
@@ -182,19 +193,11 @@ def parse_experiment_config(source, base_dir: str | None = None) -> ExperimentCo
         seed=int(doc["seed"]),
         pairs=tuple(pairs),
         regimes=regimes,
-        tree=dict(doc.get("tree", {})),
+        tree=_checked_keys("tree", doc.get("tree", {}), TreeConfig),
         fairness_objective=objective,
         train_fraction=float(doc.get("train_fraction", 0.75)),
         output_dir=out_dir,
     )
-
-
-def _regime_of(name: str) -> KnowledgeRegime:
-    if name in ("tt", "ntdk"):
-        return KnowledgeRegime.none()
-    if name == "ftdk":
-        return KnowledgeRegime.full()
-    return KnowledgeRegime.partial(int(name[-1]))
 
 
 @dataclass
@@ -251,8 +254,7 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
 
 
 def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
-    kr = _regime_of(regime)
-    tree_cfg = TreeConfig(regime=kr, **cfg.tree)
+    tree_cfg = TreeConfig(**cfg.tree)
     if regime == "tt":
         ks = KnowledgeStore.empty(src_train.schema)
         tree = grow(tgt_train, ks, tree_cfg)
@@ -260,7 +262,7 @@ def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
         ks = KnowledgeStore.empty(src_train.schema)
         tree = grow(src_train, ks, tree_cfg)
     else:
-        ks = build_from_target_sample(tgt_train, kr)
+        ks = build_from_target_sample(tgt_train, NAMED_REGIMES[regime])
         tree = grow(src_train, ks, tree_cfg)
     model: object = tree
     if cfg.fairness_objective is not None and protected is not None:

@@ -2,14 +2,15 @@
 
 A store answers conditional queries P_T(cond | path) either from a retained
 unlabeled-equivalent target sample (frequency counting, exact fractions) or
-from loaded cross-tables / CDF knots. When the full path is not answerable,
-the caller falls back to the maximal answerable subpath plus affine mixing
-with the source estimate.
+from loaded cross-tables / CDF knots. What the store can answer is the
+knowledge regime; nothing else records it. When the full path is not
+answerable, the caller falls back to the maximal answerable subpath plus
+affine mixing with the source estimate.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,8 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .data import (
-    CONTINUOUS,
-    DISCRETE,
     EQ,
     GT,
     LEQ,
@@ -31,7 +30,6 @@ from .data import (
     filter_by_path,
 )
 from .errors import (
-    ArityOverflow,
     DomainError,
     EmptyDataset,
     FormatError,
@@ -39,9 +37,8 @@ from .errors import (
     SubsetViolation,
     UnknownAttribute,
 )
-from .stats import Distribution, class_fractions, freq_fraction
+from .stats import Distribution, freq_fraction
 
-DEFAULT_CELL_BUDGET = 10**7
 _NORM_TOL = 1e-6
 
 
@@ -73,22 +70,31 @@ class KnowledgeRegime:
         return self.variant == "none"
 
 
+# The regime names used by the CLI and the experiment harness.
+NAMED_REGIMES = {
+    "ntdk": KnowledgeRegime.none(),
+    "ftdk": KnowledgeRegime.full(),
+    "ptdk2": KnowledgeRegime.partial(2),
+    "ptdk3": KnowledgeRegime.partial(3),
+}
+
+
 @dataclass
 class CdfEntry:
     var: str
     context: frozenset  # of (attribute, value) pairs
     knots: tuple[tuple[float, float], ...]  # (value, cumulative prob), sorted
 
-    def evaluate(self, t: float, interpolate: bool) -> float:
+    def evaluate(self, t: float) -> float:
+        """Cumulative probability at t, linear between knots, 0 below the first."""
         vals = [v for v, _ in self.knots]
         ps = [p for _, p in self.knots]
         if t < vals[0]:
-            return 0.0 if not interpolate else ps[0] if t == vals[0] else 0.0
+            return 0.0
         if t >= vals[-1]:
             return ps[-1]
-        import bisect
         i = bisect.bisect_right(vals, t) - 1
-        if not interpolate or vals[i] == t:
+        if vals[i] == t:
             return ps[i]
         v0, v1 = vals[i], vals[i + 1]
         p0, p1 = ps[i], ps[i + 1]
@@ -104,8 +110,6 @@ class KnowledgeStore:
     tables: dict[tuple[str, ...], dict[tuple, float]] = field(default_factory=dict)
     cdfs: list[CdfEntry] = field(default_factory=list)
     class_conditionals: dict[str, dict] | None = None
-    class_marginal: Distribution | None = None
-    interpolate_cdfs: bool = False
     _path_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -125,60 +129,27 @@ class KnowledgeStore:
         return hit
 
 
-def build_from_target_sample(target: Dataset, regime: KnowledgeRegime,
-                             cell_budget: int = DEFAULT_CELL_BUDGET) -> KnowledgeStore:
+def build_from_target_sample(target: Dataset, regime: KnowledgeRegime) -> KnowledgeStore:
     """Knowledge from a target-domain sample.
 
-    Full knowledge retains the sample and answers arbitrary paths by counting;
-    partial knowledge additionally precomputes discrete cross-tables of arity
-    <= k and refuses to answer queries that would need more attributes.
+    The store retains the sample and answers by counting. Full knowledge
+    answers arbitrary paths; partial knowledge of arity k refuses queries
+    that involve more than k distinct attributes.
     """
     if regime.is_none:
         return KnowledgeStore.empty(target.schema)
     if target.n == 0:
         raise EmptyDataset("cannot build knowledge from an empty sample")
-    schema = target.schema
     arity = math.inf if regime.variant == "full" else float(regime.arity)
     store = KnowledgeStore(
-        schema=schema,
+        schema=target.schema,
         arity_limit=arity,
         sample=target.without_labels(),
         labeled_sample=target if target.labeled else None,
     )
-    if regime.variant == "partial":
-        store.tables = _precompute_crosstabs(target, regime.arity, cell_budget)
     if target.labeled:
         store.class_conditionals = _class_conditionals_from_sample(target)
-        fracs = class_fractions(target)
-        store.class_marginal = Distribution(
-            schema.class_values,
-            tuple(fracs[y].numerator / fracs[y].denominator for y in schema.class_values))
     return store
-
-
-def _precompute_crosstabs(target: Dataset, k: int, cell_budget: int) -> dict:
-    discrete = [a for a in target.schema.predictive if a.is_discrete]
-    tables: dict[tuple[str, ...], dict[tuple, float]] = {}
-    n = target.n
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(discrete, size):
-            cells = 1
-            for a in combo:
-                cells *= len(a.domain)
-            if cells > cell_budget:
-                names = tuple(a.name for a in combo)
-                raise ArityOverflow(
-                    f"cross-table over {names} needs {cells} cells (budget {cell_budget})")
-            names = tuple(a.name for a in combo)
-            cols = [target.column(a.name) for a in combo]
-            table: dict[tuple, float] = {}
-            for key in itertools.product(*(a.domain for a in combo)):
-                mask = np.ones(n, dtype=bool)
-                for col, v in zip(cols, key):
-                    mask &= col == v
-                table[key] = int(np.count_nonzero(mask)) / n
-            tables[names] = table
-    return tables
 
 
 def _class_conditionals_from_sample(target: Dataset) -> dict[str, dict]:
@@ -288,10 +259,6 @@ def load_from_crosstabs(json_source, schema: Schema) -> KnowledgeStore:
             marginal = {str(x): float(p) for x, p in spec["marginal"].items()}
             class_cond[var] = {"marginal": marginal, "y_given_x": y_given_x}
 
-    class_marginal = None
-    if doc.get("class_marginal"):
-        class_marginal = _class_dist_from_dict(schema, doc["class_marginal"])
-
     if arity is None:
         # unspecified: stored tables/CDFs already bound what is answerable
         arity = math.inf
@@ -301,8 +268,6 @@ def load_from_crosstabs(json_source, schema: Schema) -> KnowledgeStore:
         tables=tables,
         cdfs=cdfs,
         class_conditionals=class_cond,
-        class_marginal=class_marginal,
-        interpolate_cdfs=True,
     )
 
 
@@ -391,7 +356,7 @@ def _query_cdfs(ks: KnowledgeStore, cond: SplitCondition, path: Path):
         context.add((c.attribute, c.threshold))
     for entry in ks.cdfs:
         if entry.var == cond.attribute and entry.context == frozenset(context):
-            p = entry.evaluate(float(cond.threshold), ks.interpolate_cdfs)
+            p = entry.evaluate(float(cond.threshold))
             return p if cond.op == LEQ else 1.0 - p
     return None
 

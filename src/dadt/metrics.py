@@ -21,8 +21,15 @@ from .errors import (
     NoPositives,
     UnlabeledData,
 )
-from .stats import Distribution, wasserstein, wasserstein_empirical
-from .tree import DecisionTree, Internal, Leaf, predict_dataset, positive_scores
+from .stats import Distribution, class_distribution, wasserstein, wasserstein_empirical
+from .tree import (
+    DecisionTree,
+    Leaf,
+    pivot_score,
+    positive_scores,
+    predict_dataset,
+    route,
+)
 
 DP = "dp"
 EOP = "eop"
@@ -259,20 +266,6 @@ def relative_gain_fairness(m_tt: float, m_ntdk: float, m_adapted: float) -> Gain
     return _relative_gain(max(m_ntdk, m_tt) - m_adapted, abs(m_tt - m_ntdk))
 
 
-def _route_leaf(tree: DecisionTree, row: dict) -> Leaf:
-    node = tree.root
-    while isinstance(node, Internal):
-        cond = node.condition
-        attr = tree.schema.attribute(cond.attribute)
-        value = row[cond.attribute]
-        if attr.is_discrete:
-            go_left = cond.matches(np.array([str(value)], dtype=object))[0]
-        else:
-            go_left = cond.matches(np.array([float(value)]))[0]
-        node = node.left if go_left else node.right
-    return node
-
-
 def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     """Leaf-averaged distance between stored and target class distributions.
 
@@ -290,7 +283,7 @@ def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     leaves: dict[int, Leaf] = {}
     y_index = {y: i for i, y in enumerate(support)}
     for i, row in enumerate(target_test.iter_rows()):
-        leaf = _route_leaf(tree, row)
+        leaf = route(tree, row)
         key = id(leaf)
         if key not in counts:
             counts[key] = np.zeros(len(support))
@@ -312,14 +305,12 @@ def attribute_shift_report(source: Dataset, target: Dataset, ks) -> list[dict]:
     target-weighted average distance between source and target class
     conditionals (None when the knowledge store cannot supply them).
     """
-    from .stats import class_fractions
-    from .tree import _fraction_dist, _pivot_score
     if source.n == 0 or target.n == 0:
         raise EmptyDataset("shift report needs non-empty source and target")
     schema = source.schema
     source_marginal = None
     if source.labeled:
-        source_marginal = _fraction_dist(schema, class_fractions(source))
+        source_marginal = class_distribution(source)
     rows = []
     for attr in schema.predictive:
         if attr.is_discrete:
@@ -335,7 +326,7 @@ def attribute_shift_report(source: Dataset, target: Dataset, ks) -> list[dict]:
                                                target.column(attr.name))
         w_conditional = None
         if source_marginal is not None and ks is not None:
-            w_conditional = _pivot_score(source, ks, attr, source_marginal)
+            w_conditional = pivot_score(source, ks, attr, source_marginal)
         rows.append({"attribute": attr.name, "w_marginal": w_marginal,
                      "w_conditional": w_conditional})
     return rows

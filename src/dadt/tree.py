@@ -13,7 +13,7 @@ source-only tree is bit-for-bit, not merely approximate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,10 @@ import numpy as np
 from .data import (
     EMPTY_PATH,
     EQ,
+    GT,
     LEQ,
+    NEQ,
+    Attribute,
     Dataset,
     Path,
     Schema,
@@ -32,11 +35,11 @@ from .errors import (
     EmptyDataset,
     InsufficientKnowledge,
     InternalError,
+    ParseError,
     UnlabeledData,
     ValueOutOfDomain,
 )
 from .knowledge import (
-    KnowledgeRegime,
     KnowledgeStore,
     affine_estimate,
     dynamic_alpha,
@@ -45,6 +48,7 @@ from .knowledge import (
 )
 from .stats import (
     Distribution,
+    class_distribution,
     class_fractions,
     freq_fraction,
     information_gain,
@@ -54,6 +58,7 @@ from .stats import (
 _MIN_GAIN = 1e-12
 _MASS_TOL = 1e-9
 _N_BINS = 10
+_DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,8 @@ class TreeConfig:
     max_depth: int = 8
     min_node_fraction: float = 0.05
     purity_stop: float = 1.0
-    regime: KnowledgeRegime = field(default_factory=KnowledgeRegime.none)
     alpha_override: float | None = None
     x_w_override: str | None = None
-    seed: int = 0
-    knowledge_at_leaves: bool = True
     route_unseen_right: bool = False
 
     def __post_init__(self):
@@ -114,13 +116,6 @@ class DecisionTree:
         return out
 
 
-def _fraction_dist(schema: Schema, fracs: dict[str, Fraction]) -> Distribution:
-    support = schema.class_values
-    return Distribution(support, tuple(fracs[y].numerator / fracs[y].denominator
-                                       if isinstance(fracs[y], Fraction) else float(fracs[y])
-                                       for y in support))
-
-
 def _split_prob(node_rows: Dataset, cond: SplitCondition, path: Path,
                 ks: KnowledgeStore, config: TreeConfig, diagnostics: dict):
     """P(cond | path): source frequency affinely mixed with target knowledge.
@@ -143,7 +138,7 @@ def _split_prob(node_rows: Dataset, cond: SplitCondition, path: Path,
         alpha = dynamic_alpha(path, sub)
     if len(sub) != len(path):
         diagnostics["truncations"] = diagnostics.get("truncations", 0) + 1
-    diagnostics.setdefault("alphas", []).append(float(alpha))
+    diagnostics["n_alphas"] = diagnostics.get("n_alphas", 0) + 1
     return affine_estimate(source_p, target_p, alpha)
 
 
@@ -176,10 +171,10 @@ def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
     """
     if node_rows.n == 0:
         raise EmptyDataset("cannot estimate a class distribution on an empty node")
+    if ks.is_empty or x_w is None:
+        return class_distribution(node_rows)
     schema = node_rows.schema
     node_fracs = class_fractions(node_rows)
-    if ks.is_empty or x_w is None:
-        return _fraction_dist(schema, node_fracs)
     if diagnostics is None:
         diagnostics = {}
 
@@ -280,13 +275,11 @@ def select_pivot(source: Dataset, ks: KnowledgeStore) -> str:
     between source and target class conditionals, weighted by the target
     marginal; ties resolve to schema declaration order.
     """
-    schema = source.schema
-    source_marginal_fracs = class_fractions(source)
-    source_marginal = _fraction_dist(schema, source_marginal_fracs)
+    source_marginal = class_distribution(source)
     best_name: str | None = None
     best_score = float("inf")
-    for attr in schema.predictive:
-        score = _pivot_score(source, ks, attr, source_marginal)
+    for attr in source.schema.predictive:
+        score = pivot_score(source, ks, attr, source_marginal)
         if score is None:
             continue
         if score < best_score:
@@ -298,9 +291,13 @@ def select_pivot(source: Dataset, ks: KnowledgeStore) -> str:
     return best_name
 
 
-def _pivot_score(source, ks, attr, source_marginal):
-    schema = source.schema
-    support = schema.class_values
+def pivot_score(source: Dataset, ks: KnowledgeStore, attr: Attribute,
+                source_marginal: Distribution) -> float | None:
+    """Target-marginal-weighted Wasserstein distance between the source and
+    target class conditionals of one attribute; None when the store cannot
+    supply the target conditionals.
+    """
+    support = source.schema.class_values
     col = source.column(attr.name)
 
     if attr.is_discrete:
@@ -315,7 +312,7 @@ def _pivot_score(source, ks, attr, source_marginal):
                 continue
             mask = col == v
             if mask.any():
-                src = _fraction_dist(schema, class_fractions(source.subset(mask)))
+                src = class_distribution(source.subset(mask))
             else:
                 src = source_marginal
             total += wasserstein(src, tgt) * p_t
@@ -363,12 +360,11 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
         x_w = None
     else:
         x_w = select_pivot(train_source, ks)
-    diagnostics: dict = {"alphas": [], "truncations": 0, "forced_source": 0}
+    diagnostics = {key: 0 for key in _DIAGNOSTIC_KEYS}
     n_train = train_source.n
-    leaf_ks = ks if config.knowledge_at_leaves else KnowledgeStore.empty(schema)
 
     def make_leaf(rows: Dataset, path: Path) -> Leaf:
-        dist = estimate_class_dist(rows, path, x_w, leaf_ks, config, diagnostics)
+        dist = estimate_class_dist(rows, path, x_w, ks, config, diagnostics)
         return Leaf(class_dist=dist, n_source_rows=rows.n, path=path)
 
     def build(rows: Dataset, path: Path, depth: int):
@@ -391,8 +387,9 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
                         x_w=x_w, diagnostics=diagnostics)
 
 
-def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:
-    """Route a record to its leaf; returns (majority class, class distribution)."""
+def route(tree: DecisionTree, row: dict) -> Leaf:
+    """The leaf a record reaches; undeclared discrete values raise unless the
+    tree routes them right."""
     node = tree.root
     while isinstance(node, Internal):
         cond = node.condition
@@ -411,7 +408,13 @@ def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:
             v = float(value)
             go_left = (v <= cond.threshold) if cond.op == LEQ else (v > cond.threshold)
         node = node.left if go_left else node.right
-    return node.class_dist.argmax(), node.class_dist
+    return node
+
+
+def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:
+    """Route a record to its leaf; returns (majority class, class distribution)."""
+    dist = route(tree, row).class_dist
+    return dist.argmax(), dist
 
 
 def predict_dataset(tree: DecisionTree, d: Dataset) -> np.ndarray:
@@ -450,7 +453,12 @@ def _node_from_dict(d: dict, schema: Schema):
         path = Path(tuple(SplitCondition(a, op, t) for a, op, t in d.get("path", [])))
         return Leaf(class_dist=dist, n_source_rows=int(d["n_source_rows"]), path=path)
     c = d["condition"]
-    cond = SplitCondition(c["attr"], c["op"], c["threshold"])
+    attr = schema.attribute(c["attr"])
+    threshold = c["threshold"] if attr.is_discrete else float(c["threshold"])
+    ops = (EQ, NEQ) if attr.is_discrete else (LEQ, GT)
+    if c["op"] not in ops or (attr.is_discrete and threshold not in attr.domain):
+        raise ParseError(f"split {c!r} does not fit attribute {attr.name!r}")
+    cond = SplitCondition(attr.name, c["op"], threshold)
     return Internal(condition=cond,
                     left=_node_from_dict(d["left"], schema),
                     right=_node_from_dict(d["right"], schema),
@@ -465,36 +473,32 @@ def tree_to_json(tree: DecisionTree) -> str:
             "max_depth": cfg.max_depth,
             "min_node_fraction": cfg.min_node_fraction,
             "purity_stop": cfg.purity_stop,
-            "regime": {"variant": cfg.regime.variant, "arity": cfg.regime.arity},
             "alpha_override": cfg.alpha_override,
             "x_w_override": cfg.x_w_override,
-            "seed": cfg.seed,
-            "knowledge_at_leaves": cfg.knowledge_at_leaves,
             "route_unseen_right": cfg.route_unseen_right,
         },
         "x_w": tree.x_w,
-        "diagnostics": {
-            "truncations": tree.diagnostics.get("truncations", 0),
-            "forced_source": tree.diagnostics.get("forced_source", 0),
-            "n_alphas": len(tree.diagnostics.get("alphas", [])),
-        },
+        "diagnostics": {key: tree.diagnostics.get(key, 0) for key in _DIAGNOSTIC_KEYS},
         "root": _node_to_dict(tree.root),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def tree_from_json(source) -> DecisionTree:
+    """Parse a tree document; config fields that older versions wrote and
+    this one no longer takes are ignored."""
     from .data import schema_from_json
-    doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
-    schema = schema_from_json(doc["schema"])
-    c = doc["config"]
-    regime = KnowledgeRegime(c["regime"]["variant"], c["regime"]["arity"])
-    config = TreeConfig(
-        max_depth=c["max_depth"], min_node_fraction=c["min_node_fraction"],
-        purity_stop=c["purity_stop"], regime=regime,
-        alpha_override=c["alpha_override"], x_w_override=c["x_w_override"],
-        seed=c["seed"], knowledge_at_leaves=c["knowledge_at_leaves"],
-        route_unseen_right=c["route_unseen_right"])
-    root = _node_from_dict(doc["root"], schema)
-    return DecisionTree(root=root, config=config, schema=schema,
-                        x_w=doc.get("x_w"), diagnostics=dict(doc.get("diagnostics", {})))
+    try:
+        doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
+        schema = schema_from_json(doc["schema"])
+        c = doc["config"]
+        config = TreeConfig(
+            max_depth=c["max_depth"], min_node_fraction=c["min_node_fraction"],
+            purity_stop=c["purity_stop"],
+            alpha_override=c["alpha_override"], x_w_override=c["x_w_override"],
+            route_unseen_right=c["route_unseen_right"])
+        root = _node_from_dict(doc["root"], schema)
+        return DecisionTree(root=root, config=config, schema=schema,
+                            x_w=doc.get("x_w"), diagnostics=dict(doc.get("diagnostics", {})))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed tree document: {exc!r}") from exc

@@ -58,8 +58,7 @@ def _sweep_run(delta: float, seed: int, n_attrs: int = 10) -> dict:
     ks0 = KnowledgeStore.empty(s.schema)
     ntdk = grow(src_train, ks0, TreeConfig())
     fks = build_from_target_sample(tgt_train, KnowledgeRegime.full())
-    ftdk = grow(src_train, fks, TreeConfig(regime=KnowledgeRegime.full(),
-                                           x_w_override="X2"))
+    ftdk = grow(src_train, fks, TreeConfig(x_w_override="X2"))
     tt = grow(tgt_train, ks0, TreeConfig())
     acc_n, acc_f, acc_t = (accuracy(m, tgt_test) for m in (ntdk, ftdk, tt))
     return {
@@ -147,7 +146,7 @@ def test_self_adaptation_identity():
     for d in _fifty_datasets():
         ntdk = grow(d, KnowledgeStore.empty(d.schema), TreeConfig())
         ks = build_from_target_sample(d, KnowledgeRegime.full())
-        adapted = grow(d, ks, TreeConfig(regime=KnowledgeRegime.full()))
+        adapted = grow(d, ks, TreeConfig())
         ok = ok and trees_equal(ntdk, adapted)
     _report("knowledge built from the source itself reproduces the plain tree exactly", ok)
 
@@ -168,7 +167,7 @@ def test_equal_pair_population_reconstruction():
                              schema)
     path = Path((SplitCondition("X1", EQ, "0"),))
     node = filter_by_path(source_pop, path)
-    cfg = TreeConfig(regime=KnowledgeRegime.full())
+    cfg = TreeConfig()
     exact = estimate_class_dist(node, path, "X2", ks, cfg).prob("1")
     source_only = estimate_class_dist(node, path, "X2",
                                       KnowledgeStore.empty(schema), cfg).prob("1")
@@ -213,7 +212,7 @@ def test_knowledge_amount_ordering():
             src_train, _ = split_train_test(s, 0.75, seed * 2 + 100)
             tgt_train, tgt_test = split_train_test(t, 0.75, seed * 2 + 101)
             ks = build_from_target_sample(tgt_train, regime)
-            tree = grow(src_train, ks, TreeConfig(regime=regime, x_w_override="X2"))
+            tree = grow(src_train, ks, TreeConfig(x_w_override="X2"))
             accs.append(accuracy(tree, tgt_test))
         means[name] = float(np.mean(accs))
     ok = (means["ftdk"] >= means["ptdk3"] - 1e-9

@@ -95,6 +95,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config({"seed": 1, "pairs": []})
 
+    def test_unknown_tree_key(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            parse_experiment_config({"seed": 1, "pairs": [{"synth": {}}],
+                                     "tree": {"bogus": 1}})
+        with pytest.raises(ConfigError, match="regime"):  # no longer a tree setting
+            parse_experiment_config({"seed": 1, "pairs": [{"synth": {}}],
+                                     "tree": {"regime": "full"}})
+
+    def test_unknown_synth_key(self):
+        with pytest.raises(ConfigError, match="rho"):
+            parse_experiment_config({"seed": 1, "pairs": [{"synth": {"rho": 0.5}}]})
+
     def test_paths_relative_to_config(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({
@@ -219,6 +231,38 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "pairs": [{"synth": {}}],
+                                        "tree": {"bogus": 1}}))
+        assert main(["experiment", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bogus" in err
+
+    def test_malformed_tree_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        main(["synth", "--n-source", "50", "--n-target", "50", "--out", str(data)])
+        tree_path = tmp_path / "t.json"
+        main(["train", "--source", str(data / "source.csv"),
+              "--schema", str(data / "schema.json"), "--out", str(tree_path)])
+        good = json.loads(tree_path.read_text())
+        no_config = {k: v for k, v in good.items() if k != "config"}
+        docs = [no_config]
+        for op in ("lt", "leq"):  # unknown; continuous-only on a discrete attribute
+            doc = json.loads(json.dumps(good))
+            doc["root"] = {"leaf": False, "ig": 0.1, "left": good["root"],
+                           "right": good["root"],
+                           "condition": {"attr": "X1", "op": op, "threshold": "0"}}
+            docs.append(doc)
+        capsys.readouterr()
+        for doc in docs:
+            tree_path.write_text(json.dumps(doc))
+            assert main(["predict", "--tree", str(tree_path),
+                         "--data", str(data / "target.csv"),
+                         "--out", str(tmp_path / "p.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["train", "--source", str(tmp_path / "missing.csv"),

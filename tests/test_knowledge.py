@@ -23,7 +23,6 @@ from dadt.data import (
     dataset_from_rows,
 )
 from dadt.errors import (
-    ArityOverflow,
     DomainError,
     EmptyDataset,
     FormatError,
@@ -125,7 +124,6 @@ class TestSampleBackedStore:
         info = ks.class_conditionals["X1"]
         assert info["marginal"]["0"] == 0.5
         assert info["y_given_x"]["0"].probs == (0.5, 0.5)
-        assert ks.class_marginal.probs == (0.5, 0.5)
 
 
 class TestPartialKnowledge:
@@ -137,16 +135,11 @@ class TestPartialKnowledge:
         assert query_target(ks, eq("A", "0"), Path((eq("B", "0"), eq("C", "0")))) is None
 
     def test_precomputed_tables_cover_pairs(self):
+        # P(A=0, B=1) = P(A=0) * P(B=1 | A=0) = 1/2 * 1/2, from the retained sample
         ks = build_from_target_sample(abc_sample(), KnowledgeRegime.partial(2))
-        assert ("A",) in ks.tables
-        assert ("A", "B") in ks.tables
-        assert ("A", "B", "C") not in ks.tables
-        assert ks.tables[("A", "B")][("0", "1")] == 0.25
-
-    def test_cell_budget(self):
-        with pytest.raises(ArityOverflow):
-            build_from_target_sample(abc_sample(), KnowledgeRegime.partial(2),
-                                     cell_budget=3)
+        p_a = query_target(ks, eq("A", "0"), EMPTY_PATH)
+        p_b_given_a = query_target(ks, eq("B", "1"), Path((eq("A", "0"),)))
+        assert p_a * p_b_given_a == Fraction(1, 4)
 
     def test_maximal_subpath_shrinks(self):
         ks = build_from_target_sample(abc_sample(), KnowledgeRegime.partial(2))

@@ -23,6 +23,7 @@ from dadt.data import (
 from dadt.errors import (
     ConfigError,
     InsufficientKnowledge,
+    ParseError,
     UnlabeledData,
     ValueOutOfDomain,
 )
@@ -59,7 +60,6 @@ class TestConfig:
         assert cfg.max_depth == 8
         assert cfg.min_node_fraction == 0.05
         assert cfg.purity_stop == 1.0
-        assert cfg.regime.is_none
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -96,7 +96,7 @@ class TestEstimateClassDist:
                                  source.schema)
         path = Path((eq("X1", "0"),))
         node = filter_by_path(source, path)
-        cfg = TreeConfig(regime=KnowledgeRegime.full())
+        cfg = TreeConfig()
         adapted = estimate_class_dist(node, path, "X2", ks, cfg)
         assert adapted.probs == (0.0, 1.0)
         source_only = estimate_class_dist(node, path, "X2", empty_ks(source.schema), cfg)
@@ -114,7 +114,7 @@ class TestEstimateClassDist:
             {"key": ["a"], "p": 0.5}, {"key": ["b"], "p": 0.25},
             {"key": ["c"], "p": 0.25}]}]}, schema)
         dist = estimate_class_dist(node, EMPTY_PATH, "P", ks,
-                                   TreeConfig(regime=KnowledgeRegime.full()))
+                                   TreeConfig())
         # 0.5*(0,1) + 0.25*(1,0) + 0.25*(node = (0.5,0.5)) for the empty c cell
         assert dist.probs == pytest.approx((0.375, 0.625), abs=1e-12)
 
@@ -130,7 +130,7 @@ class TestEstimateClassDist:
              "X3": str(rng.integers(2)), "Y": str(rng.integers(2))}
             for _ in range(200)])
         ks = build_from_target_sample(target, KnowledgeRegime.full())
-        cfg = TreeConfig(regime=KnowledgeRegime.full())
+        cfg = TreeConfig()
         path = Path((eq("X1", "0"),))
         node = filter_by_path(source, path)
         got = estimate_class_dist(node, path, "X2", ks, cfg)
@@ -254,7 +254,7 @@ class TestGrow:
             cfg = TreeConfig(max_depth=4)
             ntdk = grow(d, empty_ks(schema), cfg)
             ks = build_from_target_sample(d, KnowledgeRegime.full())
-            adapted = grow(d, ks, TreeConfig(max_depth=4, regime=KnowledgeRegime.full()))
+            adapted = grow(d, ks, TreeConfig(max_depth=4))
             assert trees_equal(ntdk, adapted)
 
 
@@ -349,12 +349,45 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         schema = random_mixed_schema(rng)
         d = random_dataset(rng, schema, 200)
+        target = random_dataset(rng, schema, 200)
+        for ks in (KnowledgeStore.empty(schema),
+                   build_from_target_sample(target, KnowledgeRegime.full())):
+            tree = grow(d, ks, TreeConfig(max_depth=3))
+            text = tree_to_json(tree)
+            again = tree_from_json(text)
+            for row in d.iter_rows():
+                assert predict(again, row) == predict(tree, row)
+            assert tree_to_json(again) == text
+        assert json.loads(text)["diagnostics"]["n_alphas"] > 0
+
+    def test_fields_of_older_versions_ignored(self):
+        rng = np.random.default_rng(8)
+        schema = random_mixed_schema(rng)
+        d = random_dataset(rng, schema, 100)
         tree = grow(d, KnowledgeStore.empty(schema), TreeConfig(max_depth=3))
-        text = tree_to_json(tree)
-        again = tree_from_json(text)
+        doc = json.loads(tree_to_json(tree))
+        doc["config"].update({"regime": {"variant": "full", "arity": None},
+                              "seed": 3, "knowledge_at_leaves": True})
+        old = tree_from_json(json.dumps(doc))
+        assert old.config == tree.config
         for row in d.iter_rows():
-            assert predict(again, row) == predict(tree, row)
-        assert tree_to_json(again) == text
+            assert predict(old, row) == predict(tree, row)
+
+    def test_malformed_documents(self):
+        good = json.loads(tree_to_json(TestPredict().hand_tree()))
+
+        def bad_split(key, value, inner=False):
+            doc = json.loads(json.dumps(good))
+            split = doc["root"]["left"] if inner else doc["root"]
+            split["condition"][key] = value
+            return json.dumps(doc)
+
+        for text in ("{", "[]", json.dumps({**good, "root": {"leaf": True}}),
+                     bad_split("threshold", "three", inner=True),  # continuous A
+                     bad_split("op", "eq", inner=True),
+                     bad_split("threshold", "z")):  # not in the domain of C
+            with pytest.raises(ParseError):
+                tree_from_json(text)
 
     def test_diagnostics_echoed(self):
         d = rows_dataset(binary_schema(), [{"X1": "0", "X2": "0", "Y": "1"}] * 5)
