@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 from .data import load_dataset, schema_from_json, serialize_dataset
 from .errors import ConfigError, DadtError, InternalError
@@ -154,42 +155,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0,
                    help="per-cell chance of flipping the target class conditional")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="grow one tree under one knowledge regime")
-    p.add_argument("--source", required=True, help="labeled source CSV")
-    p.add_argument("--schema", required=True, help="schema JSON")
+    p.add_argument("--source", type=Path, required=True, help="labeled source CSV")
+    p.add_argument("--schema", type=Path, required=True, help="schema JSON")
     p.add_argument("--regime", choices=sorted(NAMED_REGIMES), default="ntdk")
-    p.add_argument("--target", default=None,
+    p.add_argument("--target", type=Path, default=None,
                    help="target CSV supplying knowledge (labels optional)")
-    p.add_argument("--out", required=True, help="tree JSON output path")
+    p.add_argument("--out", type=Path, required=True, help="tree JSON output path")
     _add_tree_args(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="apply a tree to a CSV")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--tree", type=Path, required=True)
+    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="accuracy/fairness report on labeled data")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--tree", type=Path, required=True)
+    p.add_argument("--data", type=Path, required=True)
     p.add_argument("--protected", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run a config-driven regime sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="override the config's output dir")
+    p.add_argument("--config", type=Path, required=True)
+    p.add_argument("--out", type=Path, default=None, help="override the config's output dir")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("shift-report", help="per-attribute shift distances")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--source", type=Path, required=True)
+    p.add_argument("--target", type=Path, required=True)
+    p.add_argument("--schema", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_shift_report)
     return parser
 

@@ -7,9 +7,11 @@ underlying column storage and only carry a row-index array.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,7 +83,7 @@ class Schema:
             return self.class_attr
         raise UnknownAttribute(f"no attribute named {name!r} in schema")
 
-    @property
+    @functools.cached_property
     def predictive_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.predictive)
 
@@ -130,14 +132,17 @@ def _attr_from_dict(d: dict) -> Attribute:
 
 
 def _read_json(source):
+    """A dict; JSON read from a path (any os.PathLike, or a str or bytes not
+    starting with { or [); JSON text; or a stream."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, (str, bytes)) and not str(source).lstrip().startswith(("{", "[")):
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, (str, bytes)) and not str(source).lstrip().startswith(("{", "["))):
         try:
             with open(source, "rb") as fh:
                 return json.load(fh)
         except OSError as exc:
-            raise ParseError(f"cannot read {source!r}: {exc}") from exc
+            raise ParseError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
     if isinstance(source, (str, bytes)):
         return json.loads(source)
     return json.load(source)
@@ -202,9 +207,13 @@ class Dataset:
     """Immutable typed table; `index` selects the rows visible in this view."""
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
-                 index: np.ndarray | None = None, labeled: bool = True):
+                 index: np.ndarray | None = None, labeled: bool = True,
+                 codes: dict[str, np.ndarray] | None = None):
         self.schema = schema
         self._columns = columns
+        # integer codes of discrete columns, computed on first use and shared
+        # by every view of the same storage
+        self._codes = {} if codes is None else codes
         if index is None:
             lengths = {len(v) for v in columns.values()}
             n = lengths.pop() if lengths else 0
@@ -221,6 +230,27 @@ class Dataset:
             raise UnknownAttribute(f"no column named {name!r}")
         return self._columns[name][self.index]
 
+    def codes(self, name: str) -> np.ndarray:
+        """Positions of a discrete column's values in the attribute's domain."""
+        full = self._codes.get(name)
+        if full is None:
+            values = self._columns.get(name)
+            if values is None:
+                raise UnknownAttribute(f"no column named {name!r}")
+            domain = self.schema.attribute(name).domain
+            full = np.full(len(values), -1, dtype=np.intp)
+            for j, v in enumerate(domain):
+                full[values == v] = j
+            if (full < 0).any():
+                raise ValueOutOfDomain(f"column {name!r} has values outside {list(domain)}")
+            self._codes[name] = full
+        return full[self.index]
+
+    def class_codes(self) -> np.ndarray:
+        if not self.labeled:
+            raise UnlabeledData("dataset has no class labels")
+        return self.codes(self.schema.class_attr.name)
+
     def class_column(self) -> np.ndarray:
         if not self.labeled:
             raise UnlabeledData("dataset has no class labels")
@@ -231,11 +261,12 @@ class Dataset:
             new_index = self.index[mask_or_index]
         else:
             new_index = self.index[mask_or_index]
-        return Dataset(self.schema, self._columns, new_index, self.labeled)
+        return Dataset(self.schema, self._columns, new_index, self.labeled, self._codes)
 
     def without_labels(self) -> "Dataset":
         cols = {k: v for k, v in self._columns.items() if k != self.schema.class_attr.name}
-        return Dataset(self.schema, cols, self.index, labeled=False)
+        codes = {k: v for k, v in self._codes.items() if k in cols}
+        return Dataset(self.schema, cols, self.index, labeled=False, codes=codes)
 
     def row(self, i: int) -> dict:
         names = list(self.schema.predictive_names)
@@ -316,16 +347,18 @@ def load_dataset(csv_source, schema_source) -> Dataset:
 
 
 def _read_text(source) -> str:
+    """CSV text from bytes; from a path (any os.PathLike, or a str with no
+    comma and no newline); from a str holding the text; or from a stream."""
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    if isinstance(source, str):
-        if source == "" or "\n" in source or "," in source:
-            return source
+    if isinstance(source, str) and (source == "" or "\n" in source or "," in source):
+        return source
+    if isinstance(source, (str, os.PathLike)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 return fh.read()
         except OSError as exc:
-            raise ParseError(f"cannot read {source!r}: {exc}") from exc
+            raise ParseError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
     data = source.read()
     return data.decode("utf-8") if isinstance(data, bytes) else data
 

@@ -15,6 +15,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -228,8 +229,9 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
         if spec.synth is not None:
             source, target, _ = generate_synthetic(spec.synth)
         else:
-            source = load_dataset(spec.source_csv, spec.schema_json)
-            target = load_dataset(spec.target_csv, spec.schema_json)
+            schema = Path(spec.schema_json)
+            source = load_dataset(Path(spec.source_csv), schema)
+            target = load_dataset(Path(spec.target_csv), schema)
         src_train, _src_test = split_train_test(
             source, cfg.train_fraction, _derived_seed(cfg.seed, idx, 0))
         tgt_train, tgt_test = split_train_test(

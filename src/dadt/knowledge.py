@@ -30,6 +30,7 @@ from .data import (
     filter_by_path,
 )
 from .errors import (
+    ConfigError,
     DomainError,
     EmptyDataset,
     FormatError,
@@ -49,9 +50,9 @@ class KnowledgeRegime:
 
     def __post_init__(self):
         if self.variant not in ("none", "full", "partial"):
-            raise ValueError(f"unknown regime {self.variant!r}")
+            raise ConfigError(f"unknown regime {self.variant!r}")
         if self.variant == "partial" and (self.arity is None or self.arity < 1):
-            raise ValueError("partial knowledge needs arity >= 1")
+            raise ConfigError("partial knowledge needs arity >= 1")
 
     @staticmethod
     def none() -> "KnowledgeRegime":
@@ -110,7 +111,9 @@ class KnowledgeStore:
     tables: dict[tuple[str, ...], dict[tuple, float]] = field(default_factory=dict)
     cdfs: list[CdfEntry] = field(default_factory=list)
     class_conditionals: dict[str, dict] | None = None
-    _path_cache: dict = field(default_factory=dict, repr=False)
+    # Sample rows of one path and of the subpaths queried after it: what the
+    # queries about one tree node need. A query on any other path drops them.
+    _rows: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -120,12 +123,15 @@ class KnowledgeStore:
     def empty(schema: Schema) -> "KnowledgeStore":
         return KnowledgeStore(schema=schema, arity_limit=0)
 
-    def _filtered(self, path: Path) -> Dataset:
+    def sample_rows(self, path: Path) -> Dataset:
+        """Rows of the retained sample that satisfy the path."""
         key = path.conditions
-        hit = self._path_cache.get(key)
+        hit = self._rows.get(key)
         if hit is None:
+            if self._rows and not set(key) <= set(next(iter(self._rows))):
+                self._rows.clear()
             hit = filter_by_path(self.sample, path)
-            self._path_cache[key] = hit
+            self._rows[key] = hit
         return hit
 
 
@@ -303,7 +309,7 @@ def query_target(ks: KnowledgeStore, cond: SplitCondition, path: Path):
         return None
 
     if ks.sample is not None:
-        sub = ks._filtered(path)
+        sub = ks.sample_rows(path)
         if sub.n == 0:
             return None
         return freq_fraction(sub, cond)
@@ -361,22 +367,32 @@ def _query_cdfs(ks: KnowledgeStore, cond: SplitCondition, path: Path):
     return None
 
 
-def maximal_subpath(ks: KnowledgeStore, cond: SplitCondition, path: Path) -> Path | None:
-    """Largest answerable prefix of the path's distinct attributes.
+def subpaths(ks: KnowledgeStore, cond: SplitCondition, path: Path):
+    """Subpaths a query on cond may fall back to, longest first.
 
-    Prefixes are taken in root order; the candidate set shrinks until the
-    store can answer (arity within limit and non-zero conditioning mass).
-    Returns None when not even the marginal is answerable (use source only).
+    Each keeps the path's conditions on a prefix of its distinct attributes
+    (root order), from all of them down to none, skipping those that would
+    exceed the store's arity limit together with cond's attribute.
     """
-    if ks.is_empty:
-        return None
     _check_attrs(ks, cond, path)
     order = path.attributes()
     for j in range(len(order), -1, -1):
         allowed = set(order[:j])
-        sub = Path(tuple(c for c in path.conditions if c.attribute in allowed))
-        if len({cond.attribute} | allowed) > ks.arity_limit:
-            continue
+        if len({cond.attribute} | allowed) <= ks.arity_limit:
+            yield Path(tuple(c for c in path.conditions if c.attribute in allowed))
+
+
+def maximal_subpath(ks: KnowledgeStore, cond: SplitCondition, path: Path) -> Path | None:
+    """Largest answerable prefix of the path's distinct attributes.
+
+    The first of `subpaths` the store can answer (within its tables or CDFs,
+    with non-zero conditioning mass). That depends on cond's attribute and
+    op and on the path, never on cond's threshold.
+    Returns None when not even the marginal is answerable (use source only).
+    """
+    if ks.is_empty:
+        return None
+    for sub in subpaths(ks, cond, path):
         if query_target(ks, cond, sub) is not None:
             return sub
     return None
@@ -384,6 +400,8 @@ def maximal_subpath(ks: KnowledgeStore, cond: SplitCondition, path: Path) -> Pat
 
 def dynamic_alpha(path: Path, subpath: Path) -> Fraction:
     """Proportion of the path's distinct attributes missing from the subpath."""
+    if subpath.conditions == path.conditions:
+        return Fraction(0)
     sub_conds = set(subpath.conditions)
     if not sub_conds <= set(path.conditions):
         raise SubsetViolation("subpath conditions must be a subset of the path's")

@@ -13,8 +13,10 @@ source-only tree is bit-for-bit, not merely approximate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .knowledge import (
     dynamic_alpha,
     maximal_subpath,
     query_target,
+    subpaths,
 )
 from .stats import (
     Distribution,
@@ -58,6 +61,7 @@ from .stats import (
 _MIN_GAIN = 1e-12
 _MASS_TOL = 1e-9
 _N_BINS = 10
+_QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
 _DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
 
 
@@ -142,21 +146,196 @@ def _split_prob(node_rows: Dataset, cond: SplitCondition, path: Path,
     return affine_estimate(source_p, target_p, alpha)
 
 
-def _class_fracs_subset(node_rows: Dataset, mask: np.ndarray,
-                        fallback: dict[str, Fraction]) -> dict[str, Fraction]:
-    if not mask.any():
-        return fallback
-    return class_fractions(node_rows.subset(mask))
-
-
 def _continuous_bin_edges(values: np.ndarray) -> list[float]:
-    qs = np.quantile(values, np.linspace(0.1, 0.9, _N_BINS - 1))
+    """Strictly increasing deciles of values.
+
+    The arithmetic is np.quantile's default (linear) method, operation for
+    operation, on one sort of the values; np.quantile itself costs several
+    times more per call, and every split candidate's children call this.
+    """
+    s = np.sort(values)
+    top = len(s) - 1
+    pos = [top * q for q in _QUANTILES]
+    lo = [math.floor(p) for p in pos]
+    bounds = s[lo + [min(i + 1, top) for i in lo]].tolist()
     edges: list[float] = []
-    for q in qs:
-        f = float(q)
+    for p, i, below, above in zip(pos, lo, bounds, bounds[len(lo):]):
+        gamma = p - i
+        diff = above - below
+        f = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
         if not edges or f > edges[-1]:
             edges.append(f)
     return edges
+
+
+class _Node:
+    """Counts of one node that every class estimate at the node or at a
+    child of one of its split candidates is taken from.
+
+    Source rows are the node's class codes and pivot values; with a
+    sample-backed store, target rows are the retained sample on the node
+    path. A child's rows are a selection of these, so estimating a child needs
+    no dataset subset and no target filter.
+    """
+
+    def __init__(self, rows: Dataset, path: Path, x_w: str | None, ks: KnowledgeStore,
+                 config: TreeConfig, diagnostics: dict):
+        if rows.n == 0:
+            raise EmptyDataset("cannot estimate a class distribution on an empty node")
+        self.ks = ks
+        self.config = config
+        self.diagnostics = diagnostics
+        self.support = rows.schema.class_values
+        self.y = rows.class_codes()
+        self.pivot = None if ks.is_empty or x_w is None else rows.schema.attribute(x_w)
+        self.target = None
+        if self.pivot is None:
+            return
+        self.piv = _pivot_values(rows, self.pivot)
+        # bin edges pool the node's pivot values with the whole target sample's
+        self.pool = None
+        if ks.sample is not None:
+            self.target = ks.sample_rows(path)
+            self.tpiv = _pivot_values(self.target, self.pivot)
+            self.pool = ks.sample.column(x_w)
+
+    def estimate(self, sel, path: Path, tsel) -> Distribution:
+        """Class distribution of the node rows `sel` at `path`, whose target
+        rows are the node's target rows `tsel`."""
+        y = self.y[sel]
+        n = len(y)
+        k = len(self.support)
+        class_counts = np.bincount(y, minlength=k).tolist()
+        if self.pivot is None:
+            return Distribution(self.support, tuple(c / n for c in class_counts))
+        piv = self.piv[sel]
+        name = self.pivot.name
+        if self.pivot.is_discrete:
+            edges = None
+            cells = piv
+            n_cells = n_queries = len(self.pivot.domain)
+            first = SplitCondition(name, EQ, self.pivot.domain[0])
+        else:
+            pool = piv if self.pool is None else self.pool
+            edges = _continuous_bin_edges(np.concatenate([piv, pool]))
+            cells = np.array(edges).searchsorted(piv)
+            n_cells = len(edges) + 1
+            n_queries = len(edges)
+            first = SplitCondition(name, LEQ, edges[0])
+        counts = np.bincount(cells * k + y, minlength=n_cells * k).reshape(n_cells, k).tolist()
+        src = [sum(row) for row in counts]
+
+        # The answerable subpath depends on the pivot attribute and the path,
+        # not on the cell, so one lookup serves every P(X_w cell | path).
+        ks = self.ks
+        tv = None
+        if ks.sample is None:
+            sub = maximal_subpath(ks, first, path)
+        else:
+            full = self.tpiv[tsel]
+            sub = None
+            for cand in subpaths(ks, first, path):
+                tv = full if len(cand) == len(path) else _pivot_values(ks.sample_rows(cand),
+                                                                        self.pivot)
+                if len(tv):
+                    sub = cand
+                    break
+        diag = self.diagnostics
+        if sub is None:
+            diag["forced_source"] = diag.get("forced_source", 0) + n_queries
+            return _mixed_counts(self.support, counts, src, class_counts, src, n)
+        if len(sub) != len(path):
+            diag["truncations"] = diag.get("truncations", 0) + n_queries
+        diag["n_alphas"] = diag.get("n_alphas", 0) + n_queries
+        alpha = self.config.alpha_override
+        if alpha is None:
+            alpha = dynamic_alpha(path, sub)
+
+        if tv is not None:
+            m = len(tv)
+            if edges is None:
+                tcum = np.cumsum(np.bincount(tv, minlength=n_cells)).tolist()
+            else:
+                tcum = np.searchsorted(np.sort(tv), edges, side="right").tolist() + [m]
+            tgt = [t - prev for t, prev in zip(tcum, [0] + tcum[:-1])]
+            if isinstance(alpha, Rational):
+                # Every mixed cell weight shares the denominator b*n*m.
+                a, b = alpha.numerator, alpha.denominator
+                weights = [a * m * s + (b - a) * n * t for s, t in zip(src, tgt)]
+                return _mixed_counts(self.support, counts, src, class_counts, weights, b * n * m)
+            target_ps = [Fraction(t, m) for t in (tgt if edges is None else tcum[:-1])]
+        elif edges is None:
+            target_ps = [query_target(ks, SplitCondition(name, EQ, v), sub)
+                         for v in self.pivot.domain]
+        else:
+            target_ps = [query_target(ks, SplitCondition(name, LEQ, e), sub) for e in edges]
+
+        # Cross-tables, CDFs and a float alpha give float weights; they keep
+        # the arithmetic, and its order, of one query per cell.
+        if edges is None:
+            weights = [affine_estimate(Fraction(s, n), tp, alpha)
+                       for s, tp in zip(src, target_ps)]
+        else:
+            weights = []
+            prev = Fraction(0)
+            c = 0
+            for s, tp in zip(src, target_ps):
+                c += s
+                cum = affine_estimate(Fraction(c, n), tp, alpha)
+                weights.append(max(cum - prev, 0))
+                prev = cum
+            weights.append(max(1 - prev, 0))
+        return _mixed_weights(self.support, counts, src, class_counts, weights)
+
+
+def _pivot_values(rows: Dataset, pivot: Attribute) -> np.ndarray:
+    return rows.codes(pivot.name) if pivot.is_discrete else rows.column(pivot.name)
+
+
+def _mixed_counts(support: tuple, counts: list, src: list, class_counts: list,
+                  weights: list, den: int) -> Distribution:
+    """sum over cells of weight/den * P(Y | cell), in integers until one division.
+
+    A cell with no source rows takes the node's class distribution; its
+    weight is then a multiple of the node's row count n = sum(class_counts).
+    The weights sum to den, so the mixture has mass exactly 1 and each
+    probability is one correctly rounded int/int division, equal to that of
+    the exact fraction.
+    """
+    n = sum(class_counts)
+    lcm = math.lcm(*(s for s in src if s))
+    num = [0] * len(support)
+    for row, s, w in zip(counts, src, weights):
+        if s:
+            f, cell = w * (lcm // s), row
+        else:
+            f, cell = w // n * lcm, class_counts
+        num = [x + f * c for x, c in zip(num, cell)]
+    den *= lcm
+    return Distribution(support, tuple(x / den for x in num))
+
+
+def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
+                   weights: list) -> Distribution:
+    """sum over cells of weight * P(Y | cell) for float (or mixed) weights,
+    renormalized; a cell with no source rows takes the node's distribution."""
+    n = sum(class_counts)
+    node_fracs = [Fraction(c, n) for c in class_counts]
+    acc: list = [Fraction(0)] * len(support)
+    for row, s, w in zip(counts, src, weights):
+        fracs = [Fraction(c, s) for c in row] if s else node_fracs
+        acc = [a + w * f for a, f in zip(acc, fracs)]
+    total = sum(acc)
+    if abs(total - 1) > _MASS_TOL:
+        raise InternalError(f"class mixture mass {float(total)} drifted beyond tolerance")
+    probs = []
+    for v in acc:
+        v = v / total if total != 0 else v
+        if isinstance(v, Fraction):
+            probs.append(v.numerator / v.denominator)
+        else:
+            probs.append(min(max(float(v), 0.0), 1.0))
+    return Distribution(support, tuple(probs))
 
 
 def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
@@ -169,73 +348,8 @@ def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
     conditional weighted by the knowledge-backed estimate of P(X_w=x | path);
     pivot cells with no source rows fall back to the node's own distribution.
     """
-    if node_rows.n == 0:
-        raise EmptyDataset("cannot estimate a class distribution on an empty node")
-    if ks.is_empty or x_w is None:
-        return class_distribution(node_rows)
-    schema = node_rows.schema
-    node_fracs = class_fractions(node_rows)
-    if diagnostics is None:
-        diagnostics = {}
-
-    attr = schema.attribute(x_w)
-    support = schema.class_values
-    acc: dict[str, object] = {y: Fraction(0) for y in support}
-    col = node_rows.column(x_w)
-
-    if attr.is_discrete:
-        cells = [(SplitCondition(x_w, EQ, v), col == v) for v in attr.domain]
-        weights = [_split_prob(node_rows, cond, path, ks, config, diagnostics)
-                   for cond, _ in cells]
-    else:
-        pool = ks.sample.column(x_w) if ks.sample is not None else col
-        edges = _continuous_bin_edges(np.concatenate([col, pool]))
-        cum: list = []
-        for e in edges:
-            cum.append(_split_prob(node_rows, SplitCondition(x_w, LEQ, e),
-                                   path, ks, config, diagnostics))
-        weights = []
-        prev = Fraction(0)
-        for c in cum:
-            weights.append(max(c - prev, 0))
-            prev = c
-        weights.append(max(1 - prev, 0))
-        masks = []
-        lo = -np.inf
-        for e in edges:
-            masks.append((col > lo) & (col <= e))
-            lo = e
-        masks.append(col > lo)
-        cells = [(None, m) for m in masks]
-
-    for (_, mask), w in zip(cells, weights):
-        fracs = _class_fracs_subset(node_rows, mask, node_fracs)
-        for y in support:
-            acc[y] = acc[y] + w * fracs[y]
-
-    total = sum(acc.values())
-    if abs(total - 1) > _MASS_TOL:
-        raise InternalError(f"class mixture mass {float(total)} drifted beyond tolerance")
-    probs = []
-    for y in support:
-        v = acc[y] / total if total != 0 else acc[y]
-        if isinstance(v, Fraction):
-            probs.append(v.numerator / v.denominator)
-        else:
-            probs.append(min(max(float(v), 0.0), 1.0))
-    return Distribution(support, tuple(probs))
-
-
-def _candidate_conditions(node_rows: Dataset) -> list[SplitCondition]:
-    out: list[SplitCondition] = []
-    for attr in node_rows.schema.predictive:
-        if attr.is_discrete:
-            out.extend(SplitCondition(attr.name, EQ, v) for v in attr.domain)
-        else:
-            vals = np.unique(node_rows.column(attr.name))
-            mids = (vals[:-1] + vals[1:]) / 2.0
-            out.extend(SplitCondition(attr.name, LEQ, float(m)) for m in mids)
-    return out
+    node = _Node(node_rows, path, x_w, ks, config, {} if diagnostics is None else diagnostics)
+    return node.estimate(slice(None), path, slice(None))
 
 
 def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
@@ -245,24 +359,53 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
 
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
+    Each attribute's column is read once: a continuous one is sorted once, and
+    every threshold's left rows are a prefix of that order (on the target
+    side too).
     """
     min_rows = config.min_node_fraction * n_train
-    parent = estimate_class_dist(node_rows, path, x_w, ks, config, diagnostics)
+    n = node_rows.n
+    node = _Node(node_rows, path, x_w, ks, config, diagnostics)
+    parent = node.estimate(slice(None), path, slice(None))
+    target = node.target
     best: tuple[SplitCondition, float] | None = None
-    for cond in _candidate_conditions(node_rows):
-        mask = cond.matches(node_rows.column(cond.attribute))
-        n_left = int(np.count_nonzero(mask))
-        n_right = node_rows.n - n_left
-        if n_left < min_rows or n_right < min_rows or n_left == 0 or n_right == 0:
-            continue
-        p_left = _split_prob(node_rows, cond, path, ks, config, diagnostics)
-        left = estimate_class_dist(node_rows.subset(mask), path.extend(cond),
-                                   x_w, ks, config, diagnostics)
-        right = estimate_class_dist(node_rows.subset(~mask), path.extend(cond.negate()),
-                                    x_w, ks, config, diagnostics)
-        ig = information_gain(parent, p_left, left, right)
-        if best is None or ig > best[1]:
-            best = (cond, ig)
+    for attr in node_rows.schema.predictive:
+        if attr.is_discrete:
+            codes = node_rows.codes(attr.name)
+            tcodes = None if target is None else target.codes(attr.name)
+            n_lefts = np.bincount(codes, minlength=len(attr.domain)).tolist()
+            splits = []
+            for j, (v, n_left) in enumerate(zip(attr.domain, n_lefts)):
+                left = codes == j
+                tleft = None if tcodes is None else tcodes == j
+                splits.append((SplitCondition(attr.name, EQ, v), n_left,
+                               left, ~left, tleft, None if tleft is None else ~tleft))
+        else:
+            col = node_rows.column(attr.name)
+            vals = np.unique(col)
+            mids = (vals[:-1] + vals[1:]) / 2.0
+            order = np.argsort(col, kind="stable")
+            n_lefts = np.searchsorted(col[order], mids, side="right").tolist()
+            if target is None:
+                t_lefts = [0] * len(n_lefts)
+            else:
+                tcol = target.column(attr.name)
+                torder = np.argsort(tcol, kind="stable")
+                t_lefts = np.searchsorted(tcol[torder], mids, side="right").tolist()
+            splits = ((SplitCondition(attr.name, LEQ, t), k, order[:k], order[k:],
+                       None if target is None else torder[:kt],
+                       None if target is None else torder[kt:])
+                      for t, k, kt in zip(mids.tolist(), n_lefts, t_lefts))
+        for cond, n_left, left_rows, right_rows, t_left, t_right in splits:
+            n_right = n - n_left
+            if n_left < min_rows or n_right < min_rows or n_left == 0 or n_right == 0:
+                continue
+            p_left = _split_prob(node_rows, cond, path, ks, config, diagnostics)
+            left = node.estimate(left_rows, path.extend(cond), t_left)
+            right = node.estimate(right_rows, path.extend(cond.negate()), t_right)
+            ig = information_gain(parent, p_left, left, right)
+            if best is None or ig > best[1]:
+                best = (cond, ig)
     if best is None or best[1] <= _MIN_GAIN:
         return None
     return best
@@ -388,8 +531,9 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
 
 
 def route(tree: DecisionTree, row: dict) -> Leaf:
-    """The leaf a record reaches; undeclared discrete values raise unless the
-    tree routes them right."""
+    """The leaf a record reaches, comparing as each split's op says (as
+    `SplitCondition.matches` does); undeclared discrete values raise unless
+    the tree routes them right."""
     node = tree.root
     while isinstance(node, Internal):
         cond = node.condition
@@ -403,10 +547,17 @@ def route(tree: DecisionTree, row: dict) -> Leaf:
                     continue
                 raise ValueOutOfDomain(
                     f"value {value!r} of {cond.attribute!r} was never declared")
-            go_left = (value == cond.threshold) if cond.op == EQ else (value != cond.threshold)
         else:
-            v = float(value)
-            go_left = (v <= cond.threshold) if cond.op == LEQ else (v > cond.threshold)
+            value = float(value)
+        op = cond.op
+        if op == LEQ:
+            go_left = value <= cond.threshold
+        elif op == EQ:
+            go_left = value == cond.threshold
+        elif op == GT:
+            go_left = value > cond.threshold
+        else:
+            go_left = value != cond.threshold
         node = node.left if go_left else node.right
     return node
 

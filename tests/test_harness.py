@@ -269,6 +269,23 @@ class TestCli:
                      "--schema", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "t.json")]) == 1
 
+    def test_file_arguments_are_paths(self, tmp_path):
+        # a comma in a file name must not turn the argument into inline CSV
+        data = tmp_path / "a,b"
+        assert main(["synth", "--n-source", "60", "--n-target", "60", "--out", str(data)]) == 0
+        tree = tmp_path / "t,1.json"
+        assert main(["train", "--source", str(data / "source.csv"),
+                     "--schema", str(data / "schema.json"), "--regime", "ftdk",
+                     "--target", str(data / "target.csv"), "--out", str(tree)]) == 0
+        assert main(["evaluate", "--tree", str(tree), "--data", str(data / "target.csv"),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        cfg = {"seed": 1, "regimes": ["ntdk"],
+               "pairs": [{"source_csv": "a,b/source.csv", "target_csv": "a,b/target.csv",
+                          "schema_json": "a,b/schema.json"}]}
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        results = run_experiment(parse_experiment_config(str(tmp_path / "exp.json")))
+        assert results[0].error is None
+
     def test_train_without_target_for_ftdk(self, tmp_path):
         data = tmp_path / "d"
         main(["synth", "--n-source", "50", "--n-target", "50", "--out", str(data)])

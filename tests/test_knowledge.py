@@ -23,6 +23,7 @@ from dadt.data import (
     dataset_from_rows,
 )
 from dadt.errors import (
+    ConfigError,
     DomainError,
     EmptyDataset,
     FormatError,
@@ -76,9 +77,9 @@ class TestRegime:
         assert KnowledgeRegime.partial(2).arity == 2
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             KnowledgeRegime("bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             KnowledgeRegime.partial(0)
 
 

@@ -12,7 +12,9 @@ from dadt.baseline import grow_baseline, trees_equal
 from dadt.data import (
     EMPTY_PATH,
     EQ,
+    GT,
     LEQ,
+    NEQ,
     Attribute,
     Path,
     Schema,
@@ -37,7 +39,9 @@ from dadt.tree import (
     best_split,
     estimate_class_dist,
     grow,
+    _continuous_bin_edges,
     predict,
+    route,
     select_pivot,
     tree_from_json,
     tree_to_json,
@@ -342,6 +346,49 @@ class TestPredict:
         t = self.hand_tree()
         t.config = TreeConfig(route_unseen_right=True)
         assert predict(t, {"C": "zzz", "A": 1.0})[0] == "0"
+
+    @pytest.mark.parametrize("op", [EQ, NEQ, LEQ, GT])
+    def test_route_agrees_with_matches(self, op):
+        schema = self.hand_tree().schema
+        left = Leaf(Distribution(("0", "1"), (1.0, 0.0)), 1, EMPTY_PATH)
+        right = Leaf(Distribution(("0", "1"), (0.0, 1.0)), 1, EMPTY_PATH)
+        for attr, threshold, values in (("C", "x", ("x", "y")),
+                                        ("A", 0.5, (0.0, 0.5, 1.0))):
+            cond = SplitCondition(attr, op, threshold)
+            tree = DecisionTree(root=Internal(cond, left, right, 0.0), config=TreeConfig(),
+                                schema=schema, x_w=None, diagnostics={})
+            for v in values:
+                row = {"C": "x", "A": 0.0, attr: v}
+                expect = bool(cond.matches(np.array([v], dtype=object))[0])
+                assert (route(tree, row) is left) == expect, (op, attr, v)
+
+
+class TestContinuousBinEdges:
+    def test_equal_to_numpy_quantile_deciles(self):
+        rng = np.random.default_rng(11)
+        qs = np.linspace(0.1, 0.9, 9)
+        for n in list(range(1, 40)) + [97, 500, 1001]:
+            for scale in (0.1, 1.0):
+                values = np.round(rng.normal(size=n) / scale) * scale  # ties
+                expect = []
+                for q in np.quantile(values, qs):
+                    if not expect or float(q) > expect[-1]:
+                        expect.append(float(q))
+                assert _continuous_bin_edges(values) == expect, (n, scale)
+
+
+class TestKnowledgeRowsBounded:
+    @pytest.mark.parametrize("regime", ["full", "partial"])
+    def test_at_most_one_entry_per_node(self, regime):
+        rng = np.random.default_rng(5)
+        schema = random_mixed_schema(rng)
+        source = random_dataset(rng, schema, 200)
+        target = random_dataset(rng, schema, 200)
+        kr = KnowledgeRegime.full() if regime == "full" else KnowledgeRegime.partial(2)
+        ks = build_from_target_sample(target, kr)
+        tree = grow(source, ks, TreeConfig())
+        n_nodes = 2 * len(tree.leaves()) - 1
+        assert 0 < len(ks._rows) <= n_nodes
 
 
 class TestSerialization:
