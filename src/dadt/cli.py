@@ -79,8 +79,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = tree_from_json(fh)
+    tree = tree_from_json(args.tree)
     data = load_dataset(args.data, tree.schema)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -95,8 +94,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = tree_from_json(fh)
+    tree = tree_from_json(args.tree)
     data = load_dataset(args.data, tree.schema)
     protected = args.protected or tree.schema.protected_attr
     report = evaluate_model(tree, data, protected)
@@ -200,16 +198,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InternalError as exc:
+    except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except DadtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DadtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

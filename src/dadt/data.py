@@ -110,18 +110,14 @@ class Schema:
 
 
 def schema_from_json(source) -> Schema:
-    """Parse a schema document from a byte/text stream, path, or dict."""
-    doc = _read_json(source)
+    """Parse a schema document; `source` is read by `read_json`."""
+    doc = read_json(source)
     try:
-        predictive = tuple(_attr_from_dict(d) for d in doc["predictive"])
-        class_attr = _attr_from_dict(doc["class"])
-        protected = doc.get("protected")
-    except (KeyError, TypeError) as exc:
+        return Schema(predictive=tuple(_attr_from_dict(d) for d in doc["predictive"]),
+                      class_attr=_attr_from_dict(doc["class"]),
+                      protected_attr=doc.get("protected"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed schema document: {exc}") from exc
-    try:
-        return Schema(predictive=predictive, class_attr=class_attr, protected_attr=protected)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def _attr_from_dict(d: dict) -> Attribute:
@@ -131,21 +127,54 @@ def _attr_from_dict(d: dict) -> Attribute:
     return Attribute(name=d["name"], kind=kind, domain=domain, bounds=bounds)
 
 
-def _read_json(source):
-    """A dict; JSON read from a path (any os.PathLike, or a str or bytes not
-    starting with { or [); JSON text; or a stream."""
+def _inline_csv(text: str) -> bool:
+    return text == "" or "\n" in text or "," in text
+
+
+def _inline_json(text: str) -> bool:
+    return text.lstrip().startswith(("{", "["))
+
+
+def source_path(source, inline=_inline_json):
+    """The file an input argument names, or None when it holds the content:
+    bytes, a str for which `inline` holds, a dict (a parsed document) or a
+    stream. Any other str, and any os.PathLike, is a path."""
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and not inline(source)):
+        return os.fspath(source)
+    return None
+
+
+def _read(source, inline) -> str | bytes:
+    path = source_path(source, inline)
+    if path is None:
+        return source if isinstance(source, (str, bytes)) else source.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+
+def read_text(source, inline=_inline_csv) -> str:
+    """The UTF-8 text an input argument holds or names (see `source_path`);
+    unreadable or non-UTF-8 input raises ParseError."""
+    data = _read(source, inline)
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+
+
+def read_json(source):
+    """The JSON document an input argument holds or names (see `source_path`);
+    a str is content when it starts with { or [, and a dict is the document
+    itself. Unreadable, undecodable or invalid JSON raises ParseError."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, os.PathLike) or (
-            isinstance(source, (str, bytes)) and not str(source).lstrip().startswith(("{", "["))):
-        try:
-            with open(source, "rb") as fh:
-                return json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
-    if isinstance(source, (str, bytes)):
-        return json.loads(source)
-    return json.load(source)
+    try:
+        return json.loads(_read(source, _inline_json))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"invalid JSON document: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -257,11 +286,8 @@ class Dataset:
         return self.column(self.schema.class_attr.name)
 
     def subset(self, mask_or_index: np.ndarray) -> "Dataset":
-        if mask_or_index.dtype == bool:
-            new_index = self.index[mask_or_index]
-        else:
-            new_index = self.index[mask_or_index]
-        return Dataset(self.schema, self._columns, new_index, self.labeled, self._codes)
+        return Dataset(self.schema, self._columns, self.index[mask_or_index],
+                       self.labeled, self._codes)
 
     def without_labels(self) -> "Dataset":
         cols = {k: v for k, v in self._columns.items() if k != self.schema.class_attr.name}
@@ -318,11 +344,9 @@ def _typed_column(attr: Attribute, raw: list, col: str) -> np.ndarray:
 def load_dataset(csv_source, schema_source) -> Dataset:
     """Load and validate a CSV (header row required) against a schema document."""
     schema = schema_source if isinstance(schema_source, Schema) else schema_from_json(schema_source)
-    text = _read_text(csv_source)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    reader = _csv_rows(read_text(csv_source))
+    header = next(reader, None)
+    if header is None:
         raise ParseError("CSV has no header row")
     expected = set(schema.predictive_names)
     class_name = schema.class_attr.name
@@ -346,21 +370,11 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     return dataset_from_rows(schema, raw_rows, labeled=labeled)
 
 
-def _read_text(source) -> str:
-    """CSV text from bytes; from a path (any os.PathLike, or a str with no
-    comma and no newline); from a str holding the text; or from a stream."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str) and (source == "" or "\n" in source or "," in source):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {os.fspath(source)!r}: {exc}") from exc
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+def _csv_rows(text: str):
+    try:  # newline=None: \r\n and \r end lines as in a file opened in text mode
+        yield from csv.reader(io.StringIO(text, newline=None))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {exc}") from exc
 
 
 def serialize_dataset(d: Dataset) -> str:

@@ -25,6 +25,9 @@ from .data import (
     Schema,
     dataset_from_rows,
     load_dataset,
+    read_json,
+    schema_from_json,
+    source_path,
     split_train_test,
 )
 from .errors import ConfigError, DadtError
@@ -56,6 +59,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = (self.n_source, self.n_target, self.n_attrs, self.seed)
+        if any(type(v) is not int for v in sizes) or self.seed < 0:
+            raise ConfigError("n_source, n_target, n_attrs and seed must be integers, seed >= 0")
         if self.n_source < 1 or self.n_target < 1:
             raise ConfigError("sample sizes must be positive")
         if self.n_attrs < 2:
@@ -151,54 +157,57 @@ def _checked_keys(section: str, settings, cls) -> dict:
 
 
 def parse_experiment_config(source, base_dir: str | None = None) -> ExperimentConfig:
-    """Parse a config document; file paths resolve relative to the config file."""
-    if isinstance(source, dict):
-        doc = source
-        base = base_dir or "."
-    else:
-        path = os.fspath(source)
-        base = base_dir or os.path.dirname(os.path.abspath(path))
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if "seed" not in doc:
-        raise ConfigError("experiment config must declare a seed")
-    regimes = tuple(doc.get("regimes", ["tt", "ntdk", "ftdk"]))
-    for r in regimes:
-        if r not in REGIMES:
-            raise ConfigError(f"unknown regime {r!r}; choose from {REGIMES}")
-    pairs = []
-    for i, p in enumerate(doc.get("pairs", [])):
-        pid = str(p.get("id", i))
-        if "synth" in p:
-            synth = _checked_keys(f"pair {pid}: synth", p["synth"], SynthConfig)
-            pairs.append(PairSpec(pair_id=pid, synth=SynthConfig(**synth)))
-        else:
-            try:
+    """Parse a config document, read by `read_json`; file paths resolve
+    relative to the config file (to "." for a document given as content)."""
+    doc = read_json(source)
+    path = source_path(source)
+    base = base_dir or (os.path.dirname(os.path.abspath(path)) if path else ".")
+    try:
+        if "seed" not in doc:
+            raise ConfigError("experiment config must declare a seed")
+        regimes = tuple(doc.get("regimes", ["tt", "ntdk", "ftdk"]))
+        for r in regimes:
+            if r not in REGIMES:
+                raise ConfigError(f"unknown regime {r!r}; choose from {REGIMES}")
+        pairs = []
+        for i, p in enumerate(doc.get("pairs", [])):
+            pid = str(p.get("id", i))
+            if "synth" in p:
+                synth = _checked_keys(f"pair {pid}: synth", p["synth"], SynthConfig)
+                pairs.append(PairSpec(pair_id=pid, synth=SynthConfig(**synth)))
+            else:
                 pairs.append(PairSpec(
                     pair_id=pid,
                     source_csv=os.path.join(base, p["source_csv"]),
                     target_csv=os.path.join(base, p["target_csv"]),
                     schema_json=os.path.join(base, p["schema_json"]),
                 ))
-            except KeyError as exc:
-                raise ConfigError(f"pair {pid}: missing {exc}") from exc
-    if not pairs:
-        raise ConfigError("experiment config has no pairs")
-    objective = doc.get("fairness_objective")
-    if objective is not None and objective not in ("dp", "eop"):
-        raise ConfigError("fairness_objective must be 'dp', 'eop', or omitted")
-    out_dir = doc.get("output_dir", ".")
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.normpath(os.path.join(base, out_dir))
-    return ExperimentConfig(
-        seed=int(doc["seed"]),
-        pairs=tuple(pairs),
-        regimes=regimes,
-        tree=_checked_keys("tree", doc.get("tree", {}), TreeConfig),
-        fairness_objective=objective,
-        train_fraction=float(doc.get("train_fraction", 0.75)),
-        output_dir=out_dir,
-    )
+        if not pairs:
+            raise ConfigError("experiment config has no pairs")
+        objective = doc.get("fairness_objective")
+        if objective is not None and objective not in ("dp", "eop"):
+            raise ConfigError("fairness_objective must be 'dp', 'eop', or omitted")
+        out_dir = doc.get("output_dir", ".")
+        if "\0" in out_dir:
+            raise ConfigError("output_dir must not hold a NUL character")
+        if not os.path.isabs(out_dir):
+            out_dir = os.path.normpath(os.path.join(base, out_dir))
+        tree = _checked_keys("tree", doc.get("tree", {}), TreeConfig)
+        TreeConfig(**tree)
+        train_fraction = float(doc.get("train_fraction", 0.75))
+        if not 0.0 < train_fraction < 1.0:
+            raise ConfigError("train_fraction must be in (0, 1)")
+        return ExperimentConfig(
+            seed=int(doc["seed"]),
+            pairs=tuple(pairs),
+            regimes=regimes,
+            tree=tree,
+            fairness_objective=objective,
+            train_fraction=train_fraction,
+            output_dir=out_dir,
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"malformed experiment config: {exc!r}") from exc
 
 
 @dataclass
@@ -229,7 +238,7 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
         if spec.synth is not None:
             source, target, _ = generate_synthetic(spec.synth)
         else:
-            schema = Path(spec.schema_json)
+            schema = schema_from_json(Path(spec.schema_json))
             source = load_dataset(Path(spec.source_csv), schema)
             target = load_dataset(Path(spec.target_csv), schema)
         src_train, _src_test = split_train_test(

@@ -11,7 +11,6 @@ affine mixing with the source estimate.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .data import (
     Schema,
     SplitCondition,
     filter_by_path,
+    read_json,
 )
 from .errors import (
     ConfigError,
@@ -182,95 +182,77 @@ def _class_conditionals_from_sample(target: Dataset) -> dict[str, dict]:
     return out
 
 
-def load_from_crosstabs(json_source, schema: Schema) -> KnowledgeStore:
-    """Knowledge from a cross-tab/CDF JSON document (official-statistics style)."""
-    if isinstance(json_source, bytes):
-        doc = json.loads(json_source.decode("utf-8"))
-    elif isinstance(json_source, str):
-        doc = json.loads(json_source)
-    elif isinstance(json_source, dict):
-        doc = json_source
-    else:
-        doc = json.load(json_source)
-    if not isinstance(doc, dict):
-        raise FormatError("cross-tab document must be a JSON object")
-
-    arity = doc.get("arity_limit")
-    tables: dict[tuple[str, ...], dict[tuple, float]] = {}
-    for spec in doc.get("tables", []):
-        try:
+def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
+    """Knowledge from a cross-tab/CDF JSON document (official-statistics
+    style); `source` is read by `read_json`."""
+    doc = read_json(source)
+    try:
+        tables: dict[tuple[str, ...], dict[tuple, float]] = {}
+        for spec in doc.get("tables", []):
             names = tuple(spec["vars"])
-            cells = spec["cells"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed table entry: {exc}") from exc
-        attrs = []
-        for name in names:
-            attr = schema.attribute(name)
-            if not attr.is_discrete:
-                raise FormatError(f"cross-table variable {name!r} must be discrete")
-            attrs.append(attr)
-        table: dict[tuple, float] = {}
-        for cell in cells:
-            try:
+            attrs = []
+            for name in names:
+                attr = schema.attribute(name)
+                if not attr.is_discrete:
+                    raise FormatError(f"cross-table variable {name!r} must be discrete")
+                attrs.append(attr)
+            table: dict[tuple, float] = {}
+            for cell in spec["cells"]:
                 key = tuple(str(v) for v in cell["key"])
                 p = float(cell["p"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"malformed cell in table {names}: {exc}") from exc
-            if len(key) != len(names):
-                raise FormatError(f"cell key {key} has wrong length for {names}")
-            for v, attr in zip(key, attrs):
-                if v not in attr.domain:
-                    raise FormatError(f"value {v!r} not in domain of {attr.name!r}")
-            if p < 0:
-                raise FormatError(f"negative probability in table {names}")
-            table[key] = table.get(key, 0.0) + p
-        total = sum(table.values())
-        if abs(total - 1.0) > _NORM_TOL:
-            raise NormalizationError(f"table {names} sums to {total}")
-        tables[names] = {k: v / total for k, v in table.items()}
+                if len(key) != len(names):
+                    raise FormatError(f"cell key {key} has wrong length for {names}")
+                for v, attr in zip(key, attrs):
+                    if v not in attr.domain:
+                        raise FormatError(f"value {v!r} not in domain of {attr.name!r}")
+                if not p >= 0:
+                    raise FormatError(f"negative or NaN probability in table {names}")
+                table[key] = table.get(key, 0.0) + p
+            total = sum(table.values())
+            if not abs(total - 1.0) <= _NORM_TOL:
+                raise NormalizationError(f"table {names} sums to {total}")
+            tables[names] = {k: v / total for k, v in table.items()}
 
-    cdfs: list[CdfEntry] = []
-    for spec in doc.get("cdfs", []):
-        try:
+        cdfs: list[CdfEntry] = []
+        for spec in doc.get("cdfs", []):
             var = spec["var"]
-            knots = [(float(v), float(p)) for v, p in spec["knots"]]
+            knots = sorted((float(v), float(p)) for v, p in spec["knots"])
             context = frozenset((a, str(v)) for a, v in spec.get("context", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed cdf entry: {exc}") from exc
-        attr = schema.attribute(var)
-        if attr.is_discrete:
-            raise FormatError(f"cdf variable {var!r} must be continuous")
-        if not knots:
-            raise FormatError(f"cdf for {var!r} has no knots")
-        knots.sort()
-        ps = [p for _, p in knots]
-        if any(b < a for a, b in zip(ps, ps[1:])) or ps[0] < 0:
-            raise FormatError(f"cdf for {var!r} is not nondecreasing")
-        if abs(ps[-1] - 1.0) > _NORM_TOL:
-            raise NormalizationError(f"cdf for {var!r} ends at {ps[-1]}")
-        scale = ps[-1]
-        cdfs.append(CdfEntry(var=var, context=context,
-                             knots=tuple((v, p / scale) for v, p in knots)))
+            if schema.attribute(var).is_discrete:
+                raise FormatError(f"cdf variable {var!r} must be continuous")
+            if not knots:
+                raise FormatError(f"cdf for {var!r} has no knots")
+            if any(math.isnan(v) for v, _ in knots):
+                raise FormatError(f"cdf for {var!r} has a NaN knot")
+            ps = [p for _, p in knots]
+            if not (ps[0] >= 0 and all(a <= b for a, b in zip(ps, ps[1:]))):
+                raise FormatError(f"cdf for {var!r} is not nondecreasing")
+            if not abs(ps[-1] - 1.0) <= _NORM_TOL:
+                raise NormalizationError(f"cdf for {var!r} ends at {ps[-1]}")
+            cdfs.append(CdfEntry(var=var, context=context,
+                                 knots=tuple((v, p / ps[-1]) for v, p in knots)))
 
-    class_cond = None
-    if "class_conditionals" in doc and doc["class_conditionals"]:
-        class_cond = {}
-        for spec in doc["class_conditionals"]:
-            var = spec["var"]
-            schema.attribute(var)
-            y_given_x = {
-                str(x): _class_dist_from_dict(schema, dist)
-                for x, dist in spec["y_given_x"].items()
-            }
-            marginal = {str(x): float(p) for x, p in spec["marginal"].items()}
-            class_cond[var] = {"marginal": marginal, "y_given_x": y_given_x}
+        class_cond = None
+        if doc.get("class_conditionals"):
+            class_cond = {}
+            for spec in doc["class_conditionals"]:
+                var = spec["var"]
+                schema.attribute(var)
+                y_given_x = {
+                    str(x): _class_dist_from_dict(schema, dist)
+                    for x, dist in spec["y_given_x"].items()
+                }
+                marginal = {str(x): float(p) for x, p in spec["marginal"].items()}
+                class_cond[var] = {"marginal": marginal, "y_given_x": y_given_x}
 
-    if arity is None:
+        arity = doc.get("arity_limit")
         # unspecified: stored tables/CDFs already bound what is answerable
-        arity = math.inf
+        arity = math.inf if arity is None else float(arity)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"malformed cross-tab document: {exc!r}") from exc
     return KnowledgeStore(
         schema=schema,
-        arity_limit=float(arity),
+        arity_limit=arity,
         tables=tables,
         cdfs=cdfs,
         class_conditionals=class_cond,
@@ -281,7 +263,7 @@ def _class_dist_from_dict(schema: Schema, d: dict) -> Distribution:
     support = schema.class_values
     probs = [float(d.get(y, 0.0)) for y in support]
     total = sum(probs)
-    if abs(total - 1.0) > _NORM_TOL:
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"class distribution sums to {total}")
     return Distribution(support, tuple(p / total for p in probs))
 

@@ -31,6 +31,8 @@ from .data import (
     Path,
     Schema,
     SplitCondition,
+    read_json,
+    schema_from_json,
 )
 from .errors import (
     ConfigError,
@@ -636,11 +638,10 @@ def tree_to_json(tree: DecisionTree) -> str:
 
 
 def tree_from_json(source) -> DecisionTree:
-    """Parse a tree document; config fields that older versions wrote and
-    this one no longer takes are ignored."""
-    from .data import schema_from_json
+    """Parse a tree document, read by `read_json`; config fields that older
+    versions wrote and this one no longer takes are ignored."""
+    doc = read_json(source)
     try:
-        doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         schema = schema_from_json(doc["schema"])
         c = doc["config"]
         config = TreeConfig(
@@ -651,5 +652,5 @@ def tree_from_json(source) -> DecisionTree:
         root = _node_from_dict(doc["root"], schema)
         return DecisionTree(root=root, config=config, schema=schema,
                             x_w=doc.get("x_w"), diagnostics=dict(doc.get("diagnostics", {})))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed tree document: {exc!r}") from exc

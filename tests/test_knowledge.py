@@ -272,3 +272,28 @@ class TestMixing:
         assert 0.0 <= v <= 1.0
         # monotone in alpha toward the source value
         assert (affine_estimate(s, t, 1.0) - s) == 0
+
+
+class TestCrosstabNaN:
+    """NaN fails every mass check of the cross-tab loader."""
+
+    def test_nan_table_cell(self):
+        text = ('{"tables": [{"vars": ["X1"], "cells": '
+                '[{"key": ["0"], "p": NaN}, {"key": ["1"], "p": 1}]}]}')
+        with pytest.raises(FormatError):
+            load_from_crosstabs(text, binary_schema())
+
+    @pytest.mark.parametrize("knots", [[[1, 0.5], [2, math.nan]],
+                                       [[1, math.nan], [2, 1.0]],
+                                       [[math.nan, 0.5], [2, 1.0]]])
+    def test_nan_cdf_knot(self, knots):
+        schema = Schema(predictive=(Attribute("A", "continuous"),),
+                        class_attr=Attribute("Y", "discrete", ("0", "1")))
+        with pytest.raises((FormatError, NormalizationError)):
+            load_from_crosstabs({"cdfs": [{"var": "A", "knots": knots}]}, schema)
+
+    def test_nan_class_conditional(self):
+        doc = {"class_conditionals": [{"var": "X1", "marginal": {"0": 0.5, "1": 0.5},
+                                       "y_given_x": {"0": {"0": math.nan, "1": 1.0}}}]}
+        with pytest.raises(NormalizationError):
+            load_from_crosstabs(doc, binary_schema())
