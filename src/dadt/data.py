@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    InternalError,
     ParseError,
     SchemaMismatch,
     UnknownAttribute,
@@ -35,6 +36,9 @@ LEQ = "leq"
 GT = "gt"
 
 _NEGATE = {EQ: NEQ, NEQ: EQ, LEQ: GT, GT: LEQ}
+
+# rows per chunk of `Dataset.iter_rows`; bounds the memory of the row lists
+_ROW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,14 @@ class Schema:
                 raise ValueError("protected attribute must name a discrete predictive attribute")
 
     def attribute(self, name: str) -> Attribute:
-        for a in self.predictive:
-            if a.name == name:
-                return a
-        if name == self.class_attr.name:
-            return self.class_attr
-        raise UnknownAttribute(f"no attribute named {name!r} in schema")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise UnknownAttribute(f"no attribute named {name!r} in schema") from None
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, Attribute]:
+        return {a.name: a for a in self.predictive + (self.class_attr,)}
 
     @functools.cached_property
     def predictive_names(self) -> tuple[str, ...]:
@@ -302,43 +308,59 @@ class Dataset:
         return {name: self._columns[name][ridx] for name in names}
 
     def iter_rows(self):
-        for i in range(self.n):
-            yield self.row(i)
+        """Row dicts of Python scalars, built a bounded chunk of rows at a time."""
+        names = list(self.schema.predictive_names)
+        if self.labeled:
+            names.append(self.schema.class_attr.name)
+        for start in range(0, self.n, _ROW_CHUNK):
+            idx = self.index[start:start + _ROW_CHUNK]
+            columns = [self._columns[name][idx].tolist() for name in names]
+            for values in zip(*columns) if names else [()] * len(idx):
+                yield dict(zip(names, values))
 
 
 def dataset_from_rows(schema: Schema, rows: list[dict], labeled: bool = True) -> Dataset:
     """Build a validated dataset from row dicts (values already typed)."""
+    return _dataset_from_columns(schema, lambda name: [r[name] for r in rows], labeled)
+
+
+def _dataset_from_columns(schema: Schema, raw_column, labeled: bool) -> Dataset:
+    """Type and check each column, in schema order; `raw_column(name)` gives
+    a column's values in row order."""
     names = list(schema.predictive_names)
     if labeled:
         names.append(schema.class_attr.name)
-    columns: dict[str, np.ndarray] = {}
-    for name in names:
-        attr = schema.attribute(name)
-        raw = [r[name] for r in rows]
-        columns[name] = _typed_column(attr, raw, col=name)
+    columns = {name: _typed_column(schema.attribute(name), raw_column(name), col=name)
+               for name in names}
     return Dataset(schema, columns, labeled=labeled)
 
 
-def _typed_column(attr: Attribute, raw: list, col: str) -> np.ndarray:
+def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
+    """The column as an array; the first bad value in row order raises."""
     if attr.is_discrete:
-        domain = set(attr.domain)
-        vals = []
-        for i, v in enumerate(raw):
-            s = str(v)
-            if s not in domain:
-                raise ValueOutOfDomain(
-                    f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}")
-            vals.append(s)
-        return np.array(vals, dtype=object)
-    out = np.empty(len(raw), dtype=np.float64)
+        # every cell becomes the domain's own string, so a column holds no
+        # more distinct strings than its domain has values
+        canonical = {v: v for v in attr.domain}
+        try:
+            return np.array([canonical[s] for s in map(str, raw)], dtype=object)
+        except KeyError:
+            i, s = next((i, s) for i, s in enumerate(map(str, raw)) if s not in canonical)
+            raise ValueOutOfDomain(
+                f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}") from None
+    try:
+        out = np.array(list(map(float, raw)), dtype=np.float64)
+        if np.isfinite(out).all():
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
     for i, v in enumerate(raw):
         try:
-            out[i] = float(v)
+            x = float(v)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"row {i}, column {col!r}: cannot parse {v!r} as a number") from exc
-        if not math.isfinite(out[i]):
+        if not math.isfinite(x):
             raise ParseError(f"row {i}, column {col!r}: non-finite value {v!r}")
-    return out
+    raise InternalError(f"column {col!r} failed to parse but has no bad value")
 
 
 def load_dataset(csv_source, schema_source) -> Dataset:
@@ -363,11 +385,13 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     for lineno, cells in enumerate(reader):
         if len(cells) != len(header):
             raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
-        for cell, col in zip(cells, header):
-            if cell == "":
-                raise ParseError(f"row {lineno}, column {col!r}: missing value")
-        raw_rows.append(dict(zip(header, cells)))
-    return dataset_from_rows(schema, raw_rows, labeled=labeled)
+        if "" in cells:
+            col = header[cells.index("")]
+            raise ParseError(f"row {lineno}, column {col!r}: missing value")
+        raw_rows.append(cells)
+    by_name = dict(zip(header, zip(*raw_rows))) if raw_rows else dict.fromkeys(header, ())
+    del raw_rows
+    return _dataset_from_columns(schema, by_name.__getitem__, labeled)
 
 
 def _csv_rows(text: str):

@@ -243,11 +243,18 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
                     for x, dist in spec["y_given_x"].items()
                 }
                 marginal = {str(x): float(p) for x, p in spec["marginal"].items()}
+                if not all(p >= 0 for p in marginal.values()):
+                    raise FormatError(f"negative or NaN marginal probability for {var!r}")
+                total = sum(marginal.values())
+                if not abs(total - 1.0) <= _NORM_TOL:
+                    raise NormalizationError(f"marginal of {var!r} sums to {total}")
                 class_cond[var] = {"marginal": marginal, "y_given_x": y_given_x}
 
         arity = doc.get("arity_limit")
         # unspecified: stored tables/CDFs already bound what is answerable
         arity = math.inf if arity is None else float(arity)
+        if not arity >= 0:
+            raise FormatError(f"arity_limit must be a non-negative number, not {arity}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed cross-tab document: {exc!r}") from exc
     return KnowledgeStore(

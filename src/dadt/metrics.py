@@ -208,39 +208,51 @@ def postprocess_thresholds(tree: DecisionTree, holdout: Dataset, protected: str,
     grid = sorted({float(leaf.class_dist.prob(positive_label))
                    for leaf in tree.leaves()} | {0.0, 1.0})
 
+    # per group and grid value: the group's rate (positive rate for dp, true
+    # positive rate for eop) and its correctly predicted rows, both from
+    # counts of the rows scoring at or above that threshold
+    rates: dict[str, list[float]] = {}
+    correct: dict[str, list[int]] = {}
+    for g, mask in masks.items():
+        group_scores = scores[mask]
+        n_g = len(group_scores)
+        if labeled:
+            pos = truth[mask] == positive_label
+            n_pos = int(np.count_nonzero(pos))
+            pos_above = _at_or_above(group_scores[pos], grid)
+            neg_above = _at_or_above(group_scores[~pos], grid)
+            correct[g] = [p + (n_g - n_pos) - q for p, q in zip(pos_above, neg_above)]
+        if objective == DP:
+            rates[g] = [float(c) / n_g for c in _at_or_above(group_scores, grid)]
+        else:
+            if n_pos == 0:
+                raise NoPositives(f"group {g!r} has no positive ground-truth rows")
+            rates[g] = [float(c) / n_pos for c in pos_above]
+
     best_key = None
     best_taus = None
-    for taus in itertools.product(grid, repeat=2):
+    for taus in itertools.product(range(len(grid)), repeat=2):
         assignment = dict(zip(groups, taus))
-        pred_pos = np.empty(holdout.n, dtype=bool)
-        for g, mask in masks.items():
-            pred_pos[mask] = scores[mask] >= assignment[g]
-        if objective == DP:
-            rates = [float(np.count_nonzero(pred_pos[m])) / int(np.count_nonzero(m))
-                     for m in masks.values()]
-            disparity = abs(rates[0] - rates[1])
-        else:
-            tprs = []
-            for g, mask in masks.items():
-                pos = mask & (truth == positive_label)
-                n_pos = int(np.count_nonzero(pos))
-                if n_pos == 0:
-                    raise NoPositives(f"group {g!r} has no positive ground-truth rows")
-                tprs.append(float(np.count_nonzero(pred_pos[pos])) / n_pos)
-            disparity = abs(tprs[0] - tprs[1])
+        group_rates = [rates[g][assignment[g]] for g in masks]
+        disparity = abs(group_rates[0] - group_rates[1])
         if labeled:
-            correct = np.where(pred_pos, truth == positive_label, truth != positive_label)
-            acc = float(np.count_nonzero(correct)) / holdout.n
+            acc = float(sum(correct[g][assignment[g]] for g in masks)) / holdout.n
         else:
             acc = 0.0
-        key = (disparity, -acc, taus[0], taus[1])
+        key = (disparity, -acc, grid[taus[0]], grid[taus[1]])
         if best_key is None or key < best_key:
             best_key = key
-            best_taus = assignment
+            best_taus = {g: grid[k] for g, k in assignment.items()}
     return PostprocessedModel(tree=tree, protected=protected,
                               positive_label=positive_label,
                               negative_label=negative_label,
                               thresholds=best_taus)
+
+
+def _at_or_above(values: np.ndarray, grid: list[float]) -> list[int]:
+    """For each grid value, how many of `values` are at or above it."""
+    ordered = np.sort(values)
+    return (len(ordered) - np.searchsorted(ordered, grid, side="left")).tolist()
 
 
 def _relative_gain(numerator: float, denominator: float) -> GainValue:
@@ -278,23 +290,28 @@ def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     if target_test.n == 0:
         raise EmptyDataset("cannot compute shift distance on an empty dataset")
     support = tree.schema.class_values
-    truth = target_test.class_column()
-    counts: dict[int, np.ndarray] = {}
-    leaves: dict[int, Leaf] = {}
     y_index = {y: i for i, y in enumerate(support)}
-    for i, row in enumerate(target_test.iter_rows()):
+    codes = [y_index[y] for y in target_test.class_column().tolist()]
+    # leaves numbered in the order rows first reach them, so the sum below
+    # adds them in that order
+    leaf_index: dict[int, int] = {}
+    leaves: list[Leaf] = []
+    rows_leaf = []
+    for row in target_test.iter_rows():
         leaf = route(tree, row)
-        key = id(leaf)
-        if key not in counts:
-            counts[key] = np.zeros(len(support))
-            leaves[key] = leaf
-        counts[key][y_index[truth[i]]] += 1
+        j = leaf_index.get(id(leaf))
+        if j is None:
+            j = leaf_index[id(leaf)] = len(leaves)
+            leaves.append(leaf)
+        rows_leaf.append(j)
+    k = len(support)
+    counts = np.bincount(np.array(rows_leaf) * k + codes, minlength=len(leaves) * k)
     total = 0.0
     n = target_test.n
-    for key, c in counts.items():
+    for leaf, c in zip(leaves, counts.reshape(len(leaves), k).astype(np.float64)):
         m = c.sum()
         tgt = Distribution(support, tuple(c / m))
-        total += wasserstein(leaves[key].class_dist, tgt) * (m / n)
+        total += wasserstein(leaf.class_dist, tgt) * (m / n)
     return float(total)
 
 

@@ -12,8 +12,10 @@ source-only tree is bit-for-bit, not merely approximate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -65,6 +67,7 @@ _MASS_TOL = 1e-9
 _N_BINS = 10
 _QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
 _DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
+_COMPARE = {LEQ: operator.le, EQ: operator.eq, GT: operator.gt, NEQ: operator.ne}
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,22 @@ class DecisionTree:
     schema: Schema
     x_w: str | None
     diagnostics: dict
+
+    @functools.cached_property
+    def _router(self):
+        """The tree as nested tuples for `route`: a split is (attribute name,
+        comparison, threshold, frozenset domain or None if continuous, left,
+        right) and a leaf is the `Leaf` itself. Built on first use; trees
+        are not changed after construction."""
+        def compile_node(node):
+            if isinstance(node, Leaf):
+                return node
+            cond = node.condition
+            attr = self.schema.attribute(cond.attribute)
+            domain = frozenset(attr.domain) if attr.is_discrete else None
+            return (cond.attribute, _COMPARE[cond.op], cond.threshold, domain,
+                    compile_node(node.left), compile_node(node.right))
+        return compile_node(self.root)
 
     def leaves(self) -> list[Leaf]:
         out: list[Leaf] = []
@@ -536,31 +555,20 @@ def route(tree: DecisionTree, row: dict) -> Leaf:
     """The leaf a record reaches, comparing as each split's op says (as
     `SplitCondition.matches` does); undeclared discrete values raise unless
     the tree routes them right."""
-    node = tree.root
-    while isinstance(node, Internal):
-        cond = node.condition
-        attr = tree.schema.attribute(cond.attribute)
-        value = row[cond.attribute]
-        if attr.is_discrete:
-            value = str(value)
-            if value not in attr.domain:
-                if tree.config.route_unseen_right:
-                    node = node.right
-                    continue
-                raise ValueOutOfDomain(
-                    f"value {value!r} of {cond.attribute!r} was never declared")
-        else:
+    node = tree._router
+    while type(node) is tuple:
+        name, compare, threshold, domain, left, right = node
+        value = row[name]
+        if domain is None:
             value = float(value)
-        op = cond.op
-        if op == LEQ:
-            go_left = value <= cond.threshold
-        elif op == EQ:
-            go_left = value == cond.threshold
-        elif op == GT:
-            go_left = value > cond.threshold
         else:
-            go_left = value != cond.threshold
-        node = node.left if go_left else node.right
+            value = str(value)
+            if value not in domain:
+                if tree.config.route_unseen_right:
+                    node = right
+                    continue
+                raise ValueOutOfDomain(f"value {value!r} of {name!r} was never declared")
+        node = left if compare(value, threshold) else right
     return node
 
 
@@ -642,6 +650,8 @@ def tree_from_json(source) -> DecisionTree:
     versions wrote and this one no longer takes are ignored."""
     doc = read_json(source)
     try:
+        if not isinstance(doc["schema"], dict):
+            raise ParseError("the tree document's schema must be an inline object")
         schema = schema_from_json(doc["schema"])
         c = doc["config"]
         config = TreeConfig(

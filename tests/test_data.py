@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from dadt import data
 from dadt.data import (
     EMPTY_PATH,
     EQ,
@@ -17,6 +18,7 @@ from dadt.data import (
     Path,
     Schema,
     SplitCondition,
+    dataset_from_rows,
     filter_by_path,
     load_dataset,
     schema_from_json,
@@ -58,6 +60,10 @@ class TestSchema:
         schema = schema_from_json(SCHEMA_DOC)
         with pytest.raises(UnknownAttribute):
             schema.attribute("nope")
+
+    def test_unhashable_name_is_unknown(self):
+        with pytest.raises(UnknownAttribute):
+            schema_from_json(SCHEMA_DOC).attribute(["SEX"])
 
     def test_bad_documents(self):
         with pytest.raises(ParseError):
@@ -115,12 +121,62 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset("SEX,AGEP,COV\nfemale,nan,1\n", SCHEMA_DOC)
 
+    def test_first_bad_number_in_schema_then_row_order(self):
+        schema = {"predictive": [{"name": "A", "kind": "continuous"},
+                                 {"name": "B", "kind": "continuous"}],
+                  "class": {"name": "Y", "kind": "discrete", "domain": ["0", "1"]}}
+        # B (second in the schema, first in the header) goes bad first
+        csv_text = "B,A,Y\n1,2,0\nbad,3,0\n4,inf,1\n5,x,1\n"
+        with pytest.raises(ParseError, match=r"^row 2, column 'A': non-finite value 'inf'$"):
+            load_dataset(csv_text, schema)
+        csv_text = "B,A,Y\n1,2,0\nbad,3,0\n4,x,1\n5,inf,1\n"
+        with pytest.raises(ParseError, match=r"^row 2, column 'A': cannot parse 'x' as a number$"):
+            load_dataset(csv_text, schema)
+        with pytest.raises(ParseError, match=r"^row 1, column 'B': cannot parse 'bad'"):
+            load_dataset("B,A,Y\n1,2,0\nbad,3,0\n", schema)
+
+    def test_first_value_out_of_domain_in_schema_then_row_order(self):
+        with pytest.raises(ValueOutOfDomain, match=r"^row 1, column 'SEX': value 'x'"):
+            load_dataset("COV,AGEP,SEX\n2,20,male\n1,old,x\n", SCHEMA_DOC)
+        with pytest.raises(ParseError, match=r"^row 1, column 'AGEP'"):
+            load_dataset("COV,AGEP,SEX\n2,20,male\n1,old,female\n", SCHEMA_DOC)
+
+    def test_structural_errors_come_before_value_errors(self):
+        with pytest.raises(ParseError, match=r"^row 2, column 'AGEP': missing value$"):
+            load_dataset("SEX,AGEP,COV\nx,1,0\nfemale,2,0\nfemale,,\n", SCHEMA_DOC)
+        with pytest.raises(ParseError, match=r"^row 1: expected 3 cells, got 2$"):
+            load_dataset("SEX,AGEP,COV\nx,1,0\nfemale,2\n", SCHEMA_DOC)
+
     def test_serialize_roundtrip(self):
         d = load_dataset(CSV, SCHEMA_DOC)
         again = load_dataset(serialize_dataset(d), SCHEMA_DOC)
         assert again.n == d.n
         for name in ("SEX", "AGEP", "COV"):
             assert list(again.column(name)) == list(d.column(name))
+
+
+class TestRows:
+    def test_iter_rows_over_a_view_longer_than_a_chunk(self):
+        n = 2 * data._ROW_CHUNK + 7
+        rng = np.random.default_rng(4)
+        rows = [{"SEX": ["female", "male"][int(rng.integers(2))],
+                 "AGEP": float(rng.normal()), "COV": str(int(rng.integers(2)))}
+                for _ in range(n)]
+        d = dataset_from_rows(schema_from_json(SCHEMA_DOC), rows)
+        view = d.subset(rng.permutation(n)[: n - 3])
+        assert view.n > data._ROW_CHUNK
+        got = list(view.iter_rows())
+        assert len(got) == view.n
+        for i, row in enumerate(got):
+            assert row == view.row(i)
+            assert type(row["AGEP"]) is float and type(row["SEX"]) is str
+        unlabeled = list(view.without_labels().iter_rows())
+        assert unlabeled == [{k: v for k, v in r.items() if k != "COV"} for r in got]
+
+    def test_iter_rows_without_columns(self):
+        schema = Schema(predictive=(), class_attr=Attribute("Y", "discrete", ("0", "1")))
+        d = dataset_from_rows(schema, [{"Y": "0"}] * 3)
+        assert list(d.without_labels().iter_rows()) == [{}, {}, {}]
 
 
 class TestConditionsAndPaths:

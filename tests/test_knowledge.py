@@ -297,3 +297,49 @@ class TestCrosstabNaN:
                                        "y_given_x": {"0": {"0": math.nan, "1": 1.0}}}]}
         with pytest.raises(NormalizationError):
             load_from_crosstabs(doc, binary_schema())
+
+
+class TestCrosstabClassConditionalMarginal:
+    """A class conditional's marginal and the arity limit are checked on load."""
+
+    @staticmethod
+    def conditional(var, marginal):
+        return {"var": var, "marginal": marginal,
+                "y_given_x": {"0": {"0": 0.5, "1": 0.5}, "1": {"0": 0.2, "1": 0.8}}}
+
+    def test_two_attribute_document(self):
+        # before the check this loaded and select_pivot silently skipped X1
+        doc = {"class_conditionals": [
+            self.conditional("X1", {"0": math.nan, "1": 0.5}),
+            self.conditional("X2", {"0": 7, "1": -3})]}
+        with pytest.raises(FormatError):
+            load_from_crosstabs(doc, binary_schema())
+
+    @pytest.mark.parametrize("marginal", [{"0": math.nan, "1": 0.5},
+                                          {"0": 1.5, "1": -0.5},
+                                          {"0": 7, "1": -3}])
+    def test_nan_or_negative_marginal(self, marginal):
+        doc = {"class_conditionals": [self.conditional("X1", marginal)]}
+        with pytest.raises(FormatError):
+            load_from_crosstabs(doc, binary_schema())
+
+    @pytest.mark.parametrize("marginal", [{"0": 0.7, "1": 0.7}, {"0": 0.2}, {}])
+    def test_unnormalised_marginal(self, marginal):
+        doc = {"class_conditionals": [self.conditional("X1", marginal)]}
+        with pytest.raises(NormalizationError):
+            load_from_crosstabs(doc, binary_schema())
+
+    def test_normalised_marginal_loads(self):
+        doc = {"class_conditionals": [self.conditional("X1", {"0": 0.25, "1": 0.75})]}
+        ks = load_from_crosstabs(doc, binary_schema())
+        assert ks.class_conditionals["X1"]["marginal"] == {"0": 0.25, "1": 0.75}
+
+    @pytest.mark.parametrize("arity", ["NaN", "-1", "-Infinity"])
+    def test_nan_or_negative_arity_limit(self, arity):
+        with pytest.raises(FormatError):
+            load_from_crosstabs(f'{{"arity_limit": {arity}}}', binary_schema())
+
+    @pytest.mark.parametrize("arity, limit", [("0", 0.0), ("2", 2.0), ("Infinity", math.inf)])
+    def test_arity_limit_loads(self, arity, limit):
+        ks = load_from_crosstabs(f'{{"arity_limit": {arity}}}', binary_schema())
+        assert ks.arity_limit == limit

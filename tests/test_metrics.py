@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadt.data import EMPTY_PATH, EQ, Attribute, Schema, SplitCondition, dataset_from_rows
-from dadt.errors import DomainError, GroupMissing, NoPositives
+from dadt.errors import DomainError, GroupMissing, NoPositives, UnlabeledData
 from dadt.knowledge import KnowledgeRegime, build_from_target_sample
 from dadt.metrics import (
     accuracy,
@@ -24,10 +24,10 @@ from dadt.metrics import (
     relative_gain_fairness,
     tree_shift_distance,
 )
-from dadt.stats import Distribution
-from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig
+from dadt.stats import Distribution, wasserstein
+from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route
 
-from conftest import binary_schema, rows_dataset
+from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
 
 
 class ConstantModel:
@@ -191,6 +191,85 @@ class TestPostprocess:
             equal_opportunity(tree, d, "X1", "1") + 1e-12
 
 
+def exhaustive_thresholds(tree, holdout, protected, objective, positive_label="1"):
+    """The threshold search as a mask over every holdout row for every pair."""
+    groups = list(tree.schema.attribute(protected).domain)
+    col = holdout.column(protected)
+    masks = {g: col == g for g in groups}
+    scores = positive_scores(tree, holdout, positive_label)
+    if objective == "eop" and not holdout.labeled:
+        raise UnlabeledData("equal-opportunity post-processing needs labels")
+    truth = holdout.class_column() if holdout.labeled else None
+    grid = sorted({float(leaf.class_dist.prob(positive_label))
+                   for leaf in tree.leaves()} | {0.0, 1.0})
+    best_key = best_taus = None
+    for taus in itertools.product(grid, repeat=2):
+        assignment = dict(zip(groups, taus))
+        pred_pos = np.empty(holdout.n, dtype=bool)
+        for g, mask in masks.items():
+            pred_pos[mask] = scores[mask] >= assignment[g]
+        if objective == "dp":
+            rates = [float(np.count_nonzero(pred_pos[m])) / int(np.count_nonzero(m))
+                     for m in masks.values()]
+        else:
+            rates = []
+            for g, mask in masks.items():
+                pos = mask & (truth == positive_label)
+                n_pos = int(np.count_nonzero(pos))
+                if n_pos == 0:
+                    raise NoPositives(f"group {g!r} has no positive ground-truth rows")
+                rates.append(float(np.count_nonzero(pred_pos[pos])) / n_pos)
+        disparity = abs(rates[0] - rates[1])
+        acc = 0.0
+        if holdout.labeled:
+            correct = np.where(pred_pos, truth == positive_label, truth != positive_label)
+            acc = float(np.count_nonzero(correct)) / holdout.n
+        key = (disparity, -acc, taus[0], taus[1])
+        if best_key is None or key < best_key:
+            best_key, best_taus = key, assignment
+    return best_taus
+
+
+def four_leaf_tree(schema, p_pos):
+    """X2 = 0, 1, 2 each get a leaf; X2 = 3 splits again on the protected X1."""
+    leaves = [Leaf(Distribution(("0", "1"), (1 - p, p)), 10, EMPTY_PATH) for p in p_pos]
+    node = Internal(SplitCondition("X1", EQ, "a"), leaves[3], leaves[4], 0.1)
+    for v in ("2", "1", "0"):
+        node = Internal(SplitCondition("X2", EQ, v), leaves[int(v)], node, 0.1)
+    return DecisionTree(root=node, config=TreeConfig(), schema=schema,
+                        x_w=None, diagnostics={})
+
+
+class TestPostprocessOracle:
+    schema = Schema(predictive=(Attribute("X1", "discrete", ("a", "b")),
+                                Attribute("X2", "discrete", ("0", "1", "2", "3"))),
+                    class_attr=Attribute("Y", "discrete", ("0", "1")),
+                    protected_attr="X1")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(p_pos=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0, 0.3]),
+                          min_size=5, max_size=5),
+           share_a=st.sampled_from([0.5, 0.1, 0.9]),
+           rows=st.lists(st.tuples(st.floats(0, 1), st.sampled_from("0123"),
+                                   st.sampled_from("01")), min_size=2, max_size=60),
+           objective=st.sampled_from(["dp", "eop"]),
+           labeled=st.booleans())
+    def test_counting_equals_masking(self, p_pos, share_a, rows, objective, labeled):
+        spec = [{"X1": "a" if u < share_a else "b", "X2": x2, "Y": y} for u, x2, y in rows]
+        spec += [{"X1": "a", "X2": "3", "Y": "0"}, {"X1": "b", "X2": "0", "Y": "0"}]
+        holdout = dataset_from_rows(self.schema, spec, labeled=labeled)
+        tree = four_leaf_tree(self.schema, p_pos)
+
+        def outcome(search):
+            try:
+                return search()
+            except (NoPositives, UnlabeledData) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: postprocess_thresholds(tree, holdout, "X1", objective).thresholds)
+        assert got == outcome(lambda: exhaustive_thresholds(tree, holdout, "X1", objective))
+
+
 class TestRelativeGains:
     def test_full_recovery(self):
         assert relative_gain_acc(0.9, 0.6, 0.9).value == 100.0
@@ -245,6 +324,34 @@ class TestShiftDiagnostics:
         d = labeled_rows([("0", "0", "1")] * 6 + [("1", "0", "1")] * 4)
         # leaf X1=0: |0.9-1.0| * 0.6; leaf X1=1: |0.2-1.0| * 0.4
         assert tree_shift_distance(tree, d) == pytest.approx(0.1 * 0.6 + 0.8 * 0.4)
+
+    def test_equals_per_row_accumulator_bit_for_bit(self):
+        def per_row_reference(tree, d):
+            support = tree.schema.class_values
+            truth = d.class_column()
+            counts, leaves = {}, {}
+            for i, row in enumerate(d.iter_rows()):
+                leaf = route(tree, row)
+                if id(leaf) not in counts:
+                    counts[id(leaf)] = np.zeros(len(support))
+                    leaves[id(leaf)] = leaf
+                counts[id(leaf)][support.index(truth[i])] += 1
+            total = 0.0
+            for key, c in counts.items():
+                m = c.sum()
+                total += wasserstein(leaves[key].class_dist,
+                                     Distribution(support, tuple(c / m))) * (m / d.n)
+            return float(total)
+
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            schema = random_mixed_schema(rng)
+            source = random_dataset(rng, schema, 300)
+            target = random_dataset(rng, schema, int(rng.integers(1, 400)))
+            tree = grow(source, build_from_target_sample(target, KnowledgeRegime.full()),
+                        TreeConfig())
+            assert len(tree.leaves()) > 1
+            assert tree_shift_distance(tree, target) == per_row_reference(tree, target)
 
     def test_attribute_report_no_shift(self):
         d = labeled_rows([("0", "1", "1"), ("1", "0", "0")] * 5)

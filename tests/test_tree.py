@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dadt import cli
 from dadt.baseline import grow_baseline, trees_equal
 from dadt.data import (
     EMPTY_PATH,
@@ -362,6 +363,56 @@ class TestPredict:
                 expect = bool(cond.matches(np.array([v], dtype=object))[0])
                 assert (route(tree, row) is left) == expect, (op, attr, v)
 
+    @pytest.mark.parametrize("unseen_right", [False, True])
+    def test_route_agrees_with_a_per_node_reference(self, unseen_right):
+        # the reference walks the tree objects and looks each attribute up in
+        # the schema at every node; `route` walks its compiled form
+        def reference(tree, row):
+            node = tree.root
+            while isinstance(node, Internal):
+                cond = node.condition
+                attr = tree.schema.attribute(cond.attribute)
+                value = row[cond.attribute]
+                if attr.is_discrete:
+                    value = str(value)
+                    if value not in attr.domain:
+                        if tree.config.route_unseen_right:
+                            node = node.right
+                            continue
+                        raise ValueOutOfDomain(
+                            f"value {value!r} of {cond.attribute!r} was never declared")
+                else:
+                    value = float(value)
+                go_left = bool(cond.matches(np.array([value], dtype=object))[0])
+                node = node.left if go_left else node.right
+            return node
+
+        def outcome(f, tree, row):
+            try:
+                return id(f(tree, row))
+            except ValueOutOfDomain as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(21)
+        n_raised = 0
+        for _ in range(6):
+            schema = random_mixed_schema(rng)
+            source = random_dataset(rng, schema, 150)
+            tree = grow(source, KnowledgeStore.empty(schema),
+                        TreeConfig(route_unseen_right=unseen_right))
+            rows = list(random_dataset(rng, schema, 60).iter_rows())
+            for row in rows[:20]:  # unseen discrete values, numbers as strings
+                for a in schema.predictive:
+                    if a.is_discrete and rng.random() < 0.5:
+                        row[a.name] = "unseen"
+                    elif not a.is_discrete:
+                        row[a.name] = repr(row[a.name])
+            for row in rows:
+                got = outcome(route, tree, row)
+                assert got == outcome(reference, tree, row)
+                n_raised += isinstance(got, str)
+        assert (n_raised == 0) == unseen_right
+
 
 class TestContinuousBinEdges:
     def test_equal_to_numpy_quantile_deciles(self):
@@ -435,6 +486,19 @@ class TestSerialization:
                      bad_split("threshold", "z")):  # not in the domain of C
             with pytest.raises(ParseError):
                 tree_from_json(text)
+
+    def test_schema_must_be_inline(self, tmp_path, monkeypatch, capsys):
+        tree = TestPredict().hand_tree()
+        (tmp_path / "schema.json").write_text(json.dumps(tree.schema.to_json_dict()))
+        doc = {**json.loads(tree_to_json(tree)), "schema": "schema.json"}
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ParseError):
+            tree_from_json(json.dumps(doc))
+        (tmp_path / "tree.json").write_text(json.dumps(doc))
+        (tmp_path / "data.csv").write_text("C,A,Y\nx,1.0,0\n")
+        assert cli.main(["predict", "--tree", "tree.json", "--data", "data.csv",
+                         "--out", "preds.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_diagnostics_echoed(self):
         d = rows_dataset(binary_schema(), [{"X1": "0", "X2": "0", "Y": "1"}] * 5)
