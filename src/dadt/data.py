@@ -358,6 +358,8 @@ def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
             x = float(v)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"row {i}, column {col!r}: cannot parse {v!r} as a number") from exc
+        except OverflowError as exc:  # an int too large for a float
+            raise ParseError(f"row {i}, column {col!r}: number too large for a float") from exc
         if not math.isfinite(x):
             raise ParseError(f"row {i}, column {col!r}: non-finite value {v!r}")
     raise InternalError(f"column {col!r} failed to parse but has no bad value")

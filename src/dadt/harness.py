@@ -23,7 +23,6 @@ from .data import (
     Attribute,
     Dataset,
     Schema,
-    dataset_from_rows,
     load_dataset,
     read_json,
     schema_from_json,
@@ -102,22 +101,24 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict]:
     p_target = {c: (1.0 - p_source[c]) if f else p_source[c]
                 for c, f in zip(cells, flips)}
 
-    def draw(n: int, correlated: bool, p_table: dict) -> list[dict]:
+    # a row's cell is the binary number its attributes spell, X1 first: its
+    # position in `cells`
+    place = 1 << np.arange(n_attrs - 1, -1, -1)
+    binary = np.array(("0", "1"), dtype=object)
+
+    def draw(n: int, correlated: bool, p_table: dict) -> Dataset:
         x = (rng.random((n, n_attrs)) < 0.5).astype(int)
         if correlated:
             copy = rng.random(n) < cfg.target_correlation
             x[copy, 1] = x[copy, 0]
-        rows = []
         u = rng.random(n)
-        for i in range(n):
-            cell = tuple(str(v) for v in x[i])
-            row = {f"X{j+1}": cell[j] for j in range(n_attrs)}
-            row["Y"] = "1" if u[i] < p_table[cell] else "0"
-            rows.append(row)
-        return rows
+        p_y1 = np.array([p_table[c] for c in cells])[x @ place]
+        columns = {f"X{j+1}": binary[x[:, j]] for j in range(n_attrs)}
+        columns["Y"] = binary[(u < p_y1).astype(int)]
+        return Dataset(schema, columns)
 
-    source = dataset_from_rows(schema, draw(cfg.n_source, False, p_source))
-    target = dataset_from_rows(schema, draw(cfg.n_target, True, p_target))
+    source = draw(cfg.n_source, False, p_source)
+    target = draw(cfg.n_target, True, p_target)
     ground_truth = {
         "cells": ["".join(c) for c in cells],
         "p_source_y1": [p_source[c] for c in cells],

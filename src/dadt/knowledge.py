@@ -14,6 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -402,8 +403,21 @@ def dynamic_alpha(path: Path, subpath: Path) -> Fraction:
 
 
 def affine_estimate(source_p, target_p, alpha):
-    """alpha * source + (1 - alpha) * target; alpha=1 is source-only."""
-    for name, v in (("source_p", source_p), ("target_p", target_p), ("alpha", alpha)):
+    """alpha * source + (1 - alpha) * target; alpha=1 is source-only.
+
+    Rational inputs give the exact Fraction, computed in integers.
+    """
+    values = (("source_p", source_p), ("target_p", target_p), ("alpha", alpha))
+    if (isinstance(source_p, Rational) and isinstance(target_p, Rational)
+            and isinstance(alpha, Rational)):
+        for name, v in values:
+            if not 0 <= v.numerator <= v.denominator:
+                raise DomainError(f"{name}={v} outside [0, 1]")
+        a, b = alpha.numerator, alpha.denominator
+        s, sd = source_p.numerator, source_p.denominator
+        t, td = target_p.numerator, target_p.denominator
+        return Fraction(a * s * td + (b - a) * t * sd, b * sd * td)
+    for name, v in values:
         if not 0 <= v <= 1:
             raise DomainError(f"{name}={v} outside [0, 1]")
     mixed = alpha * source_p + (1 - alpha) * target_p

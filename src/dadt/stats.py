@@ -8,6 +8,7 @@ bit-for-bit; public entry points return floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
@@ -15,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .data import Dataset, SplitCondition
+from .data import EQ, NEQ, Dataset, SplitCondition
 from .errors import DomainError, EmptyContext, IncomparableSupports
 
 _SUM_TOL = 1e-9
@@ -49,6 +50,11 @@ class Distribution:
         raise DomainError(f"value {value!r} not in support")
 
     def argmax(self):
+        """The most probable value; ties go to the earliest in the support."""
+        return self._argmax
+
+    @functools.cached_property
+    def _argmax(self):
         best_i = 0
         for i in range(1, len(self.probs)):
             if self.probs[i] > self.probs[best_i]:
@@ -57,10 +63,21 @@ class Distribution:
 
 
 def freq_fraction(d: Dataset, cond: SplitCondition) -> Fraction:
-    """Exact frequency of rows satisfying cond, as a fraction of d's rows."""
+    """Exact frequency of rows satisfying cond, as a fraction of d's rows.
+
+    A discrete (in)equality with a value of the attribute's domain is
+    counted on the column's integer codes, which gives the same count as
+    comparing the values.
+    """
     if d.n == 0:
         raise EmptyContext("cannot estimate a frequency over zero rows")
-    count = int(np.count_nonzero(cond.matches(d.column(cond.attribute))))
+    attr = d.schema.attribute(cond.attribute)
+    if cond.op in (EQ, NEQ) and attr.is_discrete and cond.threshold in attr.domain:
+        count = int(np.count_nonzero(d.codes(attr.name) == attr.domain.index(cond.threshold)))
+        if cond.op == NEQ:
+            count = d.n - count
+    else:
+        count = int(np.count_nonzero(cond.matches(d.column(cond.attribute))))
     return Fraction(count, d.n)
 
 

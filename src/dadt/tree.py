@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -141,32 +142,6 @@ class DecisionTree:
         return out
 
 
-def _split_prob(node_rows: Dataset, cond: SplitCondition, path: Path,
-                ks: KnowledgeStore, config: TreeConfig, diagnostics: dict):
-    """P(cond | path): source frequency affinely mixed with target knowledge.
-
-    Mixing weight alpha is 1 (source only) when the store cannot answer even
-    the marginal, 0 when it answers the full path, and the missing-attribute
-    fraction in between; an explicit override replaces the dynamic rule.
-    """
-    source_p = freq_fraction(node_rows, cond)
-    if ks.is_empty:
-        return source_p
-    sub = maximal_subpath(ks, cond, path)
-    if sub is None:
-        diagnostics["forced_source"] = diagnostics.get("forced_source", 0) + 1
-        return source_p
-    target_p = query_target(ks, cond, sub)
-    if config.alpha_override is not None:
-        alpha = config.alpha_override
-    else:
-        alpha = dynamic_alpha(path, sub)
-    if len(sub) != len(path):
-        diagnostics["truncations"] = diagnostics.get("truncations", 0) + 1
-    diagnostics["n_alphas"] = diagnostics.get("n_alphas", 0) + 1
-    return affine_estimate(source_p, target_p, alpha)
-
-
 def _continuous_bin_edges(values: np.ndarray) -> list[float]:
     """Strictly increasing deciles of values.
 
@@ -206,6 +181,7 @@ class _Node:
         self.ks = ks
         self.config = config
         self.diagnostics = diagnostics
+        self.path = path
         self.support = rows.schema.class_values
         self.y = rows.class_codes()
         self.pivot = None if ks.is_empty or x_w is None else rows.schema.attribute(x_w)
@@ -220,6 +196,9 @@ class _Node:
             self.tpiv = _pivot_values(self.target, self.pivot)
             self.pool = ks.sample.column(x_w)
 
+    def count(self, key: str, k: int = 1) -> None:
+        self.diagnostics[key] = self.diagnostics.get(key, 0) + k
+
     def estimate(self, sel, path: Path, tsel) -> Distribution:
         """Class distribution of the node rows `sel` at `path`, whose target
         rows are the node's target rows `tsel`."""
@@ -228,7 +207,7 @@ class _Node:
         k = len(self.support)
         class_counts = np.bincount(y, minlength=k).tolist()
         if self.pivot is None:
-            return Distribution(self.support, tuple(c / n for c in class_counts))
+            return _frequencies(self.support, class_counts)
         piv = self.piv[sel]
         name = self.pivot.name
         if self.pivot.is_discrete:
@@ -261,13 +240,12 @@ class _Node:
                 if len(tv):
                     sub = cand
                     break
-        diag = self.diagnostics
         if sub is None:
-            diag["forced_source"] = diag.get("forced_source", 0) + n_queries
-            return _mixed_counts(self.support, counts, src, class_counts, src, n)
+            self.count("forced_source", n_queries)
+            return _mix(self.support, counts, src, 1)
         if len(sub) != len(path):
-            diag["truncations"] = diag.get("truncations", 0) + n_queries
-        diag["n_alphas"] = diag.get("n_alphas", 0) + n_queries
+            self.count("truncations", n_queries)
+        self.count("n_alphas", n_queries)
         alpha = self.config.alpha_override
         if alpha is None:
             alpha = dynamic_alpha(path, sub)
@@ -275,16 +253,13 @@ class _Node:
         if tv is not None:
             m = len(tv)
             if edges is None:
-                tcum = np.cumsum(np.bincount(tv, minlength=n_cells)).tolist()
+                tgt = target_ps = np.bincount(tv, minlength=n_cells).tolist()
             else:
-                tcum = np.searchsorted(np.sort(tv), edges, side="right").tolist() + [m]
-            tgt = [t - prev for t, prev in zip(tcum, [0] + tcum[:-1])]
+                target_ps = np.searchsorted(np.sort(tv), edges, side="right").tolist()
+                tgt = [t - prev for t, prev in zip(target_ps + [m], [0] + target_ps)]
             if isinstance(alpha, Rational):
-                # Every mixed cell weight shares the denominator b*n*m.
-                a, b = alpha.numerator, alpha.denominator
-                weights = [a * m * s + (b - a) * n * t for s, t in zip(src, tgt)]
-                return _mixed_counts(self.support, counts, src, class_counts, weights, b * n * m)
-            target_ps = [Fraction(t, m) for t in (tgt if edges is None else tcum[:-1])]
+                return _mix(self.support, counts, tgt, alpha)
+            target_ps = [Fraction(t, m) for t in target_ps]
         elif edges is None:
             target_ps = [query_target(ks, SplitCondition(name, EQ, v), sub)
                          for v in self.pivot.domain]
@@ -313,26 +288,33 @@ def _pivot_values(rows: Dataset, pivot: Attribute) -> np.ndarray:
     return rows.codes(pivot.name) if pivot.is_discrete else rows.column(pivot.name)
 
 
-def _mixed_counts(support: tuple, counts: list, src: list, class_counts: list,
-                  weights: list, den: int) -> Distribution:
-    """sum over cells of weight/den * P(Y | cell), in integers until one division.
+def _mix(support: tuple, counts: list, tgt: list, alpha: Rational) -> Distribution:
+    """sum over cells of P(cell) * P(Y | cell), in integers until one division.
 
-    A cell with no source rows takes the node's class distribution; its
-    weight is then a multiple of the node's row count n = sum(class_counts).
-    The weights sum to den, so the mixture has mass exactly 1 and each
-    probability is one correctly rounded int/int division, equal to that of
-    the exact fraction.
+    `counts` holds each pivot cell's class counts over n source rows and
+    `tgt` each cell's count over m target rows; P(cell) = alpha * s/n +
+    (1 - alpha) * t/m. A cell with no source rows takes the rows' class
+    distribution; its weight is then a multiple of n. The cell weights share
+    one denominator, so the mixture has mass exactly 1 and each probability is
+    one correctly rounded int/int division, equal to that of the exact
+    fraction.
     """
-    n = sum(class_counts)
+    src = [sum(row) for row in counts]
+    n = sum(src)
+    m = sum(tgt)
+    a, b = alpha.numerator, alpha.denominator
     lcm = math.lcm(*(s for s in src if s))
     num = [0] * len(support)
-    for row, s, w in zip(counts, src, weights):
+    for row, s, t in zip(counts, src, tgt):
+        w = a * m * s + (b - a) * n * t
+        if not w:
+            continue
         if s:
             f, cell = w * (lcm // s), row
         else:
-            f, cell = w // n * lcm, class_counts
+            f, cell = w // n * lcm, [sum(col) for col in zip(*counts)]
         num = [x + f * c for x, c in zip(num, cell)]
-    den *= lcm
+    den = b * n * m * lcm
     return Distribution(support, tuple(x / den for x in num))
 
 
@@ -359,6 +341,269 @@ def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
     return Distribution(support, tuple(probs))
 
 
+@dataclass
+class _Candidates:
+    """One attribute's split candidates at a node.
+
+    Candidate i's left rows are those in bucket i of the attribute (its i-th
+    value) or, for a continuous attribute, in buckets up to i (its values up
+    to the i-th midpoint). Per candidate, `src` holds the left rows'
+    (pivot cell × class) counts, `tgt` the left target rows' cell counts and
+    `tcounts` their number; each is None where the node does not need it.
+    """
+
+    attr: Attribute
+    op: str
+    thresholds: list
+    bucket: Callable[[Dataset], np.ndarray]
+    n_lefts: list
+    src: np.ndarray | None = None
+    tgt: np.ndarray | None = None
+    tcounts: list | None = None
+    buckets: np.ndarray | None = None
+    tbuckets: np.ndarray | None = None
+
+    def masks(self, i: int, rows: Dataset, target: Dataset | None):
+        """Candidate i's left node rows and left target rows (None without
+        a target sample), as boolean masks."""
+        if self.buckets is None:
+            self.buckets = self.bucket(rows)
+            self.tbuckets = None if target is None else self.bucket(target)
+        if self.op == LEQ:
+            return self.buckets <= i, None if target is None else self.tbuckets <= i
+        return self.buckets == i, None if target is None else self.tbuckets == i
+
+
+class _Splits:
+    """What the split candidates of one node share.
+
+    Count tables over each attribute's buckets give every candidate's left
+    child and, as the node minus the left, its right child; one table serves
+    all discrete attributes. The subpath and alpha of p_left and of the
+    children's pivot queries are resolved once for all attributes off the
+    node path, whose answers differ only through the arity check, and once
+    per attribute on it.
+    """
+
+    def __init__(self, node: _Node, rows: Dataset):
+        self.node = node
+        self.order = node.path.attributes()
+        self.sample = node.ks.sample is not None
+        pivot = node.pivot
+        # Children come from the tables when the node needs no pivot, or when
+        # a discrete pivot is answered from target rows with the dynamic alpha.
+        self.tabled = pivot is None or (pivot.is_discrete and self.sample
+                                        and node.config.alpha_override is None)
+        self.split_sub: dict = {}
+        self.fallbacks: dict = {}
+        self.prefix_targets: dict = {}
+        self.sub_value_counts: dict = {}
+        self.discrete = [a for a in rows.schema.predictive if a.is_discrete]
+        self.offsets = np.cumsum([0] + [len(a.domain) for a in self.discrete])
+        self.start = dict(zip((a.name for a in self.discrete), self.offsets.tolist()))
+        n_values = int(self.offsets[-1])
+        self.k = k = len(node.support)
+        if self.tabled:
+            self.n_cells = 1 if pivot is None else len(pivot.domain)
+            # each row's key in the (cell × class) table
+            self.cell_class = node.y if pivot is None else node.piv * k + node.y
+            self.total = np.bincount(self.cell_class, minlength=self.n_cells * k).reshape(
+                self.n_cells, k).tolist()
+            if pivot is not None:
+                self.ttotal = np.bincount(node.tpiv, minlength=self.n_cells).tolist()
+        self.src = self.tgt = self.tcounts = None
+        if not self.discrete:
+            return
+        codes = self.value_codes(rows)
+        if self.tabled:
+            shape = (n_values, self.n_cells, k)
+            self.src = np.bincount((codes * (self.n_cells * k) + self.cell_class).ravel(),
+                                   minlength=math.prod(shape)).reshape(shape)
+            self.n_lefts = self.src.sum(axis=(1, 2)).tolist()
+        else:
+            self.n_lefts = np.bincount(codes.ravel(), minlength=n_values).tolist()
+        if node.target is None:
+            return
+        tcodes = self.value_codes(node.target)
+        if self.tabled and pivot is not None:
+            shape = (n_values, self.n_cells)
+            self.tgt = np.bincount((tcodes * self.n_cells + node.tpiv).ravel(),
+                                   minlength=math.prod(shape)).reshape(shape)
+            self.tcounts = self.tgt.sum(axis=1).tolist()
+        else:
+            self.tcounts = np.bincount(tcodes.ravel(), minlength=n_values).tolist()
+
+    def value_codes(self, rows: Dataset) -> np.ndarray:
+        """(discrete attribute × row) codes that number all the attributes'
+        values in one range."""
+        return np.stack([rows.codes(a.name) for a in self.discrete]) + self.offsets[:-1, None]
+
+    def candidates(self, attr: Attribute, rows: Dataset) -> _Candidates:
+        """attr's candidates at the node, with their parts of the tables."""
+        node = self.node
+        if attr.is_discrete:
+            lo = self.start[attr.name]
+            part = slice(lo, lo + len(attr.domain))
+            return _Candidates(
+                attr, EQ, attr.domain, lambda d, name=attr.name: d.codes(name),
+                self.n_lefts[part], None if self.src is None else self.src[part],
+                None if self.tgt is None else self.tgt[part],
+                None if self.tcounts is None else self.tcounts[part])
+        vals = np.unique(rows.column(attr.name))
+        mids = (vals[:-1] + vals[1:]) / 2.0
+        shape = (len(mids) + 1,)
+        cands = _Candidates(attr, LEQ, mids.tolist(),
+                            lambda d, name=attr.name: mids.searchsorted(d.column(name)), [])
+        cands.buckets = cands.bucket(rows)
+        cands.n_lefts = _cumulative_counts(cands.buckets, shape).tolist()
+        if self.tabled:
+            cands.src = _cumulative_counts(
+                cands.buckets * (self.n_cells * self.k) + self.cell_class,
+                shape + (self.n_cells, self.k))
+        if node.target is not None:
+            cands.tbuckets = cands.bucket(node.target)
+            cands.tcounts = _cumulative_counts(cands.tbuckets, shape).tolist()
+            if self.tabled and node.pivot is not None:
+                cands.tgt = _cumulative_counts(cands.tbuckets * self.n_cells + node.tpiv,
+                                               shape + (self.n_cells,))
+        return cands
+
+    def split_knowledge(self, cands: _Candidates, cond: SplitCondition):
+        """(subpath, alpha, each candidate's target count and the target row
+        count at the subpath) answering P(cond | path) for the candidates;
+        the counts are None when the store is not sample-backed, and the
+        subpath None when not even the marginal is answerable."""
+        node = self.node
+        ks, path = node.ks, node.path
+        attr = cands.attr
+        key = attr.name if not self.sample or attr.name in self.order else None
+        if key not in self.split_sub:
+            sub = maximal_subpath(ks, cond, path)
+            alpha = node.config.alpha_override
+            if sub is not None and alpha is None:
+                alpha = dynamic_alpha(path, sub)
+            self.split_sub[key] = sub, alpha
+        sub, alpha = self.split_sub[key]
+        if sub is None or not self.sample:
+            return sub, alpha, None, None
+        if len(sub) == len(path):
+            return sub, alpha, cands.tcounts, node.target.n
+        rows = ks.sample_rows(sub)
+        if attr.is_discrete:
+            if sub not in self.sub_value_counts:
+                self.sub_value_counts[sub] = np.bincount(
+                    self.value_codes(rows).ravel(), minlength=int(self.offsets[-1])).tolist()
+            lo = self.start[attr.name]
+            counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
+        else:
+            counts = _cumulative_counts(cands.bucket(rows), (len(cands.thresholds) + 1,)).tolist()
+        return sub, alpha, counts, rows.n
+
+    def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
+        """P(cond | path): the source frequency affinely mixed with target
+        knowledge; alpha is 1 (source only) when the store cannot answer even
+        the marginal, 0 when it answers the full path, and the missing
+        attribute fraction in between, unless an override replaces it."""
+        source_p = freq_fraction(rows, cond)
+        if knowledge is None:  # an empty store
+            return source_p
+        node = self.node
+        sub, alpha, tcounts, m = knowledge
+        if sub is None:
+            node.count("forced_source")
+            return source_p
+        if tcounts is None:
+            target_p = query_target(node.ks, cond, sub)
+        else:
+            target_p = Fraction(tcounts[i], m)
+        if len(sub) != len(node.path):
+            node.count("truncations")
+        node.count("n_alphas")
+        return affine_estimate(source_p, target_p, alpha)
+
+    def children(self, cands: _Candidates, i: int):
+        """The class distributions of candidate i's left and right children;
+        None for a child the tables cannot answer."""
+        counts = cands.src[i].tolist()
+        rest = [[a - b for a, b in zip(r, c)] for r, c in zip(self.total, counts)]
+        support = self.node.support
+        if cands.tgt is None:
+            return _frequencies(support, counts[0]), _frequencies(support, rest[0])
+        tcounts = cands.tgt[i].tolist()
+        trest = [a - b for a, b in zip(self.ttotal, tcounts)]
+        return self.child(cands.attr, counts, tcounts), self.child(cands.attr, rest, trest)
+
+    def child(self, attr: Attribute, counts: list, tgt: list) -> Distribution | None:
+        """Class distribution of a child, whose pivot queries its own target
+        rows answer when there are any and the arity allows its full path;
+        otherwise the rows of the longest answerable subpath, as
+        `_Node.estimate` resolves it."""
+        node = self.node
+        n_queries = self.n_cells
+        if sum(tgt) and len({node.pivot.name, attr.name, *self.order}) <= node.ks.arity_limit:
+            node.count("n_alphas", n_queries)
+            return _mix(node.support, counts, tgt, 0)
+        fallback = self.fallback(attr)
+        if fallback is None:
+            node.count("forced_source", n_queries)
+            return _mix(node.support, counts, [sum(row) for row in counts], 1)
+        if fallback is False:
+            return None
+        tgt, alpha = fallback
+        node.count("truncations", n_queries)
+        node.count("n_alphas", n_queries)
+        return _mix(node.support, counts, tgt, alpha)
+
+    def fallback(self, attr: Attribute):
+        """The target cell counts and alpha of the subpath a child of attr
+        falls back to, None when none is answerable, False when it keeps
+        attr's own conditions (the tables cannot answer those)."""
+        key = attr.name if attr.name in self.order else None
+        if key in self.fallbacks:
+            return self.fallbacks[key]
+        node = self.node
+        order, arity = self.order, node.ks.arity_limit
+        on_path = key is not None
+        n_attrs = len(order) + (not on_path)
+        found = None
+        for j in range(len(order) - on_path, -1, -1):
+            if len({node.pivot.name, *order[:j]}) > arity:
+                continue
+            if on_path and j > order.index(key):
+                found = False
+                break
+            tgt, m = self.prefix_target(j)
+            if m:
+                found = tgt, Fraction(n_attrs - j, n_attrs)
+                break
+        self.fallbacks[key] = found
+        return found
+
+    def prefix_target(self, j: int) -> tuple[list, int]:
+        """Pivot cell counts and row count of the target rows on the node
+        path's conditions on its first j distinct attributes."""
+        if j == len(self.order):
+            return self.ttotal, self.node.target.n
+        if j not in self.prefix_targets:
+            allowed = set(self.order[:j])
+            sub = Path(tuple(c for c in self.node.path.conditions if c.attribute in allowed))
+            rows = self.node.ks.sample_rows(sub)
+            tv = _pivot_values(rows, self.node.pivot)
+            self.prefix_targets[j] = np.bincount(tv, minlength=self.n_cells).tolist(), rows.n
+        return self.prefix_targets[j]
+
+
+def _cumulative_counts(keys: np.ndarray, shape: tuple) -> np.ndarray:
+    """Counts of each key in range(prod(shape)), as an array of `shape`
+    summed along the first axis."""
+    return np.bincount(keys, minlength=math.prod(shape)).reshape(shape).cumsum(axis=0)
+
+
+def _frequencies(support: tuple, class_counts: list) -> Distribution:
+    n = sum(class_counts)
+    return Distribution(support, tuple(c / n for c in class_counts))
+
+
 def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
                         ks: KnowledgeStore, config: TreeConfig,
                         diagnostics: dict | None = None) -> Distribution:
@@ -380,50 +625,48 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
 
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
-    Each attribute's column is read once: a continuous one is sorted once, and
-    every threshold's left rows are a prefix of that order (on the target
-    side too).
+
+    A node's rows are counted once into (value × pivot cell × class) tables:
+    one for all discrete attributes, and one per continuous attribute over
+    the first midpoint each value lies at or below, summed along the
+    midpoints (exact prefix sums). A candidate's left child is one row of a
+    table, and its right child is the node minus the left (histogram
+    subtraction); target rows get the same (value × cell) tables. The
+    subpath and alpha that answer p_left, and the children's pivot queries
+    when their full path cannot, are resolved once per node (see `_Splits`).
+    A child falls back to `_Node.estimate` on its own rows where the tables
+    cannot answer it: a continuous pivot, a fixed alpha, a store of
+    cross-tables or CDFs, or a subpath that keeps the candidate's own
+    condition. All counts are exact integers, so every probability equals
+    that of counting each candidate's rows.
     """
     min_rows = config.min_node_fraction * n_train
     n = node_rows.n
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
     parent = node.estimate(slice(None), path, slice(None))
-    target = node.target
+    splits = _Splits(node, node_rows)
     best: tuple[SplitCondition, float] | None = None
     for attr in node_rows.schema.predictive:
-        if attr.is_discrete:
-            codes = node_rows.codes(attr.name)
-            tcodes = None if target is None else target.codes(attr.name)
-            n_lefts = np.bincount(codes, minlength=len(attr.domain)).tolist()
-            splits = []
-            for j, (v, n_left) in enumerate(zip(attr.domain, n_lefts)):
-                left = codes == j
-                tleft = None if tcodes is None else tcodes == j
-                splits.append((SplitCondition(attr.name, EQ, v), n_left,
-                               left, ~left, tleft, None if tleft is None else ~tleft))
-        else:
-            col = node_rows.column(attr.name)
-            vals = np.unique(col)
-            mids = (vals[:-1] + vals[1:]) / 2.0
-            order = np.argsort(col, kind="stable")
-            n_lefts = np.searchsorted(col[order], mids, side="right").tolist()
-            if target is None:
-                t_lefts = [0] * len(n_lefts)
-            else:
-                tcol = target.column(attr.name)
-                torder = np.argsort(tcol, kind="stable")
-                t_lefts = np.searchsorted(tcol[torder], mids, side="right").tolist()
-            splits = ((SplitCondition(attr.name, LEQ, t), k, order[:k], order[k:],
-                       None if target is None else torder[:kt],
-                       None if target is None else torder[kt:])
-                      for t, k, kt in zip(mids.tolist(), n_lefts, t_lefts))
-        for cond, n_left, left_rows, right_rows, t_left, t_right in splits:
+        cands = splits.candidates(attr, node_rows)
+        knowledge = None
+        for i, (t, n_left) in enumerate(zip(cands.thresholds, cands.n_lefts)):
             n_right = n - n_left
             if n_left < min_rows or n_right < min_rows or n_left == 0 or n_right == 0:
                 continue
-            p_left = _split_prob(node_rows, cond, path, ks, config, diagnostics)
-            left = node.estimate(left_rows, path.extend(cond), t_left)
-            right = node.estimate(right_rows, path.extend(cond.negate()), t_right)
+            cond = SplitCondition(attr.name, cands.op, t)
+            if knowledge is None and not ks.is_empty:
+                knowledge = splits.split_knowledge(cands, cond)
+            p_left = splits.split_prob(node_rows, cond, i, knowledge)
+            left = right = None
+            if splits.tabled:
+                left, right = splits.children(cands, i)
+            if left is None or right is None:
+                mask, tmask = cands.masks(i, node_rows, node.target)
+                if left is None:
+                    left = node.estimate(mask, path.extend(cond), tmask)
+                if right is None:
+                    right = node.estimate(~mask, path.extend(cond.negate()),
+                                          None if tmask is None else ~tmask)
             ig = information_gain(parent, p_left, left, right)
             if best is None or ig > best[1]:
                 best = (cond, ig)

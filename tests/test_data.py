@@ -121,6 +121,13 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset("SEX,AGEP,COV\nfemale,nan,1\n", SCHEMA_DOC)
 
+    def test_int_too_large_for_a_float_rejected(self):
+        schema = {"predictive": [{"name": "A", "kind": "continuous"}],
+                  "class": {"name": "Y", "kind": "discrete", "domain": ["0", "1"]}}
+        rows = [{"A": 1, "Y": "1"}, {"A": 10**400, "Y": "0"}]
+        with pytest.raises(ParseError, match=r"^row 1, column 'A': number too large"):
+            dataset_from_rows(schema_from_json(schema), rows)
+
     def test_first_bad_number_in_schema_then_row_order(self):
         schema = {"predictive": [{"name": "A", "kind": "continuous"},
                                  {"name": "B", "kind": "continuous"}],

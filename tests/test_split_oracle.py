@@ -170,10 +170,13 @@ def cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     schema = _schema(kind, draw(st.integers(2, 4)), draw(st.integers(2, 3)), rng)
     source, target = _pair(schema, draw(st.integers(60, 250)), draw(st.integers(5, 200)), rng)
-    regime = draw(st.sampled_from(["ftdk", "ptdk2", "ptdk3", "crosstab"]))
+    regime = draw(st.sampled_from(["ftdk", "ptdk2", "ptdk3", "crosstab", "arity0"]))
     names = schema.predictive_names
     if regime == "crosstab":
         ks = _crosstab_store(schema, target)
+        pivot = draw(st.sampled_from(names))
+    elif regime == "arity0":  # a sample that answers no query at all
+        ks = KnowledgeStore(schema, arity_limit=0, sample=target.without_labels())
         pivot = draw(st.sampled_from(names))
     else:
         ks = build_from_target_sample(target, NAMED_REGIMES[regime])

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadt.data import EQ, LEQ, SplitCondition
+from dadt.data import EQ, GT, LEQ, NEQ, SplitCondition
 from dadt.errors import DomainError, EmptyContext, IncomparableSupports
 from dadt.stats import (
     Distribution,
@@ -24,7 +24,7 @@ from dadt.stats import (
     wasserstein_empirical,
 )
 
-from conftest import binary_schema, rows_dataset
+from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
 
 
 def bern(p: float) -> Distribution:
@@ -63,6 +63,22 @@ class TestFrequency:
         ])
         assert estimate_freq(d, SplitCondition("X1", EQ, "0")) == 0.5
         assert freq_fraction(d, SplitCondition("X1", EQ, "0")) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("op", [EQ, NEQ, LEQ, GT])
+    def test_equals_counting_the_matching_values(self, op):
+        rng = np.random.default_rng(4)
+        schema = random_mixed_schema(rng, max_attrs=6)
+        d = random_dataset(rng, schema, 60)
+        view = d.subset(rng.permutation(d.n)[:37])
+        for attr in schema.predictive:
+            if attr.is_discrete != (op in (EQ, NEQ)):
+                continue
+            col = view.column(attr.name)
+            thresholds = attr.domain + ("never",) if attr.is_discrete else (-0.5, 0.0, 0.7)
+            for t in thresholds:
+                cond = SplitCondition(attr.name, op, t)
+                count = int(np.count_nonzero(cond.matches(col)))
+                assert freq_fraction(view, cond) == Fraction(count, view.n)
 
     def test_empty_context(self):
         d = rows_dataset(binary_schema(), [{"X1": "0", "X2": "0", "Y": "0"}])
