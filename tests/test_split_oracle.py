@@ -104,10 +104,11 @@ def _schema(kind: str, n_attrs: int, n_classes: int, rng) -> Schema:
                   class_attr=Attribute("Y", "discrete", tuple("nmy"[:n_classes])))
 
 
-def _pair(schema: Schema, n_source: int, n_target: int, rng) -> tuple[Dataset, Dataset]:
+def _pair(schema: Schema, n_source: int, n_target: int, rng,
+          grid: float = 0.25) -> tuple[Dataset, Dataset]:
     """Source and target from one labelling rule and shifted covariates; a
     target level may be missing altogether, and continuous values lie on a
-    0.25 grid, so they tie."""
+    grid (0.25 by default), so they tie."""
     k = len(schema.class_values)
     effects = {a.name: 2 * rng.normal(size=(len(a.domain) if a.is_discrete else 1, k))
                for a in schema.predictive}
@@ -130,7 +131,7 @@ def _pair(schema: Schema, n_source: int, n_target: int, rng) -> tuple[Dataset, D
                 columns[a.name] = np.array(a.domain, dtype=object)[codes]
                 logits += effects[a.name][codes]
             else:
-                x = np.round(rng.normal(shifts[a.name][side], 1.0, size=n) * 4) / 4
+                x = np.round(rng.normal(shifts[a.name][side], 1.0, size=n) / grid) * grid
                 columns[a.name] = x
                 logits += x[:, None] * effects[a.name][0]
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -165,11 +166,12 @@ def _crosstab_store(schema: Schema, target: Dataset) -> KnowledgeStore:
 
 
 @st.composite
-def cases(draw):
-    kind = draw(st.sampled_from(["binary", "ternary", "mixed"]))
+def cases(draw, kinds=("binary", "ternary", "mixed"), grid=0.25):
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     schema = _schema(kind, draw(st.integers(2, 4)), draw(st.integers(2, 3)), rng)
-    source, target = _pair(schema, draw(st.integers(60, 250)), draw(st.integers(5, 200)), rng)
+    source, target = _pair(schema, draw(st.integers(60, 250)), draw(st.integers(5, 200)), rng,
+                           grid)
     regime = draw(st.sampled_from(["ftdk", "ptdk2", "ptdk3", "crosstab", "arity0"]))
     names = schema.predictive_names
     if regime == "crosstab":
@@ -191,6 +193,16 @@ def cases(draw):
 @ORACLE
 @given(cases())
 def test_grow_equals_per_candidate_oracle(case):
+    source, ks, config = case
+    expected = tree_to_json(_grow_with_oracle(source, ks, config))
+    assert tree_to_json(grow(source, ks, config)) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(cases(kinds=("mixed",), grid=0.3))
+def test_grow_equals_oracle_on_non_dyadic_values(case):
+    """Values on a 0.3 grid: decile interpolation is inexact in binary, so a
+    change in its rounding shows, where on the 0.25 grid it cannot."""
     source, ks, config = case
     expected = tree_to_json(_grow_with_oracle(source, ks, config))
     assert tree_to_json(grow(source, ks, config)) == expected
