@@ -218,6 +218,10 @@ class RegimeOutcome:
     w_tree: float | None = None
     x_w: str | None = None
     error: str | None = None
+    # the fairness post-processing's per-group thresholds, and whether they
+    # make the model predict one class for every row
+    thresholds: dict | None = None
+    constant_model: bool | None = None
 
 
 @dataclass
@@ -251,8 +255,9 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
         for regime in cfg.regimes:
             out = outcomes[regime]
             try:
-                out.report, out.w_tree, out.x_w = _run_regime(
-                    cfg, regime, src_train, tgt_train, tgt_test, protected)
+                (out.report, out.w_tree, out.x_w, out.thresholds,
+                 out.constant_model) = _run_regime(cfg, regime, src_train, tgt_train,
+                                                   tgt_test, protected)
             except DadtError as exc:
                 out.error = f"{type(exc).__name__}: {exc}"
 
@@ -277,11 +282,13 @@ def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
         ks = build_from_target_sample(tgt_train, NAMED_REGIMES[regime])
         tree = grow(src_train, ks, tree_cfg)
     model: object = tree
+    thresholds = constant = None
     if cfg.fairness_objective is not None and protected is not None:
         model = postprocess_thresholds(tree, tgt_train, protected, cfg.fairness_objective)
+        thresholds, constant = model.thresholds, model.constant
     report = evaluate_model(model, tgt_test, protected)
     w_tree = tree_shift_distance(tree, tgt_test)
-    return report, w_tree, tree.x_w
+    return report, w_tree, tree.x_w, thresholds, constant
 
 
 def _attach_gains(cfg: ExperimentConfig, outcomes: dict) -> None:
@@ -393,6 +400,8 @@ def results_json(results: list[ExperimentResult]) -> str:
                 },
                 "w_tree": out.w_tree,
                 "x_w": out.x_w,
+                "thresholds": out.thresholds,
+                "constant_model": out.constant_model,
             }
         docs.append(entry)
     return json.dumps(docs, indent=2)

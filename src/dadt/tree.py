@@ -12,11 +12,12 @@ source-only tree is bit-for-bit, not merely approximate.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -67,6 +68,9 @@ _MIN_GAIN = 1e-12
 _MASS_TOL = 1e-9
 _N_BINS = 10
 _QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
+_DECILES = np.array(_QUANTILES)
+# most cells in one block of split-candidate count tables
+_TABLE_CELLS = 1 << 16
 _DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
 _COMPARE = {LEQ: operator.le, EQ: operator.eq, GT: operator.gt, NEQ: operator.ne}
 
@@ -345,41 +349,36 @@ def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
 class _Candidates:
     """One attribute's split candidates at a node.
 
-    Candidate i's left rows are those in bucket i of the attribute (its i-th
-    value) or, for a continuous attribute, in buckets up to i (its values up
-    to the i-th midpoint). Per candidate, `src` holds the left rows'
-    (pivot cell × class) counts, `tgt` the left target rows' cell counts and
-    `tcounts` their number; each is None where the node does not need it.
+    A row's key is the position of its value in the attribute's domain or,
+    for a continuous attribute, of the first midpoint it lies at or below.
+    Candidate i's left rows are those whose key is i or, for a continuous
+    attribute, at most i; `n_lefts` counts them and `tcounts` the left
+    target rows. `tkeys` and `tcounts` are None without a target sample.
     """
 
     attr: Attribute
     op: str
     thresholds: list
-    bucket: Callable[[Dataset], np.ndarray]
+    keys: np.ndarray
+    tkeys: np.ndarray | None
     n_lefts: list
-    src: np.ndarray | None = None
-    tgt: np.ndarray | None = None
-    tcounts: list | None = None
-    buckets: np.ndarray | None = None
-    tbuckets: np.ndarray | None = None
+    tcounts: list | None
 
-    def masks(self, i: int, rows: Dataset, target: Dataset | None):
+    def masks(self, i: int):
         """Candidate i's left node rows and left target rows (None without
         a target sample), as boolean masks."""
-        if self.buckets is None:
-            self.buckets = self.bucket(rows)
-            self.tbuckets = None if target is None else self.bucket(target)
-        if self.op == LEQ:
-            return self.buckets <= i, None if target is None else self.tbuckets <= i
-        return self.buckets == i, None if target is None else self.tbuckets == i
+        compare = operator.le if self.op == LEQ else operator.eq
+        return compare(self.keys, i), None if self.tkeys is None else compare(self.tkeys, i)
 
 
 class _Splits:
     """What the split candidates of one node share.
 
-    Count tables over each attribute's buckets give every candidate's left
-    child and, as the node minus the left, its right child; one table serves
-    all discrete attributes. The subpath and alpha of p_left and of the
+    Count tables over an attribute's keys and the pivot's value axis give
+    every candidate's left child and, as the node minus the left, its right
+    child. The value axis is the pivot's domain or, for a continuous pivot,
+    the distinct values of the node rows and the target sample, which every
+    child's deciles pool. The subpath and alpha of p_left and of the
     children's pivot queries are resolved once for all attributes off the
     node path, whose answers differ only through the arity check, and once
     per attribute on it.
@@ -391,9 +390,8 @@ class _Splits:
         self.sample = node.ks.sample is not None
         pivot = node.pivot
         # Children come from the tables when the node needs no pivot, or when
-        # a discrete pivot is answered from target rows with the dynamic alpha.
-        self.tabled = pivot is None or (pivot.is_discrete and self.sample
-                                        and node.config.alpha_override is None)
+        # the pivot is answered from target rows with the dynamic alpha.
+        self.tabled = pivot is None or (self.sample and node.config.alpha_override is None)
         self.split_sub: dict = {}
         self.fallbacks: dict = {}
         self.prefix_targets: dict = {}
@@ -401,72 +399,69 @@ class _Splits:
         self.discrete = [a for a in rows.schema.predictive if a.is_discrete]
         self.offsets = np.cumsum([0] + [len(a.domain) for a in self.discrete])
         self.start = dict(zip((a.name for a in self.discrete), self.offsets.tolist()))
-        n_values = int(self.offsets[-1])
         self.k = k = len(node.support)
+        self.values = None
         if self.tabled:
-            self.n_cells = 1 if pivot is None else len(pivot.domain)
-            # each row's key in the (cell × class) table
-            self.cell_class = node.y if pivot is None else node.piv * k + node.y
-            self.total = np.bincount(self.cell_class, minlength=self.n_cells * k).reshape(
-                self.n_cells, k).tolist()
-            if pivot is not None:
-                self.ttotal = np.bincount(node.tpiv, minlength=self.n_cells).tolist()
-        self.src = self.tgt = self.tcounts = None
+            if pivot is None:
+                index = np.zeros_like(node.y)
+                self.n_values = 1
+            else:
+                if not pivot.is_discrete:
+                    self.values = np.unique(np.concatenate([node.piv, node.pool]))
+                    self.pooled = np.bincount(self.values.searchsorted(node.pool),
+                                              minlength=len(self.values)).cumsum()
+                index = self.index(node.piv)
+                self.tindex = self.index(node.tpiv)
+                self.n_values = len(pivot.domain) if self.values is None else len(self.values)
+                self.ttotal = np.bincount(self.tindex, minlength=self.n_values)
+                self.identity = list(range(self.n_values + 1))
+            # each row's key in the (value × class) table
+            self.cell_class = index * k + node.y
+            self.total = np.bincount(self.cell_class, minlength=self.n_values * k).reshape(
+                self.n_values, k)
+        self.codes = self.tcodes = self.n_lefts = self.tcounts = self.discrete_block = None
         if not self.discrete:
             return
-        codes = self.value_codes(rows)
-        if self.tabled:
-            shape = (n_values, self.n_cells, k)
-            self.src = np.bincount((codes * (self.n_cells * k) + self.cell_class).ravel(),
-                                   minlength=math.prod(shape)).reshape(shape)
-            self.n_lefts = self.src.sum(axis=(1, 2)).tolist()
-        else:
-            self.n_lefts = np.bincount(codes.ravel(), minlength=n_values).tolist()
-        if node.target is None:
-            return
-        tcodes = self.value_codes(node.target)
-        if self.tabled and pivot is not None:
-            shape = (n_values, self.n_cells)
-            self.tgt = np.bincount((tcodes * self.n_cells + node.tpiv).ravel(),
-                                   minlength=math.prod(shape)).reshape(shape)
-            self.tcounts = self.tgt.sum(axis=1).tolist()
-        else:
-            self.tcounts = np.bincount(tcodes.ravel(), minlength=n_values).tolist()
+        self.codes = self.value_codes(rows)
+        self.n_lefts = self.value_counts(self.codes)
+        if node.target is not None:
+            self.tcodes = self.value_codes(node.target)
+            self.tcounts = self.value_counts(self.tcodes)
+
+    def index(self, piv: np.ndarray) -> np.ndarray:
+        """Positions of pivot values on the value axis."""
+        return piv if self.values is None else self.values.searchsorted(piv)
 
     def value_codes(self, rows: Dataset) -> np.ndarray:
-        """(discrete attribute × row) codes that number all the attributes'
-        values in one range."""
-        return np.stack([rows.codes(a.name) for a in self.discrete]) + self.offsets[:-1, None]
+        """(discrete attribute × row) value codes."""
+        return np.stack([rows.codes(a.name) for a in self.discrete])
+
+    def value_counts(self, codes: np.ndarray) -> list:
+        """Row count of each value of each discrete attribute, numbered in
+        one range."""
+        return np.bincount((codes + self.offsets[:-1, None]).ravel(),
+                           minlength=int(self.offsets[-1])).tolist()
 
     def candidates(self, attr: Attribute, rows: Dataset) -> _Candidates:
-        """attr's candidates at the node, with their parts of the tables."""
-        node = self.node
+        """attr's candidates at the node."""
         if attr.is_discrete:
+            j = self.discrete.index(attr)
             lo = self.start[attr.name]
             part = slice(lo, lo + len(attr.domain))
             return _Candidates(
-                attr, EQ, attr.domain, lambda d, name=attr.name: d.codes(name),
-                self.n_lefts[part], None if self.src is None else self.src[part],
-                None if self.tgt is None else self.tgt[part],
+                attr, EQ, attr.domain, self.codes[j],
+                None if self.tcodes is None else self.tcodes[j], self.n_lefts[part],
                 None if self.tcounts is None else self.tcounts[part])
-        vals = np.unique(rows.column(attr.name))
+        col = rows.column(attr.name)
+        vals = np.unique(col)
         mids = (vals[:-1] + vals[1:]) / 2.0
-        shape = (len(mids) + 1,)
-        cands = _Candidates(attr, LEQ, mids.tolist(),
-                            lambda d, name=attr.name: mids.searchsorted(d.column(name)), [])
-        cands.buckets = cands.bucket(rows)
-        cands.n_lefts = _cumulative_counts(cands.buckets, shape).tolist()
-        if self.tabled:
-            cands.src = _cumulative_counts(
-                cands.buckets * (self.n_cells * self.k) + self.cell_class,
-                shape + (self.n_cells, self.k))
-        if node.target is not None:
-            cands.tbuckets = cands.bucket(node.target)
-            cands.tcounts = _cumulative_counts(cands.tbuckets, shape).tolist()
-            if self.tabled and node.pivot is not None:
-                cands.tgt = _cumulative_counts(cands.tbuckets * self.n_cells + node.tpiv,
-                                               shape + (self.n_cells,))
-        return cands
+        keys = mids.searchsorted(col)
+        tkeys = tcounts = None
+        if self.node.target is not None:
+            tkeys = mids.searchsorted(self.node.target.column(attr.name))
+            tcounts = _cumulative_counts(tkeys, (len(mids) + 1,)).tolist()
+        return _Candidates(attr, LEQ, mids.tolist(), keys, tkeys,
+                           _cumulative_counts(keys, (len(mids) + 1,)).tolist(), tcounts)
 
     def split_knowledge(self, cands: _Candidates, cond: SplitCondition):
         """(subpath, alpha, each candidate's target count and the target row
@@ -491,12 +486,12 @@ class _Splits:
         rows = ks.sample_rows(sub)
         if attr.is_discrete:
             if sub not in self.sub_value_counts:
-                self.sub_value_counts[sub] = np.bincount(
-                    self.value_codes(rows).ravel(), minlength=int(self.offsets[-1])).tolist()
+                self.sub_value_counts[sub] = self.value_counts(self.value_codes(rows))
             lo = self.start[attr.name]
             counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
         else:
-            counts = _cumulative_counts(cands.bucket(rows), (len(cands.thresholds) + 1,)).tolist()
+            keys = np.searchsorted(cands.thresholds, rows.column(attr.name))
+            counts = _cumulative_counts(keys, (len(cands.thresholds) + 1,)).tolist()
         return sub, alpha, counts, rows.n
 
     def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
@@ -521,25 +516,78 @@ class _Splits:
         node.count("n_alphas")
         return affine_estimate(source_p, target_p, alpha)
 
-    def children(self, cands: _Candidates, i: int):
-        """The class distributions of candidate i's left and right children;
-        None for a child the tables cannot answer."""
-        counts = cands.src[i].tolist()
-        rest = [[a - b for a, b in zip(r, c)] for r, c in zip(self.total, counts)]
-        support = self.node.support
-        if cands.tgt is None:
-            return _frequencies(support, counts[0]), _frequencies(support, rest[0])
-        tcounts = cands.tgt[i].tolist()
-        trest = [a - b for a, b in zip(self.ttotal, tcounts)]
-        return self.child(cands.attr, counts, tcounts), self.child(cands.attr, rest, trest)
+    def children(self, cands: _Candidates, admissible: list):
+        """The class distributions of the left and right children of each
+        admissible candidate, in turn; None for a child the tables cannot
+        answer."""
+        node = self.node
+        done = 0
+        while done < len(admissible):
+            a, b, (left, tleft) = self.block(cands, admissible[done])
+            block = admissible[done:bisect.bisect_left(admissible, b, done)]
+            done += len(block)
+            picked = np.array(block) - a
+            left = left[picked]
+            right = self.total - left
+            if node.pivot is None:
+                for counts, rest in zip(left[:, 0].tolist(), right[:, 0].tolist()):
+                    yield _frequencies(node.support, counts), _frequencies(node.support, rest)
+                continue
+            tleft = tleft[picked]
+            for lc, rc in zip(self.group(left, tleft), self.group(right, self.ttotal - tleft)):
+                yield self.child(cands.attr, *lc), self.child(cands.attr, *rc)
 
-    def child(self, attr: Attribute, counts: list, tgt: list) -> Distribution | None:
+    def block(self, cands: _Candidates, i: int):
+        """(a, b, tables): the left rows' (value × class) counts and target
+        value counts (None without a pivot) of candidates a to b - 1, a
+        block that holds candidate i and at most `_TABLE_CELLS` cells. One
+        block serves as many discrete attributes as it holds the values of."""
+        step = max(1, _TABLE_CELLS // (self.n_values * self.k))
+        if cands.op == LEQ:
+            b = min(i + step, len(cands.thresholds))
+            return i, b, self.count_block(cands.keys, cands.tkeys, i, b, True)
+        lo = self.start[cands.attr.name]
+        if self.discrete_block is None or not self.discrete_block[0] <= lo + i < self.discrete_block[1]:
+            a, b = lo + i, min(lo + i + step, int(self.offsets[-1]))
+            keys = self.codes + self.offsets[:-1, None]
+            tkeys = None if self.tcodes is None else self.tcodes + self.offsets[:-1, None]
+            self.discrete_block = a, b, self.count_block(keys, tkeys, a, b, False)
+        a, b, tables = self.discrete_block
+        return a - lo, b - lo, tables
+
+    def count_block(self, keys: np.ndarray, tkeys: np.ndarray | None, a: int, b: int,
+                    cumulative: bool):
+        """The (b - a, value, class) counts of the node rows and (b - a,
+        value) counts of the target rows whose key (per row, or per
+        attribute and row) is i, for i in range(a, b); with `cumulative`, at
+        most i."""
+        shape = (self.n_values, self.k)
+        cells = np.broadcast_to(self.cell_class, keys.shape)
+        left = _block_counts(keys.ravel(), cells.ravel(), a, b, cumulative, shape)
+        if self.node.pivot is None:
+            return left, None
+        tcells = np.broadcast_to(self.tindex, tkeys.shape)
+        return left, _block_counts(tkeys.ravel(), tcells.ravel(), a, b, cumulative, shape[:1])
+
+    def group(self, counts: np.ndarray, tcounts: np.ndarray):
+        """Each child's (cell × class) counts, target cell counts and cell
+        bounds on the value axis, from its (value × class) and target value
+        counts. A discrete pivot's cells are its values; a continuous
+        pivot's lie between the deciles of the child's rows pooled with the
+        target sample."""
+        if self.values is None:
+            return zip(counts.tolist(), tcounts.tolist(), itertools.repeat(self.identity))
+        return _decile_cells(self.values, self.pooled, counts, tcounts)
+
+    def child(self, attr: Attribute, counts: list, tgt: list, bounds: list) -> Distribution | None:
         """Class distribution of a child, whose pivot queries its own target
         rows answer when there are any and the arity allows its full path;
         otherwise the rows of the longest answerable subpath, as
-        `_Node.estimate` resolves it."""
+        `_Node.estimate` resolves it. `bounds` delimit the child's cells on
+        the value axis."""
         node = self.node
-        n_queries = self.n_cells
+        # a continuous pivot queries the cells' upper edges but the last
+        n_queries = len(counts) - (self.values is not None)
         if sum(tgt) and len({node.pivot.name, attr.name, *self.order}) <= node.ks.arity_limit:
             node.count("n_alphas", n_queries)
             return _mix(node.support, counts, tgt, 0)
@@ -549,15 +597,17 @@ class _Splits:
             return _mix(node.support, counts, [sum(row) for row in counts], 1)
         if fallback is False:
             return None
-        tgt, alpha = fallback
+        cum, alpha = fallback
         node.count("truncations", n_queries)
         node.count("n_alphas", n_queries)
+        tgt = [cum[hi] - cum[lo] for lo, hi in zip(bounds, bounds[1:])]
         return _mix(node.support, counts, tgt, alpha)
 
     def fallback(self, attr: Attribute):
-        """The target cell counts and alpha of the subpath a child of attr
-        falls back to, None when none is answerable, False when it keeps
-        attr's own conditions (the tables cannot answer those)."""
+        """The cumulative target counts along the value axis and the alpha
+        of the subpath a child of attr falls back to, None when none is
+        answerable, False when it keeps attr's own conditions (the tables
+        cannot answer those)."""
         key = attr.name if attr.name in self.order else None
         if key in self.fallbacks:
             return self.fallbacks[key]
@@ -572,25 +622,111 @@ class _Splits:
             if on_path and j > order.index(key):
                 found = False
                 break
-            tgt, m = self.prefix_target(j)
+            cum, m = self.prefix_target(j)
             if m:
-                found = tgt, Fraction(n_attrs - j, n_attrs)
+                found = cum, Fraction(n_attrs - j, n_attrs)
                 break
         self.fallbacks[key] = found
         return found
 
     def prefix_target(self, j: int) -> tuple[list, int]:
-        """Pivot cell counts and row count of the target rows on the node
-        path's conditions on its first j distinct attributes."""
-        if j == len(self.order):
-            return self.ttotal, self.node.target.n
+        """Counts, cumulative along the value axis from 0, and row count of
+        the target rows on the node path's conditions on its first j
+        distinct attributes."""
         if j not in self.prefix_targets:
-            allowed = set(self.order[:j])
-            sub = Path(tuple(c for c in self.node.path.conditions if c.attribute in allowed))
-            rows = self.node.ks.sample_rows(sub)
-            tv = _pivot_values(rows, self.node.pivot)
-            self.prefix_targets[j] = np.bincount(tv, minlength=self.n_cells).tolist(), rows.n
+            node = self.node
+            if j == len(self.order):
+                rows, index = node.target, self.tindex
+            else:
+                allowed = set(self.order[:j])
+                rows = node.ks.sample_rows(
+                    Path(tuple(c for c in node.path.conditions if c.attribute in allowed)))
+                index = self.index(_pivot_values(rows, node.pivot))
+            counts = np.bincount(index, minlength=self.n_values).cumsum().tolist()
+            self.prefix_targets[j] = [0] + counts, rows.n
         return self.prefix_targets[j]
+
+
+def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, cumulative: bool,
+                  shape: tuple) -> np.ndarray:
+    """(b - a, *shape) counts of the cells (keys into an array of `shape`)
+    of the rows whose key is i, for i in range(a, b); with `cumulative`, of
+    the rows whose key is at most i."""
+    rel = keys - a
+    if cumulative:
+        sel = rel < b - a
+        rel = np.maximum(rel, 0)
+    else:
+        sel = (rel >= 0) & (rel < b - a)
+    size = math.prod(shape)
+    table = np.bincount(rel[sel] * size + cells[sel], minlength=(b - a) * size).reshape(
+        (b - a,) + shape)
+    return table.cumsum(axis=0) if cumulative else table
+
+
+def _decile_cells(values: np.ndarray, pooled: np.ndarray, counts: np.ndarray,
+                  tcounts: np.ndarray) -> list:
+    """Per child, the (cell × class) counts, target cell counts and cell
+    bounds of its continuous pivot, as lists; the cells lie between the
+    edges `_continuous_bin_edges` takes of the child's values pooled with
+    those counted in `pooled`, as `_Node.estimate` cuts them.
+
+    `values` are the distinct pivot values, ascending, and `pooled` the
+    cumulative count of the pool at each. Row i of `counts` holds child i's
+    (value × class) counts and of `tcounts` its target rows' value counts.
+    A bound is the number of values at or below a cell's upper edge; the
+    bounds run from 0 to len(values).
+    """
+    n, n_values, k = counts.shape
+    cum = np.zeros((n, n_values + 1, k), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=cum[:, 1:])
+    tcum = np.zeros((n, n_values + 1), dtype=np.int64)
+    np.cumsum(tcounts, axis=1, out=tcum[:, 1:])
+    edges, kept = _decile_edges(values, cum[:, 1:].sum(axis=2) + pooled)
+    # a dropped edge takes the rank of the one kept before it: its cell is empty
+    ranks = values.searchsorted(np.maximum.accumulate(edges, axis=1), side="right")
+    bounds = np.column_stack([np.zeros(n, dtype=ranks.dtype), ranks,
+                              np.full(n, n_values, dtype=ranks.dtype)])
+    kept = np.column_stack([np.ones(n, dtype=bool), kept, np.ones(n, dtype=bool)])
+    rows = np.arange(n)[:, None]
+    cells = np.diff(cum[rows, bounds], axis=1)[kept[:, 1:]].tolist()
+    tcells = np.diff(tcum[rows, bounds], axis=1)[kept[:, 1:]].tolist()
+    bounds = bounds[kept].tolist()
+    out = []
+    lo = 0
+    for i, end in enumerate(kept.sum(axis=1).cumsum().tolist()):
+        # a child has one cell fewer than bounds
+        out.append((cells[lo - i:end - i - 1], tcells[lo - i:end - i - 1], bounds[lo:end]))
+        lo = end
+    return out
+
+
+def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nine deciles of each row's values, as `_continuous_bin_edges`
+    computes them, and which of them it keeps.
+
+    `values` are distinct and ascending; row i of `pooled` holds the number
+    of row i's values at or below each of them. The order statistics of all
+    rows come from one search of the rows' counts laid end to end, and the
+    interpolation is that of `_continuous_bin_edges`, operation for
+    operation.
+    """
+    n_rows, n_values = pooled.shape
+    sizes = pooled[:, -1]
+    starts = (np.cumsum(sizes) - sizes)[:, None]
+    top = (sizes - 1)[:, None]
+    pos = top * _DECILES
+    lo = np.floor(pos).astype(np.int64)
+    ranks = np.concatenate([lo, np.minimum(lo + 1, top)], axis=1) + starts
+    at = (pooled + starts).ravel().searchsorted(ranks, side="right")
+    at -= np.arange(n_rows)[:, None] * n_values
+    below, above = values[at[:, :_N_BINS - 1]], values[at[:, _N_BINS - 1:]]
+    gamma = pos - lo
+    diff = above - below
+    edges = np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
+    kept = np.ones(edges.shape, dtype=bool)
+    kept[:, 1:] = edges[:, 1:] > np.maximum.accumulate(edges, axis=1)[:, :-1]
+    return edges, kept
 
 
 def _cumulative_counts(keys: np.ndarray, shape: tuple) -> np.ndarray:
@@ -626,19 +762,24 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
 
-    A node's rows are counted once into (value × pivot cell × class) tables:
-    one for all discrete attributes, and one per continuous attribute over
-    the first midpoint each value lies at or below, summed along the
-    midpoints (exact prefix sums). A candidate's left child is one row of a
-    table, and its right child is the node minus the left (histogram
-    subtraction); target rows get the same (value × cell) tables. The
-    subpath and alpha that answer p_left, and the children's pivot queries
-    when their full path cannot, are resolved once per node (see `_Splits`).
-    A child falls back to `_Node.estimate` on its own rows where the tables
-    cannot answer it: a continuous pivot, a fixed alpha, a store of
-    cross-tables or CDFs, or a subpath that keeps the candidate's own
-    condition. All counts are exact integers, so every probability equals
-    that of counting each candidate's rows.
+    A node's rows are counted into (candidate × pivot value × class)
+    tables, per attribute, for blocks of its admissible candidates: a
+    discrete attribute's left rows are one value's, and a continuous one's
+    are summed along its midpoints (exact prefix sums). A candidate's right
+    child is the node minus its left (histogram subtraction), and target
+    rows get the same (candidate × value) tables. A discrete pivot's values
+    are its cells; a continuous pivot's values are the distinct ones of the
+    node and the target sample, and every child's decile cells and their
+    counts are read from prefix sums along them at once (`_decile_cells`).
+    The subpath and alpha that answer p_left, and the children's pivot
+    queries when their full path cannot, are resolved once per node (see
+    `_Splits`). A child falls back to `_Node.estimate` on its own rows where
+    the tables cannot answer it: a fixed alpha, a store of cross-tables or
+    CDFs, or a subpath that keeps the candidate's own condition. The second
+    candidate of a two-valued attribute takes the first one's children,
+    swapped, unless a CDF store may answer X=v and X!=v differently. All
+    counts are exact integers, so every probability equals that of counting
+    each candidate's rows.
     """
     min_rows = config.min_node_fraction * n_train
     n = node_rows.n
@@ -648,25 +789,34 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     best: tuple[SplitCondition, float] | None = None
     for attr in node_rows.schema.predictive:
         cands = splits.candidates(attr, node_rows)
+        admissible = [i for i, n_left in enumerate(cands.n_lefts)
+                      if min_rows <= n_left and min_rows <= n - n_left and 0 < n_left < n]
+        children = splits.children(cands, admissible) if splits.tabled else None
+        mirror = attr.is_discrete and len(admissible) == len(attr.domain) == 2 and not ks.cdfs
         knowledge = None
-        for i, (t, n_left) in enumerate(zip(cands.thresholds, cands.n_lefts)):
-            n_right = n - n_left
-            if n_left < min_rows or n_right < min_rows or n_left == 0 or n_right == 0:
-                continue
-            cond = SplitCondition(attr.name, cands.op, t)
+        for i in admissible:
+            cond = SplitCondition(attr.name, cands.op, cands.thresholds[i])
             if knowledge is None and not ks.is_empty:
                 knowledge = splits.split_knowledge(cands, cond)
             p_left = splits.split_prob(node_rows, cond, i, knowledge)
-            left = right = None
-            if splits.tabled:
-                left, right = splits.children(cands, i)
-            if left is None or right is None:
-                mask, tmask = cands.masks(i, node_rows, node.target)
-                if left is None:
-                    left = node.estimate(mask, path.extend(cond), tmask)
-                if right is None:
-                    right = node.estimate(~mask, path.extend(cond.negate()),
-                                          None if tmask is None else ~tmask)
+            if mirror and i == 1:
+                # X=v1's children are X=v0's, swapped, with the same counts
+                right, left = first
+                for key, k in increments.items():
+                    node.count(key, k)
+            else:
+                before = dict(diagnostics) if mirror else None
+                left, right = (None, None) if children is None else next(children)
+                if left is None or right is None:
+                    mask, tmask = cands.masks(i)
+                    if left is None:
+                        left = node.estimate(mask, path.extend(cond), tmask)
+                    if right is None:
+                        right = node.estimate(~mask, path.extend(cond.negate()),
+                                              None if tmask is None else ~tmask)
+                if mirror:
+                    first = left, right
+                    increments = {key: v - before.get(key, 0) for key, v in diagnostics.items()}
             ig = information_gain(parent, p_left, left, right)
             if best is None or ig > best[1]:
                 best = (cond, ig)

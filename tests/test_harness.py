@@ -198,6 +198,18 @@ class TestEmission:
         assert os.path.exists(paths["csv"])
         assert json.load(open(paths["json"])) == parsed
 
+    def test_json_records_postprocessing_thresholds(self):
+        results = run_experiment(small_config(fairness_objective="dp"))
+        for regime, entry in json.loads(results_json(results))[0]["regimes"].items():
+            out = results[0].outcomes[regime]
+            assert set(entry["thresholds"]) == {"0", "1"}
+            assert entry["thresholds"] == out.thresholds
+            assert entry["constant_model"] is out.constant_model
+            assert isinstance(out.constant_model, bool)
+        plain = json.loads(results_json(run_experiment(small_config())))[0]["regimes"]
+        assert all(e["thresholds"] is None and e["constant_model"] is None
+                   for e in plain.values())
+
     def test_scatter_rows(self):
         results = run_experiment(small_config())
         rows = list(csv.DictReader(io.StringIO(scatter_csv(results))))

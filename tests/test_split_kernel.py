@@ -1,0 +1,93 @@
+"""The continuous-pivot kernel of the split search.
+
+Every split candidate's children under a continuous pivot are cut into the
+deciles of the child's pivot values pooled with the target sample. The split
+search takes those deciles, and the cells' counts, for all candidates at
+once from prefix sums along the pivot's distinct values; here they are
+checked against `_continuous_bin_edges` and `searchsorted` on each child's
+own values. The tables are built in blocks, so their memory does not grow
+with the number of candidates.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dadt.data import EMPTY_PATH, Attribute, Dataset, Schema
+from dadt.knowledge import KnowledgeRegime, build_from_target_sample
+from dadt.tree import TreeConfig, _continuous_bin_edges, _decile_cells, _decile_edges, best_split
+
+
+def _draw(rng, n: int, grid: float | None, spread: float) -> np.ndarray:
+    x = rng.normal(0.0, spread, size=n)
+    return x if grid is None else np.round(x / grid) * grid
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([0.05, 0.3, None]),
+       spread=st.sampled_from([0.1, 1.0, 4.0]), n_node=st.integers(1, 80),
+       n_pool=st.sampled_from([0, 1, 2, 9, 40, 150]), k=st.integers(1, 3))
+def test_decile_cells_equal_each_childs_own_edges(seed, grid, spread, n_node, n_pool, k):
+    """Children are random subsets of the node's rows, the first one a
+    single row, with random subsets of the pool as target rows; a narrow
+    spread on a coarse grid gives tied values and duplicate deciles."""
+    rng = np.random.default_rng(seed)
+    node = _draw(rng, n_node, grid, spread)
+    pool = _draw(rng, n_pool, grid, spread)
+    y = rng.integers(0, k, size=n_node)
+    values = np.unique(np.concatenate([node, pool]))
+    pooled = np.bincount(values.searchsorted(pool), minlength=len(values)).cumsum()
+    index = values.searchsorted(node)
+    tindex = values.searchsorted(pool)
+    children = [rng.choice(n_node, size=1, replace=False)] + [
+        rng.choice(n_node, size=rng.integers(1, n_node + 1), replace=False) for _ in range(6)]
+    targets = [rng.random(n_pool) < rng.random() for _ in children]
+    counts = np.stack([np.bincount(index[c] * k + y[c], minlength=len(values) * k)
+                       .reshape(len(values), k) for c in children])
+    tcounts = np.stack([np.bincount(tindex[t], minlength=len(values)) for t in targets])
+
+    edges, kept = _decile_edges(values, counts.sum(axis=2).cumsum(axis=1) + pooled)
+    cells = _decile_cells(values, pooled, counts, tcounts)
+    for i, (c, t) in enumerate(zip(children, targets)):
+        expected = _continuous_bin_edges(np.concatenate([node[c], pool]))
+        assert edges[i][kept[i]].tolist() == expected
+        cell = np.array(expected).searchsorted(node[c])
+        n_cells = len(expected) + 1
+        ends = np.searchsorted(np.sort(pool[t]), expected, side="right").tolist()
+        assert cells[i] == (
+            np.bincount(cell * k + y[c], minlength=n_cells * k).reshape(n_cells, k).tolist(),
+            [hi - lo for lo, hi in zip([0] + ends, ends + [int(t.sum())])],
+            [0] + values.searchsorted(expected, side="right").tolist() + [len(values)])
+
+
+# Enough for blocked tables. Unblocked, one (threshold × value × class) table
+# of this node takes about 1,400 × 3,000 × 2 × 8 bytes, some 70 MB.
+_PEAK_MB = 16
+
+
+def test_split_search_table_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    schema = Schema(predictive=(Attribute("A", "continuous"), Attribute("B", "continuous")),
+                    class_attr=Attribute("Y", "discrete", ("0", "1")))
+
+    def draw(n: int, shift: float) -> Dataset:
+        a = rng.normal(shift, 1.0, size=n)
+        b = rng.normal(0.0, 1.0, size=n)
+        y = np.where(a + b + rng.normal(size=n) > 0, "1", "0").astype(object)
+        return Dataset(schema, {"A": a, "B": b, "Y": y})
+
+    source, target = draw(1500, 0.0), draw(1500, 0.5)
+    ks = build_from_target_sample(target, KnowledgeRegime.full())
+    config = TreeConfig(x_w_override="A")
+    tracemalloc.start()
+    try:
+        found = best_split(source, EMPTY_PATH, ks, "A", config, source.n, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak < _PEAK_MB * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -208,6 +208,28 @@ def test_grow_equals_oracle_on_non_dyadic_values(case):
     assert tree_to_json(grow(source, ks, config)) == expected
 
 
+def test_grow_equals_oracle_with_cdfs_in_a_binary_context():
+    """A CDF of the pivot given A0=1 answers a child on A0=1 but not one
+    on A0!=0, which holds the same rows: the two candidates of a binary
+    attribute are not mirror images under such a store."""
+    rng = np.random.default_rng(3)
+    schema = Schema(predictive=(Attribute("A0", "discrete", ("0", "1")),
+                                Attribute("A1", "continuous")),
+                    class_attr=Attribute("Y", "discrete", ("n", "y")))
+    source, target = _pair(schema, 200, 200, rng)
+    x = target.column("A1")
+    cdfs = []
+    for context in ([], [["A0", "1"]]):
+        col = np.sort(x[target.column("A0") == "1"] if context else x)
+        cdfs.append({"var": "A1", "context": context, "knots": [
+            [float(v), float(np.searchsorted(col, v, side="right")) / len(col)]
+            for v in np.unique(col)]})
+    ks = load_from_crosstabs({"cdfs": cdfs}, schema)
+    config = TreeConfig(max_depth=3, x_w_override="A1")
+    expected = tree_to_json(_grow_with_oracle(source, ks, config))
+    assert tree_to_json(grow(source, ks, config)) == expected
+
+
 def _grow_with_oracle(source, ks, config):
     with mock.patch.object(dadt.tree, "best_split", oracle_best_split):
         return grow(source, ks, config)
