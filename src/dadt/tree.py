@@ -349,16 +349,18 @@ def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
 class _Candidates:
     """One attribute's split candidates at a node.
 
-    A row's key is the position of its value in the attribute's domain or,
-    for a continuous attribute, of the first midpoint it lies at or below.
-    Candidate i's left rows are those whose key is i or, for a continuous
-    attribute, at most i; `n_lefts` counts them and `tcounts` the left
-    target rows. `tkeys` and `tcounts` are None without a target sample.
+    A row's key is `first` plus the position of its value in the
+    attribute's domain or, for a continuous attribute, of the first midpoint
+    it lies at or below. Candidate i's left rows are those whose key is
+    first + i or, for a continuous attribute, at most i; `n_lefts` counts
+    them and `tcounts` the left target rows. `tkeys` and `tcounts` are None
+    without a target sample.
     """
 
     attr: Attribute
     op: str
     thresholds: list
+    first: int
     keys: np.ndarray
     tkeys: np.ndarray | None
     n_lefts: list
@@ -368,7 +370,8 @@ class _Candidates:
         """Candidate i's left node rows and left target rows (None without
         a target sample), as boolean masks."""
         compare = operator.le if self.op == LEQ else operator.eq
-        return compare(self.keys, i), None if self.tkeys is None else compare(self.tkeys, i)
+        key = self.first + i
+        return compare(self.keys, key), None if self.tkeys is None else compare(self.tkeys, key)
 
 
 class _Splits:
@@ -384,8 +387,9 @@ class _Splits:
     per attribute on it.
     """
 
-    def __init__(self, node: _Node, rows: Dataset):
+    def __init__(self, node: _Node, rows: Dataset, min_rows: float):
         self.node = node
+        self.min_rows = min_rows
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
@@ -399,6 +403,7 @@ class _Splits:
         self.discrete = [a for a in rows.schema.predictive if a.is_discrete]
         self.offsets = np.cumsum([0] + [len(a.domain) for a in self.discrete])
         self.start = dict(zip((a.name for a in self.discrete), self.offsets.tolist()))
+        self.row = {a.name: j for j, a in enumerate(self.discrete)}
         self.k = k = len(node.support)
         self.values = None
         if self.tabled:
@@ -419,7 +424,7 @@ class _Splits:
             self.cell_class = index * k + node.y
             self.total = np.bincount(self.cell_class, minlength=self.n_values * k).reshape(
                 self.n_values, k)
-        self.codes = self.tcodes = self.n_lefts = self.tcounts = self.discrete_block = None
+        self.codes = self.tcodes = self.n_lefts = self.tcounts = None
         if not self.discrete:
             return
         self.codes = self.value_codes(rows)
@@ -427,29 +432,31 @@ class _Splits:
         if node.target is not None:
             self.tcodes = self.value_codes(node.target)
             self.tcounts = self.value_counts(self.tcodes)
+        if self.tabled:
+            self.discrete_admissible = self.admissible(self.n_lefts)
+            self.discrete_block: dict = {}
 
     def index(self, piv: np.ndarray) -> np.ndarray:
         """Positions of pivot values on the value axis."""
         return piv if self.values is None else self.values.searchsorted(piv)
 
     def value_codes(self, rows: Dataset) -> np.ndarray:
-        """(discrete attribute × row) value codes."""
-        return np.stack([rows.codes(a.name) for a in self.discrete])
+        """(discrete attribute × row) codes that number all the attributes'
+        values in one range."""
+        return np.stack([rows.codes(a.name) for a in self.discrete]) + self.offsets[:-1, None]
 
     def value_counts(self, codes: np.ndarray) -> list:
-        """Row count of each value of each discrete attribute, numbered in
-        one range."""
-        return np.bincount((codes + self.offsets[:-1, None]).ravel(),
-                           minlength=int(self.offsets[-1])).tolist()
+        """Row count of each value code."""
+        return np.bincount(codes.ravel(), minlength=int(self.offsets[-1])).tolist()
 
     def candidates(self, attr: Attribute, rows: Dataset) -> _Candidates:
         """attr's candidates at the node."""
         if attr.is_discrete:
-            j = self.discrete.index(attr)
+            j = self.row[attr.name]
             lo = self.start[attr.name]
             part = slice(lo, lo + len(attr.domain))
             return _Candidates(
-                attr, EQ, attr.domain, self.codes[j],
+                attr, EQ, attr.domain, lo, self.codes[j],
                 None if self.tcodes is None else self.tcodes[j], self.n_lefts[part],
                 None if self.tcounts is None else self.tcounts[part])
         col = rows.column(attr.name)
@@ -460,7 +467,7 @@ class _Splits:
         if self.node.target is not None:
             tkeys = mids.searchsorted(self.node.target.column(attr.name))
             tcounts = _cumulative_counts(tkeys, (len(mids) + 1,)).tolist()
-        return _Candidates(attr, LEQ, mids.tolist(), keys, tkeys,
+        return _Candidates(attr, LEQ, mids.tolist(), 0, keys, tkeys,
                            _cumulative_counts(keys, (len(mids) + 1,)).tolist(), tcounts)
 
     def split_knowledge(self, cands: _Candidates, cond: SplitCondition):
@@ -516,58 +523,63 @@ class _Splits:
         node.count("n_alphas")
         return affine_estimate(source_p, target_p, alpha)
 
+    def admissible(self, n_lefts: list) -> list:
+        """Positions of the candidates whose children both hold rows, and at
+        least `min_node_fraction` of the training rows."""
+        n, least = len(self.node.y), self.min_rows
+        return [i for i, n_left in enumerate(n_lefts)
+                if least <= n_left and least <= n - n_left and 0 < n_left < n]
+
     def children(self, cands: _Candidates, admissible: list):
         """The class distributions of the left and right children of each
         admissible candidate, in turn; None for a child the tables cannot
         answer."""
-        node = self.node
-        done = 0
-        while done < len(admissible):
-            a, b, (left, tleft) = self.block(cands, admissible[done])
-            block = admissible[done:bisect.bisect_left(admissible, b, done)]
-            done += len(block)
-            picked = np.array(block) - a
-            left = left[picked]
-            right = self.total - left
-            if node.pivot is None:
-                for counts, rest in zip(left[:, 0].tolist(), right[:, 0].tolist()):
-                    yield _frequencies(node.support, counts), _frequencies(node.support, rest)
-                continue
-            tleft = tleft[picked]
-            for lc, rc in zip(self.group(left, tleft), self.group(right, self.ttotal - tleft)):
-                yield self.child(cands.attr, *lc), self.child(cands.attr, *rc)
+        attr, support = cands.attr, self.node.support
+        lo, block = (self.start[attr.name], self.discrete_block) if attr.is_discrete else (0, {})
+        for done, i in enumerate(admissible):
+            if lo + i not in block:
+                block = self.block(cands, admissible[done:])
+            left, right = block[lo + i]
+            if self.node.pivot is None:
+                yield _frequencies(support, left), _frequencies(support, right)
+            else:
+                yield self.child(attr, *left), self.child(attr, *right)
 
-    def block(self, cands: _Candidates, i: int):
-        """(a, b, tables): the left rows' (value × class) counts and target
-        value counts (None without a pivot) of candidates a to b - 1, a
-        block that holds candidate i and at most `_TABLE_CELLS` cells. One
-        block serves as many discrete attributes as it holds the values of."""
+    def block(self, cands: _Candidates, pending: list) -> dict:
+        """Left and right child counts, grouped into pivot cells (without a
+        pivot, class counts), of the admissible candidates from pending[0]
+        that one block of tables of at most `_TABLE_CELLS` cells holds. A
+        discrete attribute's candidates are numbered in one range with the
+        other discrete attributes', and one block serves as many of them as
+        it holds."""
         step = max(1, _TABLE_CELLS // (self.n_values * self.k))
-        if cands.op == LEQ:
-            b = min(i + step, len(cands.thresholds))
-            return i, b, self.count_block(cands.keys, cands.tkeys, i, b, True)
-        lo = self.start[cands.attr.name]
-        if self.discrete_block is None or not self.discrete_block[0] <= lo + i < self.discrete_block[1]:
-            a, b = lo + i, min(lo + i + step, int(self.offsets[-1]))
-            keys = self.codes + self.offsets[:-1, None]
-            tkeys = None if self.tcodes is None else self.tcodes + self.offsets[:-1, None]
-            self.discrete_block = a, b, self.count_block(keys, tkeys, a, b, False)
-        a, b, tables = self.discrete_block
-        return a - lo, b - lo, tables
-
-    def count_block(self, keys: np.ndarray, tkeys: np.ndarray | None, a: int, b: int,
-                    cumulative: bool):
-        """The (b - a, value, class) counts of the node rows and (b - a,
-        value) counts of the target rows whose key (per row, or per
-        attribute and row) is i, for i in range(a, b); with `cumulative`, at
-        most i."""
+        cumulative = cands.op == LEQ
+        if cumulative:
+            a = pending[0]
+            b = min(a + step, pending[-1] + 1)
+            picked = pending[:bisect.bisect_left(pending, b)]
+            keys, tkeys, n_keys = cands.keys, cands.tkeys, len(cands.thresholds) + 1
+        else:
+            n_keys = int(self.offsets[-1])
+            a = self.start[cands.attr.name] + pending[0]
+            a -= a % step
+            b = min(a + step, n_keys)
+            every = self.discrete_admissible
+            picked = every[bisect.bisect_left(every, a):bisect.bisect_left(every, b)]
+            keys, tkeys = self.codes, self.tcodes
         shape = (self.n_values, self.k)
-        cells = np.broadcast_to(self.cell_class, keys.shape)
-        left = _block_counts(keys.ravel(), cells.ravel(), a, b, cumulative, shape)
+        rows = np.array(picked) - a
+        left = _block_counts(keys, self.cell_class, a, b, n_keys, cumulative, shape)[rows]
+        right = self.total - left
         if self.node.pivot is None:
-            return left, None
-        tcells = np.broadcast_to(self.tindex, tkeys.shape)
-        return left, _block_counts(tkeys.ravel(), tcells.ravel(), a, b, cumulative, shape[:1])
+            lefts, rights = left[:, 0].tolist(), right[:, 0].tolist()
+        else:
+            tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative, shape[:1])[rows]
+            lefts, rights = self.group(left, tleft), self.group(right, self.ttotal - tleft)
+        block = dict(zip(picked, zip(lefts, rights)))
+        if not cumulative:
+            self.discrete_block = block
+        return block
 
     def group(self, counts: np.ndarray, tcounts: np.ndarray):
         """Each child's (cell × class) counts, target cell counts and cell
@@ -579,16 +591,27 @@ class _Splits:
             return zip(counts.tolist(), tcounts.tolist(), itertools.repeat(self.identity))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
 
-    def child(self, attr: Attribute, counts: list, tgt: list, bounds: list) -> Distribution | None:
-        """Class distribution of a child, whose pivot queries its own target
-        rows answer when there are any and the arity allows its full path;
-        otherwise the rows of the longest answerable subpath, as
-        `_Node.estimate` resolves it. `bounds` delimit the child's cells on
-        the value axis."""
+    def parent(self) -> Distribution:
+        """The node's own class distribution, from the tables' totals."""
+        if self.node.pivot is None:
+            return _frequencies(self.node.support, self.total[0].tolist())
+        (counts, tgt, bounds), = self.group(self.total[None], self.ttotal[None])
+        return self.child(None, counts, tgt, bounds)
+
+    def child(self, attr: Attribute | None, counts: list, tgt: list,
+              bounds: list) -> Distribution | None:
+        """Class distribution of a child of attr (of the node itself when
+        attr is None), whose pivot queries its own target rows answer when
+        there are any and the arity allows its full path; otherwise the rows
+        of the longest answerable subpath, as `_Node.estimate` resolves it.
+        `bounds` delimit the cells on the value axis."""
         node = self.node
         # a continuous pivot queries the cells' upper edges but the last
         n_queries = len(counts) - (self.values is not None)
-        if sum(tgt) and len({node.pivot.name, attr.name, *self.order}) <= node.ks.arity_limit:
+        attrs = {node.pivot.name, *self.order}
+        if attr is not None:
+            attrs.add(attr.name)
+        if sum(tgt) and len(attrs) <= node.ks.arity_limit:
             node.count("n_alphas", n_queries)
             return _mix(node.support, counts, tgt, 0)
         fallback = self.fallback(attr)
@@ -603,23 +626,23 @@ class _Splits:
         tgt = [cum[hi] - cum[lo] for lo, hi in zip(bounds, bounds[1:])]
         return _mix(node.support, counts, tgt, alpha)
 
-    def fallback(self, attr: Attribute):
+    def fallback(self, attr: Attribute | None):
         """The cumulative target counts along the value axis and the alpha
-        of the subpath a child of attr falls back to, None when none is
-        answerable, False when it keeps attr's own conditions (the tables
-        cannot answer those)."""
-        key = attr.name if attr.name in self.order else None
+        of the subpath that the node (attr None) or a child of attr falls
+        back to, None when none is answerable, False when it keeps attr's
+        own conditions (the tables cannot answer those)."""
+        order, node = self.order, self.node
+        adds = attr is not None and attr.name not in order
+        # the node itself, a child that adds attr to the path, or one on it
+        key = None if attr is None else "" if adds else attr.name
         if key in self.fallbacks:
             return self.fallbacks[key]
-        node = self.node
-        order, arity = self.order, node.ks.arity_limit
-        on_path = key is not None
-        n_attrs = len(order) + (not on_path)
+        n_attrs = len(order) + adds
         found = None
-        for j in range(len(order) - on_path, -1, -1):
-            if len({node.pivot.name, *order[:j]}) > arity:
+        for j in range(n_attrs - 1, -1, -1):
+            if len({node.pivot.name, *order[:j]}) > node.ks.arity_limit:
                 continue
-            if on_path and j > order.index(key):
+            if key and j > order.index(key):
                 found = False
                 break
             cum, m = self.prefix_target(j)
@@ -642,25 +665,29 @@ class _Splits:
                 rows = node.ks.sample_rows(
                     Path(tuple(c for c in node.path.conditions if c.attribute in allowed)))
                 index = self.index(_pivot_values(rows, node.pivot))
-            counts = np.bincount(index, minlength=self.n_values).cumsum().tolist()
-            self.prefix_targets[j] = [0] + counts, rows.n
+            counts = np.bincount(index, minlength=self.n_values).tolist()
+            self.prefix_targets[j] = list(itertools.accumulate(counts, initial=0)), rows.n
         return self.prefix_targets[j]
 
 
-def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, cumulative: bool,
-                  shape: tuple) -> np.ndarray:
-    """(b - a, *shape) counts of the cells (keys into an array of `shape`)
-    of the rows whose key is i, for i in range(a, b); with `cumulative`, of
-    the rows whose key is at most i."""
-    rel = keys - a
-    if cumulative:
-        sel = rel < b - a
-        rel = np.maximum(rel, 0)
-    else:
-        sel = (rel >= 0) & (rel < b - a)
+def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: int,
+                  cumulative: bool, shape: tuple) -> np.ndarray:
+    """(b - a, *shape) counts of the cells (keys into an array of `shape`,
+    broadcast against `keys`) of the rows whose key, one of range(n_keys),
+    is i, for i in range(a, b); with `cumulative`, of the rows whose key is
+    at most i."""
     size = math.prod(shape)
-    table = np.bincount(rel[sel] * size + cells[sel], minlength=(b - a) * size).reshape(
-        (b - a,) + shape)
+    if a or b < n_keys:
+        rel = keys - a
+        sel = rel < b - a
+        if cumulative:
+            rel = np.maximum(rel, 0)
+        else:
+            sel &= rel >= 0
+        flat = rel[sel] * size + np.broadcast_to(cells, keys.shape)[sel]
+    else:
+        flat = (keys * size + cells).ravel()
+    table = np.bincount(flat, minlength=(b - a) * size).reshape((b - a,) + shape)
     return table.cumsum(axis=0) if cumulative else table
 
 
@@ -763,34 +790,31 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     then ascending threshold — induction is deterministic without randomness.
 
     A node's rows are counted into (candidate × pivot value × class)
-    tables, per attribute, for blocks of its admissible candidates: a
-    discrete attribute's left rows are one value's, and a continuous one's
+    tables, for blocks of admissible candidates: one over the values of all
+    discrete attributes, and one per continuous attribute whose left rows
     are summed along its midpoints (exact prefix sums). A candidate's right
     child is the node minus its left (histogram subtraction), and target
     rows get the same (candidate × value) tables. A discrete pivot's values
     are its cells; a continuous pivot's values are the distinct ones of the
     node and the target sample, and every child's decile cells and their
     counts are read from prefix sums along them at once (`_decile_cells`).
-    The subpath and alpha that answer p_left, and the children's pivot
-    queries when their full path cannot, are resolved once per node (see
-    `_Splits`). A child falls back to `_Node.estimate` on its own rows where
-    the tables cannot answer it: a fixed alpha, a store of cross-tables or
-    CDFs, or a subpath that keeps the candidate's own condition. The second
-    candidate of a two-valued attribute takes the first one's children,
-    swapped, unless a CDF store may answer X=v and X!=v differently. All
-    counts are exact integers, so every probability equals that of counting
-    each candidate's rows.
+    The node's own distribution comes from the tables' totals. The subpath
+    and alpha that answer p_left, and the pivot queries when the full path
+    cannot, are resolved once per node (see `_Splits`). A child falls back
+    to `_Node.estimate` on its own rows where the tables cannot answer it:
+    a fixed alpha, a store of cross-tables or CDFs, or a subpath that keeps
+    the candidate's own condition. The second candidate of a two-valued
+    attribute takes the first one's children, swapped, unless a CDF store
+    may answer X=v and X!=v differently. All counts are exact integers, so
+    every probability equals that of counting each candidate's rows.
     """
-    min_rows = config.min_node_fraction * n_train
-    n = node_rows.n
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
-    parent = node.estimate(slice(None), path, slice(None))
-    splits = _Splits(node, node_rows)
+    splits = _Splits(node, node_rows, config.min_node_fraction * n_train)
+    parent = splits.parent() if splits.tabled else node.estimate(slice(None), path, slice(None))
     best: tuple[SplitCondition, float] | None = None
     for attr in node_rows.schema.predictive:
         cands = splits.candidates(attr, node_rows)
-        admissible = [i for i, n_left in enumerate(cands.n_lefts)
-                      if min_rows <= n_left and min_rows <= n - n_left and 0 < n_left < n]
+        admissible = splits.admissible(cands.n_lefts)
         children = splits.children(cands, admissible) if splits.tabled else None
         mirror = attr.is_discrete and len(admissible) == len(attr.domain) == 2 and not ks.cdfs
         knowledge = None
