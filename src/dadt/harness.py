@@ -285,7 +285,8 @@ def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
     thresholds = constant = None
     if cfg.fairness_objective is not None and protected is not None:
         model = postprocess_thresholds(tree, tgt_train, protected, cfg.fairness_objective)
-        thresholds, constant = model.thresholds, model.constant
+        thresholds = model.thresholds
+        constant = len(set(model.predict_dataset(tgt_test))) == 1
     report = evaluate_model(model, tgt_test, protected)
     w_tree = tree_shift_distance(tree, tgt_test)
     return report, w_tree, tree.x_w, thresholds, constant

@@ -178,25 +178,6 @@ class PostprocessedModel:
                         np.array(self.positive_label, dtype=object),
                         np.array(self.negative_label, dtype=object))
 
-    @property
-    def constant(self) -> bool:
-        """Whether every row gets one class: the scores of all leaves a
-        group's rows can reach lie on one side of the group's threshold, and
-        on the same side for every group."""
-        sides = set()
-        for group, tau in self.thresholds.items():
-            value = np.array([group], dtype=object)
-            stack = [self.tree.root]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Leaf):
-                    sides.add(node.class_dist.prob(self.positive_label) >= tau)
-                elif node.condition.attribute == self.protected:
-                    stack.append(node.left if node.condition.matches(value)[0] else node.right)
-                else:
-                    stack += [node.left, node.right]
-        return len(sides) == 1
-
 
 def postprocess_thresholds(tree: DecisionTree, holdout: Dataset, protected: str,
                            objective: str, positive_label: str | None = None

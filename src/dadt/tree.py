@@ -803,10 +803,8 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     cannot, are resolved once per node (see `_Splits`). A child falls back
     to `_Node.estimate` on its own rows where the tables cannot answer it:
     a fixed alpha, a store of cross-tables or CDFs, or a subpath that keeps
-    the candidate's own condition. The second candidate of a two-valued
-    attribute takes the first one's children, swapped, unless a CDF store
-    may answer X=v and X!=v differently. All counts are exact integers, so
-    every probability equals that of counting each candidate's rows.
+    the candidate's own condition. All counts are exact integers, so every
+    probability equals that of counting each candidate's rows.
     """
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
     splits = _Splits(node, node_rows, config.min_node_fraction * n_train)
@@ -816,31 +814,20 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
         cands = splits.candidates(attr, node_rows)
         admissible = splits.admissible(cands.n_lefts)
         children = splits.children(cands, admissible) if splits.tabled else None
-        mirror = attr.is_discrete and len(admissible) == len(attr.domain) == 2 and not ks.cdfs
         knowledge = None
         for i in admissible:
             cond = SplitCondition(attr.name, cands.op, cands.thresholds[i])
             if knowledge is None and not ks.is_empty:
                 knowledge = splits.split_knowledge(cands, cond)
             p_left = splits.split_prob(node_rows, cond, i, knowledge)
-            if mirror and i == 1:
-                # X=v1's children are X=v0's, swapped, with the same counts
-                right, left = first
-                for key, k in increments.items():
-                    node.count(key, k)
-            else:
-                before = dict(diagnostics) if mirror else None
-                left, right = (None, None) if children is None else next(children)
-                if left is None or right is None:
-                    mask, tmask = cands.masks(i)
-                    if left is None:
-                        left = node.estimate(mask, path.extend(cond), tmask)
-                    if right is None:
-                        right = node.estimate(~mask, path.extend(cond.negate()),
-                                              None if tmask is None else ~tmask)
-                if mirror:
-                    first = left, right
-                    increments = {key: v - before.get(key, 0) for key, v in diagnostics.items()}
+            left, right = (None, None) if children is None else next(children)
+            if left is None or right is None:
+                mask, tmask = cands.masks(i)
+                if left is None:
+                    left = node.estimate(mask, path.extend(cond), tmask)
+                if right is None:
+                    right = node.estimate(~mask, path.extend(cond.negate()),
+                                          None if tmask is None else ~tmask)
             ig = information_gain(parent, p_left, left, right)
             if best is None or ig > best[1]:
                 best = (cond, ig)

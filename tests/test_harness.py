@@ -205,7 +205,11 @@ class TestEmission:
             assert set(entry["thresholds"]) == {"0", "1"}
             assert entry["thresholds"] == out.thresholds
             assert entry["constant_model"] is out.constant_model
-            assert isinstance(out.constant_model, bool)
+            cells = out.report.confusion.values()
+            positives = [c["tp"] + c["fp"] for c in cells]
+            one_class = (not any(positives)
+                         or positives == [sum(c.values()) for c in cells])
+            assert out.constant_model is one_class
         plain = json.loads(results_json(run_experiment(small_config())))[0]["regimes"]
         assert all(e["thresholds"] is None and e["constant_model"] is None
                    for e in plain.values())

@@ -19,7 +19,6 @@ from dadt.metrics import (
     equal_opportunity,
     evaluate_model,
     positive_scores,
-    PostprocessedModel,
     postprocess_thresholds,
     relative_gain_acc,
     relative_gain_fairness,
@@ -190,16 +189,6 @@ class TestPostprocess:
         model = postprocess_thresholds(tree, d, "X1", "eop")
         assert equal_opportunity(model, d, "X1", "1") <= \
             equal_opportunity(tree, d, "X1", "1") + 1e-12
-
-    @pytest.mark.parametrize("protected", ["X1", "X2"])
-    def test_constant_flag_matches_predictions(self, protected):
-        """Over every threshold pair of the grid, on rows of every (X1, X2)
-        combination; the tree splits on the protected attribute or not."""
-        tree = two_leaf_tree(binary_schema(), 0.8, 0.3, protected="X1")
-        d = labeled_rows([(a, b, "1") for a in "01" for b in "01"])
-        for ta, tb in itertools.product([0.0, 0.3, 0.8, 1.0], repeat=2):
-            model = PostprocessedModel(tree, protected, "1", "0", {"0": ta, "1": tb})
-            assert model.constant == (len(set(model.predict_dataset(d))) == 1), (ta, tb)
 
 
 def exhaustive_thresholds(tree, holdout, protected, objective, positive_label="1"):

@@ -210,8 +210,8 @@ def test_grow_equals_oracle_on_non_dyadic_values(case):
 
 def test_grow_equals_oracle_with_cdfs_in_a_binary_context():
     """A CDF of the pivot given A0=1 answers a child on A0=1 but not one
-    on A0!=0, which holds the same rows: the two candidates of a binary
-    attribute are not mirror images under such a store."""
+    on A0!=0, which holds the same rows: each candidate of a binary
+    attribute gets its own estimate under such a store."""
     rng = np.random.default_rng(3)
     schema = Schema(predictive=(Attribute("A0", "discrete", ("0", "1")),
                                 Attribute("A1", "continuous")),
