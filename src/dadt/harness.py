@@ -286,8 +286,12 @@ def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
     if cfg.fairness_objective is not None and protected is not None:
         model = postprocess_thresholds(tree, tgt_train, protected, cfg.fairness_objective)
         thresholds = model.thresholds
-        constant = len(set(model.predict_dataset(tgt_test))) == 1
     report = evaluate_model(model, tgt_test, protected)
+    if thresholds is not None and report.confusion:
+        # one class: no group has a predicted positive, or every row of
+        # every group is one; read off the predictions evaluate_model made
+        predicted = [(c["tp"] + c["fp"], sum(c.values())) for c in report.confusion.values()]
+        constant = not any(p for p, _ in predicted) or all(p == n for p, n in predicted)
     w_tree = tree_shift_distance(tree, tgt_test)
     return report, w_tree, tree.x_w, thresholds, constant
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,9 +12,11 @@ import os
 import numpy as np
 import pytest
 
+import dadt.harness
 from dadt.cli import main
 from dadt.data import serialize_dataset
 from dadt.errors import ConfigError
+from dadt.metrics import evaluate_model, postprocess_thresholds
 from dadt.harness import (
     ExperimentConfig,
     PairSpec,
@@ -198,18 +201,32 @@ class TestEmission:
         assert os.path.exists(paths["csv"])
         assert json.load(open(paths["json"])) == parsed
 
-    def test_json_records_postprocessing_thresholds(self):
-        results = run_experiment(small_config(fairness_objective="dp"))
-        for regime, entry in json.loads(results_json(results))[0]["regimes"].items():
-            out = results[0].outcomes[regime]
+    @pytest.mark.parametrize("tau", [None, 0.9])
+    def test_json_records_postprocessing_thresholds(self, monkeypatch, tau):
+        """The dp rule picks (0, 0) on these pairs, a constant model; fixed
+        thresholds of 0.9 split these trees' leaf scores (0.82 to 0.96)."""
+        evaluated = []
+
+        def spy(model, test, protected):
+            evaluated.append(len(set(model.predict_dataset(test))) == 1)
+            return evaluate_model(model, test, protected)
+
+        def fixed(*args):
+            model = postprocess_thresholds(*args)
+            return dataclasses.replace(model, thresholds=dict.fromkeys(model.thresholds, tau))
+
+        monkeypatch.setattr(dadt.harness, "evaluate_model", spy)
+        if tau is not None:
+            monkeypatch.setattr(dadt.harness, "postprocess_thresholds", fixed)
+        cfg = small_config(fairness_objective="dp", regimes=["tt", "ntdk", "ftdk", "ptdk2"])
+        results = run_experiment(cfg)
+        entries = json.loads(results_json(results))[0]["regimes"]
+        assert [entries[r]["constant_model"] for r in cfg.regimes] == evaluated
+        assert all(evaluated) == (tau is None)
+        for regime, entry in entries.items():
             assert set(entry["thresholds"]) == {"0", "1"}
-            assert entry["thresholds"] == out.thresholds
-            assert entry["constant_model"] is out.constant_model
-            cells = out.report.confusion.values()
-            positives = [c["tp"] + c["fp"] for c in cells]
-            one_class = (not any(positives)
-                         or positives == [sum(c.values()) for c in cells])
-            assert out.constant_model is one_class
+            assert entry["thresholds"] == results[0].outcomes[regime].thresholds
+        monkeypatch.undo()
         plain = json.loads(results_json(run_experiment(small_config())))[0]["regimes"]
         assert all(e["thresholds"] is None and e["constant_model"] is None
                    for e in plain.values())
