@@ -389,7 +389,9 @@ class _Splits:
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
         self.node = node
-        self.min_rows = min_rows
+        # a child holds at least one row and min_rows of them
+        self.least = max(min_rows, 1)
+        self.most = len(node.y) - self.least
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
@@ -408,7 +410,7 @@ class _Splits:
         self.values = None
         if self.tabled:
             if pivot is None:
-                index = np.zeros_like(node.y)
+                self.cell_class = node.y
                 self.n_values = 1
             else:
                 if not pivot.is_discrete:
@@ -420,8 +422,10 @@ class _Splits:
                 self.n_values = len(pivot.domain) if self.values is None else len(self.values)
                 self.ttotal = np.bincount(self.tindex, minlength=self.n_values)
                 self.identity = list(range(self.n_values + 1))
-            # each row's key in the (value × class) table
-            self.cell_class = index * k + node.y
+                # the attributes of the node's own pivot queries
+                self.queried = {pivot.name, *self.order}
+                # each row's key in the (value × class) table
+                self.cell_class = index * k + node.y
             self.total = np.bincount(self.cell_class, minlength=self.n_values * k).reshape(
                 self.n_values, k)
         self.codes = self.tcodes = self.n_lefts = self.tcounts = None
@@ -526,9 +530,8 @@ class _Splits:
     def admissible(self, n_lefts: list) -> list:
         """Positions of the candidates whose children both hold rows, and at
         least `min_node_fraction` of the training rows."""
-        n, least = len(self.node.y), self.min_rows
-        return [i for i, n_left in enumerate(n_lefts)
-                if least <= n_left and least <= n - n_left and 0 < n_left < n]
+        least, most = self.least, self.most
+        return [i for i, n_left in enumerate(n_lefts) if least <= n_left <= most]
 
     def children(self, cands: _Candidates, admissible: list):
         """The class distributions of the left and right children of each
@@ -608,10 +611,8 @@ class _Splits:
         node = self.node
         # a continuous pivot queries the cells' upper edges but the last
         n_queries = len(counts) - (self.values is not None)
-        attrs = {node.pivot.name, *self.order}
-        if attr is not None:
-            attrs.add(attr.name)
-        if sum(tgt) and len(attrs) <= node.ks.arity_limit:
+        n_attrs = len(self.queried) + (attr is not None and attr.name not in self.queried)
+        if sum(tgt) and n_attrs <= node.ks.arity_limit:
             node.count("n_alphas", n_queries)
             return _mix(node.support, counts, tgt, 0)
         fallback = self.fallback(attr)
