@@ -411,13 +411,9 @@ def serialize_dataset(d: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
-    cols = {name: d.column(name) for name in names}
-    kinds = {name: d.schema.attribute(name).is_discrete for name in names}
-    for i in range(d.n):
-        writer.writerow([
-            cols[name][i] if kinds[name] else repr(float(cols[name][i]))
-            for name in names
-        ])
+    cols = [d.column(name).tolist() if d.schema.attribute(name).is_discrete
+            else map(repr, np.asarray(d.column(name), dtype=float).tolist()) for name in names]
+    writer.writerows(zip(*cols))
     return buf.getvalue()
 
 

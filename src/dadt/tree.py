@@ -12,15 +12,14 @@ source-only tree is bit-for-bit, not merely approximate.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .stats import (
     Distribution,
     class_distribution,
     class_fractions,
+    entropy,
     freq_fraction,
     information_gain,
     wasserstein,
@@ -71,6 +71,18 @@ _QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
 _DECILES = np.array(_QUANTILES)
 # most cells in one block of split-candidate count tables
 _TABLE_CELLS = 1 << 16
+# How a child's pivot queries are answered (`_Splits.resolve`).
+_FULL, _FORCED, _TRUNCATED, _UNTABLED = range(4)
+# δ, the screen's tolerance: a candidate whose float gain lies within 2δ of
+# the node's best float gain gets its exact gain. With u = 2^-53, each class
+# probability of a child's float mixture carries at most about C + 10
+# roundings (C pivot cells), a relative error of (C + 10)u; entropy turns a
+# relative error e of q into at most e(q |log2 q| + q / ln 2), which sums over
+# k classes to e(log2 k + 1.45), and p_left adds a few u. Float and exact
+# gains so differ by at most about 2(C + 10)(log2 k + 2)u, below 1e-11 for C
+# and k up to 1,000: δ = 1e-9 is 100 times that bound, and 10^6 times the
+# largest difference seen on the benchmark's training workloads (4.4e-16).
+_SCREEN_TOL = 1e-9
 _DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
 _COMPARE = {LEQ: operator.le, EQ: operator.eq, GT: operator.gt, NEQ: operator.ne}
 
@@ -374,6 +386,43 @@ class _Candidates:
         return compare(self.keys, key), None if self.tkeys is None else compare(self.tkeys, key)
 
 
+@dataclass
+class _Cells:
+    """Children's counts by pivot cell: (child × cell × class) source
+    counts, (child × cell) target counts and (child × cell + 1) cell bounds
+    on the value axis. The cell below a bound that is not `kept` is empty;
+    `n_queries` is each child's number of pivot queries."""
+
+    counts: np.ndarray
+    tcounts: np.ndarray
+    bounds: np.ndarray
+    kept: np.ndarray
+    n_queries: np.ndarray
+
+    def __getitem__(self, i: int) -> tuple[list, list, list]:
+        """Child i's (cell × class) counts, target cell counts and cell
+        bounds over its kept cells, as lists."""
+        kept = self.kept[i]
+        return (self.counts[i][kept[1:]].tolist(), self.tcounts[i][kept[1:]].tolist(),
+                self.bounds[i][kept].tolist())
+
+
+class _Screened(NamedTuple):
+    """A split candidate whose exact gain is computed: candidate i of the
+    attribute at `position` in the schema, the knowledge answering its
+    p_left, its float gain (NaN when it was not screened, or the tables
+    cannot answer a child) and, per child, its exact distribution to
+    compute, or None where the tables cannot answer it."""
+
+    position: int
+    i: int
+    gain: float
+    cands: _Candidates
+    knowledge: tuple | None
+    left: Callable[[], Distribution] | None
+    right: Callable[[], Distribution] | None
+
+
 class _Splits:
     """What the split candidates of one node share.
 
@@ -384,7 +433,8 @@ class _Splits:
     child's deciles pool. The subpath and alpha of p_left and of the
     children's pivot queries are resolved once for all attributes off the
     node path, whose answers differ only through the arity check, and once
-    per attribute on it.
+    per attribute on it. `search` screens every candidate's gain in float64
+    from the tables and keeps those the exact gain must decide.
     """
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
@@ -398,6 +448,7 @@ class _Splits:
         # Children come from the tables when the node needs no pivot, or when
         # the pivot is answered from target rows with the dynamic alpha.
         self.tabled = pivot is None or (self.sample and node.config.alpha_override is None)
+        self.best = -math.inf
         self.split_sub: dict = {}
         self.fallbacks: dict = {}
         self.prefix_targets: dict = {}
@@ -421,7 +472,6 @@ class _Splits:
                 self.tindex = self.index(node.tpiv)
                 self.n_values = len(pivot.domain) if self.values is None else len(self.values)
                 self.ttotal = np.bincount(self.tindex, minlength=self.n_values)
-                self.identity = list(range(self.n_values + 1))
                 # the attributes of the node's own pivot queries
                 self.queried = {pivot.name, *self.order}
                 # each row's key in the (value × class) table
@@ -436,9 +486,6 @@ class _Splits:
         if node.target is not None:
             self.tcodes = self.value_codes(node.target)
             self.tcounts = self.value_counts(self.tcodes)
-        if self.tabled:
-            self.discrete_admissible = self.admissible(self.n_lefts)
-            self.discrete_block: dict = {}
 
     def index(self, piv: np.ndarray) -> np.ndarray:
         """Positions of pivot values on the value axis."""
@@ -505,27 +552,47 @@ class _Splits:
             counts = _cumulative_counts(keys, (len(cands.thresholds) + 1,)).tolist()
         return sub, alpha, counts, rows.n
 
+    def count_split(self, knowledge, n: int) -> None:
+        """The diagnostics of n candidates' p_left, answered by `knowledge`
+        (`split_knowledge`'s answer; None for an empty store)."""
+        if knowledge is None:
+            return
+        node = self.node
+        sub = knowledge[0]
+        if sub is None:
+            node.count("forced_source", n)
+            return
+        if len(sub) != len(node.path):
+            node.count("truncations", n)
+        node.count("n_alphas", n)
+
     def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
         """P(cond | path): the source frequency affinely mixed with target
         knowledge; alpha is 1 (source only) when the store cannot answer even
         the marginal, 0 when it answers the full path, and the missing
         attribute fraction in between, unless an override replaces it."""
         source_p = freq_fraction(rows, cond)
-        if knowledge is None:  # an empty store
+        if knowledge is None or knowledge[0] is None:
             return source_p
-        node = self.node
         sub, alpha, tcounts, m = knowledge
-        if sub is None:
-            node.count("forced_source")
-            return source_p
         if tcounts is None:
-            target_p = query_target(node.ks, cond, sub)
+            target_p = query_target(self.node.ks, cond, sub)
         else:
             target_p = Fraction(tcounts[i], m)
-        if len(sub) != len(node.path):
-            node.count("truncations")
-        node.count("n_alphas")
         return affine_estimate(source_p, target_p, alpha)
+
+    def split_probs(self, cands: _Candidates, admissible: list, knowledge) -> list:
+        """`split_prob` of the admissible candidates in float64; NaN where
+        only a query per candidate answers it."""
+        n = len(self.node.y)
+        n_lefts = cands.n_lefts
+        if knowledge is None or knowledge[0] is None:
+            return [n_lefts[i] / n for i in admissible]
+        _, alpha, tcounts, m = knowledge
+        if tcounts is None:
+            return [math.nan] * len(admissible)
+        alpha = float(alpha)
+        return [alpha * (n_lefts[i] / n) + (1 - alpha) * (tcounts[i] / m) for i in admissible]
 
     def admissible(self, n_lefts: list) -> list:
         """Positions of the candidates whose children both hold rows, and at
@@ -533,99 +600,225 @@ class _Splits:
         least, most = self.least, self.most
         return [i for i, n_left in enumerate(n_lefts) if least <= n_left <= most]
 
-    def children(self, cands: _Candidates, admissible: list):
-        """The class distributions of the left and right children of each
-        admissible candidate, in turn; None for a child the tables cannot
-        answer."""
-        attr, support = cands.attr, self.node.support
-        lo, block = (self.start[attr.name], self.discrete_block) if attr.is_discrete else (0, {})
-        for done, i in enumerate(admissible):
-            if lo + i not in block:
-                block = self.block(cands, admissible[done:])
-            left, right = block[lo + i]
-            if self.node.pivot is None:
-                yield _frequencies(support, left), _frequencies(support, right)
+    def search(self, rows: Dataset, h_parent: float) -> list[_Screened]:
+        """The admissible candidates whose exact gain decides the split, in
+        schema-then-threshold order: on a tabled node, those whose float
+        gain (the parent's entropy being h_parent) is NaN or within 2δ of
+        the best one; on any other node, all of them."""
+        found: list[_Screened] = []
+        discrete = []
+        for position, attr in enumerate(rows.schema.predictive):
+            cands = self.candidates(attr, rows)
+            admissible = self.admissible(cands.n_lefts)
+            if not admissible:
+                continue
+            knowledge = None
+            if not self.node.ks.is_empty:
+                first = SplitCondition(attr.name, cands.op, cands.thresholds[admissible[0]])
+                knowledge = self.split_knowledge(cands, first)
+                self.count_split(knowledge, len(admissible))
+            entry = (position, cands, admissible, knowledge)
+            if not self.tabled:
+                found += [_Screened(position, i, math.nan, cands, knowledge, None, None)
+                          for i in admissible]
+            elif attr.is_discrete:
+                discrete.append(entry)
             else:
-                yield self.child(attr, *left), self.child(attr, *right)
+                self.screen([entry], h_parent, found)
+        if discrete:
+            self.screen(discrete, h_parent, found)
+        floor = self.best - 2 * _SCREEN_TOL
+        return sorted((c for c in found if not c.gain < floor), key=lambda c: c[:2])
 
-    def block(self, cands: _Candidates, pending: list) -> dict:
-        """Left and right child counts, grouped into pivot cells (without a
-        pivot, class counts), of the admissible candidates from pending[0]
-        that one block of tables of at most `_TABLE_CELLS` cells holds. A
-        discrete attribute's candidates are numbered in one range with the
-        other discrete attributes', and one block serves as many of them as
-        it holds."""
-        step = max(1, _TABLE_CELLS // (self.n_values * self.k))
-        cumulative = cands.op == LEQ
+    def screen(self, entries: list, h_parent: float, found: list) -> None:
+        """Float gains of the admissible candidates of `entries`, (position,
+        candidates, admissible, knowledge) of attributes that share one key
+        range: one continuous attribute, or every discrete one. Tables are
+        built for blocks of candidates of at most `_TABLE_CELLS` cells; the
+        candidates of a block whose gain is NaN or within 2δ of the best so
+        far are added to `found`. Counts the diagnostics of the children."""
+        node = self.node
+        attrs = [cands.attr for _, cands, _, _ in entries]
+        cumulative = not attrs[0].is_discrete
         if cumulative:
-            a = pending[0]
-            b = min(a + step, pending[-1] + 1)
-            picked = pending[:bisect.bisect_left(pending, b)]
+            (_, cands, _, _), = entries
             keys, tkeys, n_keys = cands.keys, cands.tkeys, len(cands.thresholds) + 1
         else:
-            n_keys = int(self.offsets[-1])
-            a = self.start[cands.attr.name] + pending[0]
-            a -= a % step
-            b = min(a + step, n_keys)
-            every = self.discrete_admissible
-            picked = every[bisect.bisect_left(every, a):bisect.bisect_left(every, b)]
-            keys, tkeys = self.codes, self.tcodes
+            keys, tkeys, n_keys = self.codes, self.tcodes, int(self.offsets[-1])
+        # the candidates' keys, ascending, and the entry each belongs to
+        codes = np.array([cands.first + i for _, cands, admissible, _ in entries
+                          for i in admissible])
+        owner = np.repeat(np.arange(len(entries)), [len(e[2]) for e in entries])
+        p_left = np.array([p for _, cands, admissible, knowledge in entries
+                           for p in self.split_probs(cands, admissible, knowledge)])
         shape = (self.n_values, self.k)
-        rows = np.array(picked) - a
-        left = _block_counts(keys, self.cell_class, a, b, n_keys, cumulative, shape)[rows]
-        right = self.total - left
-        if self.node.pivot is None:
-            lefts, rights = left[:, 0].tolist(), right[:, 0].tolist()
-        else:
-            tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative, shape[:1])[rows]
-            lefts, rights = self.group(left, tleft), self.group(right, self.ttotal - tleft)
-        block = dict(zip(picked, zip(lefts, rights)))
-        if not cumulative:
-            self.discrete_block = block
-        return block
+        step = max(1, _TABLE_CELLS // math.prod(shape))
+        done = 0
+        while done < len(codes):
+            a = int(codes[done])
+            if cumulative:
+                b = min(a + step, int(codes[-1]) + 1)
+            else:
+                a -= a % step
+                b = min(a + step, n_keys)
+            end = int(codes.searchsorted(b))
+            picked = codes[done:end] - a
+            n = len(picked)
+            left = _block_counts(keys, self.cell_class, a, b, n_keys, cumulative, shape)[picked]
+            counts = np.concatenate([left, self.total - left])
+            whose = np.concatenate([owner[done:end]] * 2)
+            if node.pivot is None:
+                classes = counts[:, 0]
+                h = _entropies(classes / classes.sum(axis=1, keepdims=True))
+            else:
+                tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative,
+                                      shape[:1])[picked]
+                cells = self.group(counts, np.concatenate([tleft, self.ttotal - tleft]))
+                case, alpha = self.resolve(attrs, whose, cells)
+                h = _mixed_entropies(cells.counts, cells.tcounts, alpha)
+                h[case == _UNTABLED] = np.nan
+            p = p_left[done:end]
+            gains = h_parent - p * h[:n] - (1 - p) * h[n:]
+            screened = gains[~np.isnan(gains)]
+            if len(screened):
+                self.best = max(self.best, float(screened.max()))
+            for j in np.flatnonzero(~(gains < self.best - 2 * _SCREEN_TOL)).tolist():
+                position, cands, _, knowledge = entries[whose[j]]
+                if node.pivot is None:
+                    left, right = (functools.partial(_frequencies, node.support,
+                                                     classes[c].tolist()) for c in (j, n + j))
+                else:
+                    left, right = (self.exact(cands.attr, cells, case, c) for c in (j, n + j))
+                found.append(_Screened(position, int(codes[done + j]) - cands.first,
+                                       float(gains[j]), cands, knowledge, left, right))
+            done = end
 
-    def group(self, counts: np.ndarray, tcounts: np.ndarray):
-        """Each child's (cell × class) counts, target cell counts and cell
-        bounds on the value axis, from its (value × class) and target value
+    def group(self, counts: np.ndarray, tcounts: np.ndarray) -> _Cells:
+        """Children's cells, from their (value × class) and target value
         counts. A discrete pivot's cells are its values; a continuous
         pivot's lie between the deciles of the child's rows pooled with the
         target sample."""
         if self.values is None:
-            return zip(counts.tolist(), tcounts.tolist(), itertools.repeat(self.identity))
+            n, n_values = tcounts.shape
+            bounds = np.broadcast_to(np.arange(n_values + 1), (n, n_values + 1))
+            return _Cells(counts, tcounts, bounds, np.ones(bounds.shape, dtype=bool),
+                          np.full(n, n_values))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
+
+    def resolve(self, attrs: list, whose: np.ndarray, cells: _Cells):
+        """How each child (child i of a candidate of attrs[whose[i]]) answers
+        its pivot queries, as `_Node.estimate` resolves them: from
+        its own target rows with alpha 0 when it has any and the arity
+        allows its full path (`_FULL`), else from those of the longest
+        answerable subpath with its alpha (`_TRUNCATED`), from the source
+        alone when there is none (`_FORCED`), and `_UNTABLED` when that
+        subpath keeps the child's own condition, which the tables cannot
+        answer. Replaces the target counts of the children not answered
+        from their own rows with those they mix, counts the diagnostics, and
+        returns the cases and the float alphas."""
+        full = np.array([self.full_path(a) for a in attrs])[whose]
+        full &= cells.tcounts.sum(axis=1) > 0
+        case = np.full(len(whose), _FULL)
+        alpha = np.zeros(len(whose))
+        if not full.all():
+            rest = ~full
+            owners = whose[rest]
+            # each attribute's fallback; those off the node path share one
+            case_of = np.full(len(attrs), _FORCED)
+            alpha_of = np.ones(len(attrs))
+            same = np.full(len(attrs), -1)
+            cums: dict = {}
+            for j in set(owners.tolist()):
+                case_of[j], a, cum = self.answer(attrs[j])
+                if cum is not None:
+                    alpha_of[j] = float(a)
+                    same[j] = cums.setdefault(id(cum), (len(cums), cum))[0]
+            case[rest] = case_of[owners]
+            alpha[rest] = alpha_of[owners]
+            tgt = cells.tcounts.copy()
+            source = rest & (case != _TRUNCATED)
+            tgt[source] = cells.counts[source].sum(axis=2)
+            for g, cum in cums.values():
+                sel = rest & (same[whose] == g)
+                bounds = cells.bounds[sel]
+                tgt[sel] = cum[bounds[:, 1:]] - cum[bounds[:, :-1]]
+            cells.tcounts = tgt
+        self.count_queries(*np.bincount(case, weights=cells.n_queries,
+                                        minlength=4).astype(int).tolist()[:3])
+        return case, alpha
+
+    def answer(self, attr: Attribute | None):
+        """The case, exact alpha and cumulative target counts (None unless
+        truncated) of a child of attr (of the node itself for None) whose
+        own target rows do not answer it; see `resolve`."""
+        fallback = self.fallback(attr)
+        if fallback is None:
+            return _FORCED, 1, None
+        if fallback is False:
+            return _UNTABLED, None, None
+        cum, alpha = fallback
+        return _TRUNCATED, alpha, cum
+
+    def count_queries(self, full: int, forced: int, truncated: int) -> None:
+        """The diagnostics of pivot queries answered on the full path,
+        from the source alone, and on a truncated subpath."""
+        node = self.node
+        node.count("n_alphas", full + truncated)
+        node.count("truncations", truncated)
+        node.count("forced_source", forced)
+
+    def full_path(self, attr: Attribute | None) -> bool:
+        """Whether the arity allows the pivot queries of a child of attr (of
+        the node itself when attr is None) on its full path."""
+        n_attrs = len(self.queried) + (attr is not None and attr.name not in self.queried)
+        return n_attrs <= self.node.ks.arity_limit
+
+    def exact(self, attr: Attribute | None, cells: _Cells, case: np.ndarray,
+              i: int) -> Callable[[], Distribution] | None:
+        """Child i's exact class distribution, to compute, as `resolve`
+        answers it; None when the tables cannot answer it."""
+        if case[i] == _UNTABLED:
+            return None
+        counts, tgt, _ = cells[i]
+        alpha = 0 if case[i] == _FULL else self.answer(attr)[1]
+        return functools.partial(_mix, self.node.support, counts, tgt, alpha)
 
     def parent(self) -> Distribution:
         """The node's own class distribution, from the tables' totals."""
-        if self.node.pivot is None:
-            return _frequencies(self.node.support, self.total[0].tolist())
-        (counts, tgt, bounds), = self.group(self.total[None], self.ttotal[None])
-        return self.child(None, counts, tgt, bounds)
-
-    def child(self, attr: Attribute | None, counts: list, tgt: list,
-              bounds: list) -> Distribution | None:
-        """Class distribution of a child of attr (of the node itself when
-        attr is None), whose pivot queries its own target rows answer when
-        there are any and the arity allows its full path; otherwise the rows
-        of the longest answerable subpath, as `_Node.estimate` resolves it.
-        `bounds` delimit the cells on the value axis."""
         node = self.node
+        if node.pivot is None:
+            return _frequencies(node.support, self.total[0].tolist())
+        if self.values is None:
+            counts, tgt = self.total.tolist(), self.ttotal.tolist()
+            bounds = list(range(self.n_values + 1))
+        else:
+            counts, tgt, bounds = _decile_cells(self.values, self.pooled, self.total[None],
+                                                self.ttotal[None])[0]
         # a continuous pivot queries the cells' upper edges but the last
         n_queries = len(counts) - (self.values is not None)
-        n_attrs = len(self.queried) + (attr is not None and attr.name not in self.queried)
-        if sum(tgt) and n_attrs <= node.ks.arity_limit:
-            node.count("n_alphas", n_queries)
-            return _mix(node.support, counts, tgt, 0)
-        fallback = self.fallback(attr)
-        if fallback is None:
-            node.count("forced_source", n_queries)
-            return _mix(node.support, counts, [sum(row) for row in counts], 1)
-        if fallback is False:
-            return None
-        cum, alpha = fallback
-        node.count("truncations", n_queries)
-        node.count("n_alphas", n_queries)
-        tgt = [cum[hi] - cum[lo] for lo, hi in zip(bounds, bounds[1:])]
+        case, alpha = _FULL, 0
+        if not (sum(tgt) and self.full_path(None)):
+            case, alpha, cum = self.answer(None)
+            tgt = ([sum(row) for row in counts] if cum is None
+                   else np.diff(cum[bounds]).tolist())
+        self.count_queries(*(n_queries * (case == c) for c in (_FULL, _FORCED, _TRUNCATED)))
         return _mix(node.support, counts, tgt, alpha)
+
+    def gain(self, rows: Dataset, parent: Distribution, cand: _Screened):
+        """cand's condition and exact information gain."""
+        node, cands, i = self.node, cand.cands, cand.i
+        cond = SplitCondition(cands.attr.name, cands.op, cands.thresholds[i])
+        p_left = self.split_prob(rows, cond, i, cand.knowledge)
+        left = None if cand.left is None else cand.left()
+        right = None if cand.right is None else cand.right()
+        if left is None or right is None:
+            mask, tmask = cands.masks(i)
+            if left is None:
+                left = node.estimate(mask, node.path.extend(cond), tmask)
+            if right is None:
+                right = node.estimate(~mask, node.path.extend(cond.negate()),
+                                      None if tmask is None else ~tmask)
+        return cond, information_gain(parent, p_left, left, right)
 
     def fallback(self, attr: Attribute | None):
         """The cumulative target counts along the value axis and the alpha
@@ -653,7 +846,7 @@ class _Splits:
         self.fallbacks[key] = found
         return found
 
-    def prefix_target(self, j: int) -> tuple[list, int]:
+    def prefix_target(self, j: int) -> tuple[np.ndarray, int]:
         """Counts, cumulative along the value axis from 0, and row count of
         the target rows on the node path's conditions on its first j
         distinct attributes."""
@@ -666,8 +859,8 @@ class _Splits:
                 rows = node.ks.sample_rows(
                     Path(tuple(c for c in node.path.conditions if c.attribute in allowed)))
                 index = self.index(_pivot_values(rows, node.pivot))
-            counts = np.bincount(index, minlength=self.n_values).tolist()
-            self.prefix_targets[j] = list(itertools.accumulate(counts, initial=0)), rows.n
+            counts = np.bincount(index, minlength=self.n_values)
+            self.prefix_targets[j] = np.concatenate([[0], counts.cumsum()]), rows.n
         return self.prefix_targets[j]
 
 
@@ -693,11 +886,11 @@ def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: i
 
 
 def _decile_cells(values: np.ndarray, pooled: np.ndarray, counts: np.ndarray,
-                  tcounts: np.ndarray) -> list:
-    """Per child, the (cell × class) counts, target cell counts and cell
-    bounds of its continuous pivot, as lists; the cells lie between the
-    edges `_continuous_bin_edges` takes of the child's values pooled with
-    those counted in `pooled`, as `_Node.estimate` cuts them.
+                  tcounts: np.ndarray) -> _Cells:
+    """The cells of children under a continuous pivot: between the edges
+    `_continuous_bin_edges` takes of each child's values pooled with those
+    counted in `pooled`, as `_Node.estimate` cuts them. Every child gets ten
+    cells; those of the edges it drops are empty and not kept.
 
     `values` are the distinct pivot values, ascending, and `pooled` the
     cumulative count of the pool at each. Row i of `counts` holds child i's
@@ -717,16 +910,9 @@ def _decile_cells(values: np.ndarray, pooled: np.ndarray, counts: np.ndarray,
                               np.full(n, n_values, dtype=ranks.dtype)])
     kept = np.column_stack([np.ones(n, dtype=bool), kept, np.ones(n, dtype=bool)])
     rows = np.arange(n)[:, None]
-    cells = np.diff(cum[rows, bounds], axis=1)[kept[:, 1:]].tolist()
-    tcells = np.diff(tcum[rows, bounds], axis=1)[kept[:, 1:]].tolist()
-    bounds = bounds[kept].tolist()
-    out = []
-    lo = 0
-    for i, end in enumerate(kept.sum(axis=1).cumsum().tolist()):
-        # a child has one cell fewer than bounds
-        out.append((cells[lo - i:end - i - 1], tcells[lo - i:end - i - 1], bounds[lo:end]))
-        lo = end
-    return out
+    # a continuous pivot queries the cells' upper edges but the last
+    return _Cells(np.diff(cum[rows, bounds], axis=1), np.diff(tcum[rows, bounds], axis=1),
+                  bounds, kept, kept.sum(axis=1) - 2)
 
 
 def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -755,6 +941,27 @@ def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, n
     kept = np.ones(edges.shape, dtype=bool)
     kept[:, 1:] = edges[:, 1:] > np.maximum.accumulate(edges, axis=1)[:, :-1]
     return edges, kept
+
+
+def _mixed_entropies(counts: np.ndarray, tgt: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Entropy in bits, in float64, of each child's class mixture as `_mix`
+    computes it exactly: row i of `counts` holds child i's (cell × class)
+    source counts, of `tgt` its target cell counts, and alpha[i] its
+    weight of the source."""
+    source = counts.sum(axis=2)
+    n = source.sum(axis=1, keepdims=True)
+    a = alpha[:, None]
+    w = a * (source / n) + (1 - a) * (tgt / tgt.sum(axis=1, keepdims=True))
+    per_row = np.divide(w, source, out=np.zeros_like(w), where=source > 0)
+    q = np.einsum("ij,ijk->ik", per_row, counts)
+    # a cell without source rows takes the child's class distribution
+    q += (w * (source == 0)).sum(axis=1, keepdims=True) * (counts.sum(axis=1) / n)
+    return _entropies(q)
+
+
+def _entropies(q: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of q."""
+    return -(q * np.log2(q, out=np.zeros_like(q), where=q > 0)).sum(axis=1)
 
 
 def _cumulative_counts(keys: np.ndarray, shape: tuple) -> np.ndarray:
@@ -801,37 +1008,27 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     counts are read from prefix sums along them at once (`_decile_cells`).
     The node's own distribution comes from the tables' totals. The subpath
     and alpha that answer p_left, and the pivot queries when the full path
-    cannot, are resolved once per node (see `_Splits`). A child falls back
-    to `_Node.estimate` on its own rows where the tables cannot answer it:
-    a fixed alpha, a store of cross-tables or CDFs, or a subpath that keeps
-    the candidate's own condition. All counts are exact integers, so every
-    probability equals that of counting each candidate's rows.
+    cannot, are resolved once per node (see `_Splits`).
+
+    Every candidate's gain is first screened in float64 from the tables;
+    only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
+    one, or that the tables cannot answer, get the exact gain, in
+    schema-then-threshold order. Float and exact gains differ by far less
+    than δ, so the exact maximum and its first occurrence are among them. A
+    child falls back to `_Node.estimate` on its own rows where the tables
+    cannot answer it: a fixed alpha, a store of cross-tables or CDFs, or a
+    subpath that keeps the candidate's own condition. All exact counts are
+    integers, so every probability equals that of counting each
+    candidate's rows.
     """
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
     splits = _Splits(node, node_rows, config.min_node_fraction * n_train)
     parent = splits.parent() if splits.tabled else node.estimate(slice(None), path, slice(None))
     best: tuple[SplitCondition, float] | None = None
-    for attr in node_rows.schema.predictive:
-        cands = splits.candidates(attr, node_rows)
-        admissible = splits.admissible(cands.n_lefts)
-        children = splits.children(cands, admissible) if splits.tabled else None
-        knowledge = None
-        for i in admissible:
-            cond = SplitCondition(attr.name, cands.op, cands.thresholds[i])
-            if knowledge is None and not ks.is_empty:
-                knowledge = splits.split_knowledge(cands, cond)
-            p_left = splits.split_prob(node_rows, cond, i, knowledge)
-            left, right = (None, None) if children is None else next(children)
-            if left is None or right is None:
-                mask, tmask = cands.masks(i)
-                if left is None:
-                    left = node.estimate(mask, path.extend(cond), tmask)
-                if right is None:
-                    right = node.estimate(~mask, path.extend(cond.negate()),
-                                          None if tmask is None else ~tmask)
-            ig = information_gain(parent, p_left, left, right)
-            if best is None or ig > best[1]:
-                best = (cond, ig)
+    for cand in splits.search(node_rows, entropy(parent)):
+        cond, ig = splits.gain(node_rows, parent, cand)
+        if best is None or ig > best[1]:
+            best = (cond, ig)
     if best is None or best[1] <= _MIN_GAIN:
         return None
     return best

@@ -11,15 +11,16 @@ schemas whose targets are shifted from their sources.
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dadt.tree
 from dadt.baseline import grow_baseline, trees_equal
-from dadt.data import EQ, LEQ, Attribute, Dataset, Schema, SplitCondition
+from dadt.data import EMPTY_PATH, EQ, LEQ, Attribute, Dataset, Schema, SplitCondition
 from dadt.knowledge import (
     NAMED_REGIMES,
     KnowledgeRegime,
@@ -31,8 +32,8 @@ from dadt.knowledge import (
     maximal_subpath,
     query_target,
 )
-from dadt.stats import freq_fraction, information_gain
-from dadt.tree import TreeConfig, estimate_class_dist, grow, tree_to_json
+from dadt.stats import entropy, freq_fraction, information_gain
+from dadt.tree import TreeConfig, best_split, estimate_class_dist, grow, tree_to_json
 
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -190,8 +191,114 @@ def cases(draw, kinds=("binary", "ternary", "mixed"), grid=0.25):
     return source, ks, config
 
 
+def _twin_columns_case():
+    """A3 copies A1 (continuous) and A2 copies A0 (binary): every candidate
+    of a copy ties, bit for bit, with its original's, which comes first."""
+    rng = np.random.default_rng(11)
+    schema = _two_attributes()
+    twins = Schema(predictive=schema.predictive + (Attribute("A2", "discrete", ("0", "1")),
+                                                   Attribute("A3", "continuous")),
+                   class_attr=schema.class_attr)
+
+    def twinned(d: Dataset) -> Dataset:
+        return Dataset(twins, {"A0": d.column("A0"), "A1": d.column("A1"),
+                               "A2": d.column("A0"), "A3": d.column("A1"), "Y": d.column("Y")})
+
+    source, target = map(twinned, _pair(schema, 150, 150, rng))
+    ks = build_from_target_sample(target, NAMED_REGIMES["ftdk"])
+    return source, ks, TreeConfig(max_depth=3, x_w_override="A1")
+
+
+def _two_attributes() -> Schema:
+    return Schema(predictive=(Attribute("A0", "discrete", ("0", "1")),
+                              Attribute("A1", "continuous")),
+                  class_attr=Attribute("Y", "discrete", ("n", "y")))
+
+
+def _root_case(schema: Schema, seed: int, pivot: str):
+    """A 120-row ftdk pair drawn from seed, grown to depth 2."""
+    source, target = _pair(schema, 120, 120, np.random.default_rng(seed))
+    ks = build_from_target_sample(target, NAMED_REGIMES["ftdk"])
+    return source, ks, TreeConfig(max_depth=2, x_w_override=pivot)
+
+
+def _mirrored_case():
+    """A0=0 and A0=1 at the root: the same two children, swapped, whose
+    gains are the node's best and differ only by rounding; the float gains
+    rank them the other way round."""
+    return _root_case(_two_attributes(), 24, "A1")
+
+
+def _tied_thresholds_case():
+    """A2 <= -1.875 and A2 <= -1.375 at the root: equal exact gains, the
+    node's best, while the float gains rank the later one higher."""
+    return _root_case(_ternary_schema(), 3098, "A1")
+
+
+def _near_tie_case():
+    """A0=0 and A0=1 at the root: exact gains that differ in the last bit,
+    far less than the screen's tolerance, the later one the larger and the
+    node's best, while the float gains rank them the other way round."""
+    return _root_case(_ternary_schema(), 78, "A2")
+
+
+def _ternary_schema() -> Schema:
+    return Schema(predictive=(Attribute("A0", "discrete", ("0", "1")),
+                              Attribute("A1", "discrete", ("a", "b", "c")),
+                              Attribute("A2", "continuous")),
+                  class_attr=Attribute("Y", "discrete", ("n", "y")))
+
+
+def oracle_root_gains(source, ks, config) -> dict:
+    """The exact gain of every admissible candidate at the root, by
+    condition, as the oracle computes it."""
+    parent = estimate_class_dist(source, EMPTY_PATH, config.x_w_override, ks, config)
+    gains = {}
+    for attr in source.schema.predictive:
+        col = source.column(attr.name)
+        if attr.is_discrete:
+            conds = [SplitCondition(attr.name, EQ, v) for v in attr.domain]
+        else:
+            vals = np.unique(col)
+            conds = [SplitCondition(attr.name, LEQ, t)
+                     for t in ((vals[:-1] + vals[1:]) / 2.0).tolist()]
+        for cond in conds:
+            mask = cond.matches(col)
+            n_left = int(np.count_nonzero(mask))
+            if min(n_left, source.n - n_left) < max(config.min_node_fraction * source.n, 1):
+                continue
+            p_left = oracle_split_prob(source, cond, EMPTY_PATH, ks, config, {})
+            left, right = (estimate_class_dist(source.subset(m), EMPTY_PATH.extend(c),
+                                               config.x_w_override, ks, config)
+                           for m, c in ((mask, cond), (~mask, cond.negate())))
+            gains[cond] = information_gain(parent, p_left, left, right)
+    return gains
+
+
+def test_tie_cases_tie_at_the_root():
+    gains = oracle_root_gains(*_twin_columns_case())
+    tied = [c.attribute for c, g in gains.items() if g == max(gains.values())]
+    assert {"A0", "A2"} <= set(tied) or {"A1", "A3"} <= set(tied)
+
+    gains = oracle_root_gains(*_mirrored_case())
+    first, later = gains[SplitCondition("A0", EQ, "0")], gains[SplitCondition("A0", EQ, "1")]
+    assert first == max(gains.values()) and abs(first - later) < dadt.tree._SCREEN_TOL
+
+    gains = oracle_root_gains(*_tied_thresholds_case())
+    assert gains[SplitCondition("A2", LEQ, -1.875)] == gains[SplitCondition("A2", LEQ, -1.375)] \
+        == max(gains.values())
+
+    gains = oracle_root_gains(*_near_tie_case())
+    first, later = gains[SplitCondition("A0", EQ, "0")], gains[SplitCondition("A0", EQ, "1")]
+    assert later == max(gains.values()) and 0 < later - first < dadt.tree._SCREEN_TOL
+
+
 @ORACLE
 @given(cases())
+@example(_twin_columns_case())
+@example(_mirrored_case())
+@example(_tied_thresholds_case())
+@example(_near_tie_case())
 def test_grow_equals_per_candidate_oracle(case):
     source, ks, config = case
     expected = tree_to_json(_grow_with_oracle(source, ks, config))
@@ -228,6 +335,51 @@ def test_grow_equals_oracle_with_cdfs_in_a_binary_context():
     config = TreeConfig(max_depth=3, x_w_override="A1")
     expected = tree_to_json(_grow_with_oracle(source, ks, config))
     assert tree_to_json(grow(source, ks, config)) == expected
+
+
+@st.composite
+def tabled_cases(draw):
+    """Mixed schemas under an empty store or a full or arity-2 target
+    sample with the dynamic alpha: nodes whose candidates are screened."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = _schema("mixed", draw(st.integers(2, 4)), draw(st.integers(2, 3)), rng)
+    source, target = _pair(schema, draw(st.integers(60, 250)), draw(st.integers(5, 200)), rng,
+                           draw(st.sampled_from([0.25, 0.3])))
+    regime = draw(st.sampled_from(["ntdk", "ftdk", "ptdk2"]))
+    ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+    pivot = None if regime == "ntdk" else draw(st.sampled_from((None,) + schema.predictive_names))
+    config = TreeConfig(max_depth=draw(st.integers(2, 5)),
+                        min_node_fraction=draw(st.sampled_from([0.02, 0.05, 0.1])),
+                        x_w_override=pivot)
+    return source, ks, config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(tabled_cases())
+def test_screen_gains_are_within_a_thousandth_of_the_tolerance(case):
+    """Every node's float gain of every candidate, screened with an
+    infinite tolerance so that all are kept, against its exact gain."""
+    source, ks, config = case
+    bound = dadt.tree._SCREEN_TOL / 1000
+    checked = []
+
+    def check_then_split(node_rows, path, ks, x_w, config, n_train, diagnostics):
+        node = dadt.tree._Node(node_rows, path, x_w, ks, config, {})
+        splits = dadt.tree._Splits(node, node_rows, config.min_node_fraction * n_train)
+        assert splits.tabled
+        parent = splits.parent()
+        with mock.patch.object(dadt.tree, "_SCREEN_TOL", math.inf):
+            screened = splits.search(node_rows, entropy(parent))
+        for cand in screened:
+            if not math.isnan(cand.gain):
+                cond, exact = splits.gain(node_rows, parent, cand)
+                assert abs(cand.gain - exact) <= bound, (cond, cand.gain, exact)
+                checked.append(cond)
+        return best_split(node_rows, path, ks, x_w, config, n_train, diagnostics)
+
+    with mock.patch.object(dadt.tree, "best_split", check_then_split):
+        grow(source, ks, config)
+    assert checked
 
 
 def _grow_with_oracle(source, ks, config):
