@@ -246,8 +246,9 @@ class Dataset:
                  codes: dict[str, np.ndarray] | None = None):
         self.schema = schema
         self._columns = columns
-        # integer codes of discrete columns, computed on first use and shared
-        # by every view of the same storage
+        # integer codes of discrete columns (by name) and their stacked
+        # matrices (by tuple of names), computed on first use and shared by
+        # every view of the same storage
         self._codes = {} if codes is None else codes
         if index is None:
             lengths = {len(v) for v in columns.values()}
@@ -267,6 +268,9 @@ class Dataset:
 
     def codes(self, name: str) -> np.ndarray:
         """Positions of a discrete column's values in the attribute's domain."""
+        return self._stored_codes(name)[self.index]
+
+    def _stored_codes(self, name: str) -> np.ndarray:
         full = self._codes.get(name)
         if full is None:
             values = self._columns.get(name)
@@ -279,7 +283,18 @@ class Dataset:
             if (full < 0).any():
                 raise ValueOutOfDomain(f"column {name!r} has values outside {list(domain)}")
             self._codes[name] = full
-        return full[self.index]
+        return full
+
+    def value_codes(self, names: tuple[str, ...]) -> np.ndarray:
+        """(attribute × row) codes of the named discrete columns that number
+        all their values in one range, each attribute's after those of the
+        attributes before it; stacked once per storage, like `codes`."""
+        full = self._codes.get(names)
+        if full is None:
+            offsets = np.cumsum([0] + [len(self.schema.attribute(a).domain) for a in names])
+            full = np.stack([self._stored_codes(a) for a in names]) + offsets[:-1, None]
+            self._codes[names] = full
+        return full[:, self.index]
 
     def class_codes(self) -> np.ndarray:
         if not self.labeled:
@@ -306,6 +321,11 @@ class Dataset:
             names.append(self.schema.class_attr.name)
         ridx = self.index[i]
         return {name: self._columns[name][ridx] for name in names}
+
+    def chunks(self):
+        """Views of consecutive rows, a bounded chunk of them at a time."""
+        for start in range(0, self.n, _ROW_CHUNK):
+            yield self.subset(slice(start, start + _ROW_CHUNK))
 
     def iter_rows(self):
         """Row dicts of Python scalars, built a bounded chunk of rows at a time."""

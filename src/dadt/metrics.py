@@ -8,7 +8,6 @@ model, as a percentage clamped to [-100, 100].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +23,10 @@ from .errors import (
 from .stats import Distribution, class_distribution, wasserstein, wasserstein_empirical
 from .tree import (
     DecisionTree,
-    Leaf,
     pivot_score,
     positive_scores,
     predict_dataset,
-    route,
+    route_dataset,
 )
 
 DP = "dp"
@@ -171,10 +169,14 @@ class PostprocessedModel:
     thresholds: dict
 
     def predict_dataset(self, d: Dataset) -> np.ndarray:
-        scores = positive_scores(self.tree, d, self.positive_label)
-        groups = d.column(self.protected)
-        taus = np.array([self.thresholds[g] for g in groups], dtype=float)
-        return np.where(scores >= taus,
+        """A row is positive when its leaf's positive probability is at least
+        its group's threshold; leaf ids and group codes index both."""
+        scores = np.array([leaf.class_dist.prob(self.positive_label)
+                           for leaf in self.tree.leaves()], dtype=float)
+        domain = self.tree.schema.attribute(self.protected).domain
+        taus = np.array([self.thresholds[g] for g in domain], dtype=float)
+        positive = scores[route_dataset(self.tree, d)] >= taus[d.codes(self.protected)]
+        return np.where(positive,
                         np.array(self.positive_label, dtype=object),
                         np.array(self.negative_label, dtype=object))
 
@@ -229,24 +231,20 @@ def postprocess_thresholds(tree: DecisionTree, holdout: Dataset, protected: str,
                 raise NoPositives(f"group {g!r} has no positive ground-truth rows")
             rates[g] = [float(c) / n_pos for c in pos_above]
 
-    best_key = None
-    best_taus = None
-    for taus in itertools.product(range(len(grid)), repeat=2):
-        assignment = dict(zip(groups, taus))
-        group_rates = [rates[g][assignment[g]] for g in masks]
-        disparity = abs(group_rates[0] - group_rates[1])
-        if labeled:
-            acc = float(sum(correct[g][assignment[g]] for g in masks)) / holdout.n
-        else:
-            acc = 0.0
-        key = (disparity, -acc, grid[taus[0]], grid[taus[1]])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_taus = {g: grid[k] for g, k in assignment.items()}
+    # every (tau_a, tau_b) pair at once, group a's grid index on axis 0;
+    # the winner sorts first on (disparity, -accuracy, tau_a, tau_b)
+    a, b = groups
+    disparity = np.abs(np.subtract.outer(rates[a], rates[b]))
+    acc = np.zeros_like(disparity)
+    if labeled:
+        acc = np.add.outer(correct[a], correct[b]) / holdout.n
+    tau_a, tau_b = np.meshgrid(grid, grid, indexing="ij")
+    first = np.lexsort((tau_b.ravel(), tau_a.ravel(), -acc.ravel(), disparity.ravel()))[0]
+    i, j = divmod(int(first), len(grid))
     return PostprocessedModel(tree=tree, protected=protected,
                               positive_label=positive_label,
                               negative_label=negative_label,
-                              thresholds=best_taus)
+                              thresholds={a: grid[i], b: grid[j]})
 
 
 def _at_or_above(values: np.ndarray, grid: list[float]) -> list[int]:
@@ -290,28 +288,22 @@ def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     if target_test.n == 0:
         raise EmptyDataset("cannot compute shift distance on an empty dataset")
     support = tree.schema.class_values
-    y_index = {y: i for i, y in enumerate(support)}
-    codes = [y_index[y] for y in target_test.class_column().tolist()]
-    # leaves numbered in the order rows first reach them, so the sum below
-    # adds them in that order
-    leaf_index: dict[int, int] = {}
-    leaves: list[Leaf] = []
-    rows_leaf = []
-    for row in target_test.iter_rows():
-        leaf = route(tree, row)
-        j = leaf_index.get(id(leaf))
-        if j is None:
-            j = leaf_index[id(leaf)] = len(leaves)
-            leaves.append(leaf)
-        rows_leaf.append(j)
-    k = len(support)
-    counts = np.bincount(np.array(rows_leaf) * k + codes, minlength=len(leaves) * k)
+    leaves = tree.leaves()
+    ids = route_dataset(tree, target_test)
+    truth = target_test.class_column()
+    # (leaf × class) counts; class by class, as `class_codes` would keep a
+    # code array for the dataset's lifetime
+    counts = np.stack([np.bincount(ids[truth == y], minlength=len(leaves)) for y in support],
+                      axis=1).astype(np.float64)
+    # the sum below adds the reached leaves in the order rows first reach them
+    reached = np.flatnonzero(counts.sum(axis=1)).tolist()
     total = 0.0
     n = target_test.n
-    for leaf, c in zip(leaves, counts.reshape(len(leaves), k).astype(np.float64)):
+    for j in sorted(reached, key=lambda j: int(np.argmax(ids == j))):
+        c = counts[j]
         m = c.sum()
         tgt = Distribution(support, tuple(c / m))
-        total += wasserstein(leaf.class_dist, tgt) * (m / n)
+        total += wasserstein(leaves[j].class_dist, tgt) * (m / n)
     return float(total)
 
 

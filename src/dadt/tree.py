@@ -453,10 +453,11 @@ class _Splits:
         self.fallbacks: dict = {}
         self.prefix_targets: dict = {}
         self.sub_value_counts: dict = {}
-        self.discrete = [a for a in rows.schema.predictive if a.is_discrete]
-        self.offsets = np.cumsum([0] + [len(a.domain) for a in self.discrete])
-        self.start = dict(zip((a.name for a in self.discrete), self.offsets.tolist()))
-        self.row = {a.name: j for j, a in enumerate(self.discrete)}
+        discrete = [a for a in rows.schema.predictive if a.is_discrete]
+        self.discrete = tuple(a.name for a in discrete)
+        self.offsets = np.cumsum([0] + [len(a.domain) for a in discrete])
+        self.start = dict(zip(self.discrete, self.offsets.tolist()))
+        self.row = {a: j for j, a in enumerate(self.discrete)}
         self.k = k = len(node.support)
         self.values = None
         if self.tabled:
@@ -481,20 +482,15 @@ class _Splits:
         self.codes = self.tcodes = self.n_lefts = self.tcounts = None
         if not self.discrete:
             return
-        self.codes = self.value_codes(rows)
+        self.codes = rows.value_codes(self.discrete)
         self.n_lefts = self.value_counts(self.codes)
         if node.target is not None:
-            self.tcodes = self.value_codes(node.target)
+            self.tcodes = node.target.value_codes(self.discrete)
             self.tcounts = self.value_counts(self.tcodes)
 
     def index(self, piv: np.ndarray) -> np.ndarray:
         """Positions of pivot values on the value axis."""
         return piv if self.values is None else self.values.searchsorted(piv)
-
-    def value_codes(self, rows: Dataset) -> np.ndarray:
-        """(discrete attribute × row) codes that number all the attributes'
-        values in one range."""
-        return np.stack([rows.codes(a.name) for a in self.discrete]) + self.offsets[:-1, None]
 
     def value_counts(self, codes: np.ndarray) -> list:
         """Row count of each value code."""
@@ -544,7 +540,8 @@ class _Splits:
         rows = ks.sample_rows(sub)
         if attr.is_discrete:
             if sub not in self.sub_value_counts:
-                self.sub_value_counts[sub] = self.value_counts(self.value_codes(rows))
+                self.sub_value_counts[sub] = self.value_counts(
+                    rows.value_codes(self.discrete))
             lo = self.start[attr.name]
             counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
         else:
@@ -1149,6 +1146,10 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
         return Internal(condition=cond, left=left, right=right, ig_achieved=ig)
 
     root = build(train_source, EMPTY_PATH, 0)
+    # build refers to itself through its closure; breaking that cycle frees
+    # the datasets and store the closure holds now, not at the next cyclic
+    # garbage collection
+    del build
     return DecisionTree(root=root, config=config, schema=schema,
                         x_w=x_w, diagnostics=diagnostics)
 
@@ -1172,6 +1173,36 @@ def route(tree: DecisionTree, row: dict) -> Leaf:
                 raise ValueOutOfDomain(f"value {value!r} of {name!r} was never declared")
         node = left if compare(value, threshold) else right
     return node
+
+
+def route_dataset(tree: DecisionTree, d: Dataset) -> np.ndarray:
+    """Each row's leaf, as its position in `tree.leaves()`. Row-index arrays
+    go down the tree a chunk of rows at a time, split by
+    `SplitCondition.matches` as in `grow`; dataset columns hold declared
+    values only, so no unseen-value rule applies."""
+    ids = np.empty(d.n, dtype=np.intp)
+    start = 0
+    for chunk in d.chunks():
+        _descend(tree.root, chunk, {}, np.arange(chunk.n), ids[start:start + chunk.n], 0)
+        start += chunk.n
+    return ids
+
+
+def _descend(node, chunk: Dataset, columns: dict, rows: np.ndarray, out: np.ndarray,
+             leaf: int) -> int:
+    """Write into `out` the leaf of each of the chunk's `rows` under node,
+    whose leaves are numbered from `leaf`; returns the number after them.
+    `columns` keeps the chunk's columns read so far."""
+    if isinstance(node, Leaf):
+        out[rows] = leaf
+        return leaf + 1
+    cond = node.condition
+    col = columns.get(cond.attribute)
+    if col is None:
+        col = columns[cond.attribute] = chunk.column(cond.attribute)
+    mask = cond.matches(col[rows])
+    leaf = _descend(node.left, chunk, columns, rows[mask], out, leaf)
+    return _descend(node.right, chunk, columns, rows[~mask], out, leaf)
 
 
 def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:

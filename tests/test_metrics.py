@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadt.data import EMPTY_PATH, EQ, Attribute, Schema, SplitCondition, dataset_from_rows
@@ -254,6 +254,13 @@ class TestPostprocessOracle:
                                    st.sampled_from("01")), min_size=2, max_size=60),
            objective=st.sampled_from(["dp", "eop"]),
            labeled=st.booleans())
+    # ties on (disparity, accuracy) that the thresholds decide: tau_a in
+    # {0.2, 0.5, 0.8, 1.0} with tau_b = 1.0 (the smallest tau_a wins), and
+    # tau_a = 1.0 with tau_b in {0.3, 1.0} (the smallest tau_b wins)
+    @example(p_pos=[0.5, 0.8, 0.8, 0.0, 0.2], share_a=0.1,
+             rows=[(0.95, "0", "1"), (0.95, "2", "0")], objective="dp", labeled=True)
+    @example(p_pos=[0.2, 0.2, 0.0, 0.3, 0.0], share_a=0.1,
+             rows=[(0.0, "3", "0"), (0.0, "0", "0")], objective="dp", labeled=True)
     def test_counting_equals_masking(self, p_pos, share_a, rows, objective, labeled):
         spec = [{"X1": "a" if u < share_a else "b", "X2": x2, "Y": y} for u, x2, y in rows]
         spec += [{"X1": "a", "X2": "3", "Y": "0"}, {"X1": "b", "X2": "0", "Y": "0"}]
