@@ -112,9 +112,11 @@ class KnowledgeStore:
     tables: dict[tuple[str, ...], dict[tuple, float]] = field(default_factory=dict)
     cdfs: list[CdfEntry] = field(default_factory=list)
     class_conditionals: dict[str, dict] | None = None
-    # Sample rows of one path and of the subpaths queried after it: what the
-    # queries about one tree node need. A query on any other path drops them.
-    _rows: dict = field(default_factory=dict, repr=False)
+    # The cache of `sample_rows`: rows by path, and the conditions of the
+    # node path they serve. It takes no part in comparisons, and a store
+    # made from another's fields (`dataclasses.replace`) starts without it.
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _node: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -125,15 +127,34 @@ class KnowledgeStore:
         return KnowledgeStore(schema=schema, arity_limit=0)
 
     def sample_rows(self, path: Path) -> Dataset:
-        """Rows of the retained sample that satisfy the path."""
+        """Rows of the retained sample that satisfy the path.
+
+        The empty path's rows are the sample itself. Any other path's rows
+        are the cached rows of its longest cached prefix filtered by the
+        remaining conditions, so a tree node's rows come from its parent's
+        by one condition, and an ancestor's rows are a hit. A path that is
+        not a subset of the node path starts a new node: the rows of every
+        path that is not a prefix of it are dropped. Queried as `grow`
+        queries it, each node's path and then its `subpaths`, the cache holds
+        the node path's non-empty prefixes and its subpaths that are not
+        prefixes: at most len(path) + (number of predictive attributes)
+        entries, bounded by tree depth, never by the number of candidates.
+        """
         key = path.conditions
-        hit = self._rows.get(key)
-        if hit is None:
-            if self._rows and not set(key) <= set(next(iter(self._rows))):
-                self._rows.clear()
-            hit = filter_by_path(self.sample, path)
-            self._rows[key] = hit
-        return hit
+        if not key:
+            return self.sample
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        if not self._node.issuperset(key):
+            self._node = frozenset(key)
+            self._rows = {k: v for k, v in self._rows.items() if key[:len(k)] == k}
+        j = len(key) - 1
+        while j and key[:j] not in self._rows:
+            j -= 1
+        base = self._rows[key[:j]] if j else self.sample
+        rows = self._rows[key] = filter_by_path(base, Path(key[j:]))
+        return rows
 
 
 def build_from_target_sample(target: Dataset, regime: KnowledgeRegime) -> KnowledgeStore:

@@ -81,12 +81,6 @@ def freq_fraction(d: Dataset, cond: SplitCondition) -> Fraction:
     return Fraction(count, d.n)
 
 
-def estimate_freq(d: Dataset, cond: SplitCondition) -> float:
-    """P(cond | rows of d) by frequency counting."""
-    frac = freq_fraction(d, cond)
-    return frac.numerator / frac.denominator
-
-
 def class_fractions(d: Dataset) -> dict[str, Fraction]:
     """Exact class frequencies over the schema's class support."""
     if d.n == 0:

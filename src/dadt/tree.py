@@ -423,6 +423,14 @@ class _Screened(NamedTuple):
     right: Callable[[], Distribution] | None
 
 
+def _child_bounds(n: int, min_rows: float) -> tuple[float, float]:
+    """The fewest and the most rows the left child of an admissible split of
+    n rows holds: each child holds at least one row and min_rows of them.
+    When the most is below the fewest, no split of the node is admissible."""
+    least = max(min_rows, 1)
+    return least, n - least
+
+
 class _Splits:
     """What the split candidates of one node share.
 
@@ -439,9 +447,7 @@ class _Splits:
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
         self.node = node
-        # a child holds at least one row and min_rows of them
-        self.least = max(min_rows, 1)
-        self.most = len(node.y) - self.least
+        self.least, self.most = _child_bounds(len(node.y), min_rows)
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
@@ -1017,9 +1023,18 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     subpath that keeps the candidate's own condition. All exact counts are
     integers, so every probability equals that of counting each
     candidate's rows.
+
+    A node with fewer rows than two children need (`_child_bounds`) builds
+    no tables: it computes only its own estimate, whose knowledge queries
+    the diagnostics count, and returns None.
     """
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
-    splits = _Splits(node, node_rows, config.min_node_fraction * n_train)
+    min_rows = config.min_node_fraction * n_train
+    least, most = _child_bounds(node_rows.n, min_rows)
+    if most < least:
+        node.estimate(slice(None), path, slice(None))
+        return None
+    splits = _Splits(node, node_rows, min_rows)
     parent = splits.parent() if splits.tabled else node.estimate(slice(None), path, slice(None))
     best: tuple[SplitCondition, float] | None = None
     for cand in splits.search(node_rows, entropy(parent)):

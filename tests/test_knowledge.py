@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from dadt.data import (
     Schema,
     SplitCondition,
     dataset_from_rows,
+    filter_by_path,
 )
 from dadt.errors import (
     ConfigError,
@@ -40,9 +42,10 @@ from dadt.knowledge import (
     load_from_crosstabs,
     maximal_subpath,
     query_target,
+    subpaths,
 )
 
-from conftest import binary_schema, rows_dataset
+from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
 
 
 def abc_schema() -> Schema:
@@ -125,6 +128,71 @@ class TestSampleBackedStore:
         info = ks.class_conditionals["X1"]
         assert info["marginal"]["0"] == 0.5
         assert info["y_given_x"]["0"].probs == (0.5, 0.5)
+
+    def test_equals_its_copy_after_queries(self):
+        ks = build_from_target_sample(abc_sample(), KnowledgeRegime.full())
+        copy = KnowledgeStore(ks.schema, ks.arity_limit, sample=ks.sample,
+                              labeled_sample=ks.labeled_sample,
+                              class_conditionals=ks.class_conditionals)
+        query_target(ks, eq("A", "1"), Path((eq("B", "1"), eq("C", "0"))))
+        assert ks == copy
+        query_target(copy, eq("A", "0"), Path((eq("C", "1"),)))
+        assert ks == copy
+
+    def test_copy_with_another_sample_answers_from_it(self):
+        ks = build_from_target_sample(abc_sample(), KnowledgeRegime.full())
+        path = Path((eq("B", "1"),))
+        assert query_target(ks, eq("A", "1"), path) == Fraction(1, 2)
+        only_a1 = ks.sample.subset(ks.sample.column("A") == "1")
+        assert query_target(dataclasses.replace(ks, sample=only_a1), eq("A", "1"), path) == 1
+
+
+def _random_condition(rng: np.random.Generator, schema: Schema) -> SplitCondition:
+    attr = schema.predictive[int(rng.integers(len(schema.predictive)))]
+    if attr.is_discrete:
+        return SplitCondition(attr.name, EQ, attr.domain[int(rng.integers(len(attr.domain)))])
+    return SplitCondition(attr.name, LEQ, float(np.round(rng.normal(), 1)))
+
+
+class TestSampleRowsCache:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 80),
+           arity=st.sampled_from([math.inf, 1, 2, 3]), max_depth=st.integers(1, 5))
+    def test_depth_first_walk_matches_filtering_within_the_bound(self, seed, n_rows, arity,
+                                                                 max_depth):
+        """Node paths walked depth-first as `grow` walks them, each node's
+        path queried first and then the subpaths of random conditions, on a
+        random mixed schema. A continuous attribute recurs on a path under
+        other thresholds, so some subpaths are no ancestor's path. A path
+        holds no condition twice, nor one with its negation: such a node
+        has no source rows."""
+        rng = np.random.default_rng(seed)
+        schema = random_mixed_schema(rng)
+        regime = (KnowledgeRegime.full() if arity == math.inf
+                  else KnowledgeRegime.partial(arity))
+        ks = build_from_target_sample(random_dataset(rng, schema, n_rows), regime)
+        bound_extra = len(schema.predictive)
+
+        def check(path: Path, node_path: Path) -> None:
+            rows = ks.sample_rows(path)
+            assert np.array_equal(rows.index, filter_by_path(ks.sample, path).index)
+            assert len(ks._rows) <= len(node_path) + bound_extra
+
+        def visit(path: Path, depth: int) -> None:
+            check(path, path)
+            for _ in range(3):
+                cond = _random_condition(rng, schema)
+                for sub in subpaths(ks, cond, path):
+                    check(sub, path)
+            if depth == max_depth:
+                return
+            cond = _random_condition(rng, schema)
+            if cond in path.conditions or cond.negate() in path.conditions:
+                return
+            visit(path.extend(cond), depth + 1)
+            visit(path.extend(cond.negate()), depth + 1)
+
+        visit(EMPTY_PATH, 0)
 
 
 class TestPartialKnowledge:

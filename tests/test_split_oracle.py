@@ -11,6 +11,7 @@ schemas whose targets are shifted from their sources.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -242,6 +243,14 @@ def _near_tie_case():
     return _root_case(_ternary_schema(), 78, "A2")
 
 
+def _small_nodes_case(fraction: float, pivot: str):
+    """A 120-row ftdk pair with min_node_fraction `fraction`: at 0.45 the
+    root splits and no child holds the 2 x 54 rows a split needs, at 0.6 not
+    even the root does and the tree is one leaf."""
+    source, ks, config = _root_case(_ternary_schema(), 0, pivot)
+    return source, ks, dataclasses.replace(config, min_node_fraction=fraction)
+
+
 def _ternary_schema() -> Schema:
     return Schema(predictive=(Attribute("A0", "discrete", ("0", "1")),
                               Attribute("A1", "discrete", ("a", "b", "c")),
@@ -299,6 +308,8 @@ def test_tie_cases_tie_at_the_root():
 @example(_mirrored_case())
 @example(_tied_thresholds_case())
 @example(_near_tie_case())
+@example(_small_nodes_case(0.45, "A2"))
+@example(_small_nodes_case(0.6, "A1"))
 def test_grow_equals_per_candidate_oracle(case):
     source, ks, config = case
     expected = tree_to_json(_grow_with_oracle(source, ks, config))

@@ -17,7 +17,6 @@ from dadt.stats import (
     Distribution,
     class_distribution,
     entropy,
-    estimate_freq,
     freq_fraction,
     information_gain,
     wasserstein,
@@ -61,7 +60,6 @@ class TestFrequency:
             {"X1": "1", "X2": "0", "Y": "1"},
             {"X1": "1", "X2": "1", "Y": "1"},
         ])
-        assert estimate_freq(d, SplitCondition("X1", EQ, "0")) == 0.5
         assert freq_fraction(d, SplitCondition("X1", EQ, "0")) == Fraction(1, 2)
 
     @pytest.mark.parametrize("op", [EQ, NEQ, LEQ, GT])
@@ -83,13 +81,13 @@ class TestFrequency:
     def test_empty_context(self):
         d = rows_dataset(binary_schema(), [{"X1": "0", "X2": "0", "Y": "0"}])
         with pytest.raises(EmptyContext):
-            estimate_freq(d.subset(np.zeros(1, dtype=bool)),
+            freq_fraction(d.subset(np.zeros(1, dtype=bool)),
                           SplitCondition("X1", EQ, "0"))
 
     def test_ten_row_hand_count(self):
         rows = [{"X1": "0", "X2": "0", "Y": "1"}] * 7 + [{"X1": "0", "X2": "0", "Y": "0"}] * 3
         d = rows_dataset(binary_schema(), rows)
-        assert estimate_freq(d, SplitCondition("Y", EQ, "1")) == 0.7
+        assert freq_fraction(d, SplitCondition("Y", EQ, "1")) == Fraction(7, 10)
         assert class_distribution(d).probs == (0.3, 0.7)
 
 
