@@ -79,6 +79,8 @@ def accuracy(model, test: Dataset) -> float:
 
 def _group_masks(test: Dataset, protected: str) -> dict[str, np.ndarray]:
     attr = test.schema.attribute(protected)
+    if not attr.is_discrete:
+        raise DomainError(f"protected attribute {protected!r} must be discrete")
     col = test.column(protected)
     masks = {}
     for g in attr.domain:

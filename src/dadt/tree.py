@@ -215,6 +215,17 @@ class _Node:
     def count(self, key: str, k: int = 1) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + k
 
+    def count_answer(self, sub: Path | None, path: Path, n: int) -> None:
+        """The diagnostics of n queries at `path` answered on its subpath
+        `sub`: from the source alone when sub is None, else mixed, and
+        truncated when sub is not the whole path."""
+        if sub is None:
+            self.count("forced_source", n)
+            return
+        if len(sub) != len(path):
+            self.count("truncations", n)
+        self.count("n_alphas", n)
+
     def estimate(self, sel, path: Path, tsel) -> Distribution:
         """Class distribution of the node rows `sel` at `path`, whose target
         rows are the node's target rows `tsel`."""
@@ -256,12 +267,9 @@ class _Node:
                 if len(tv):
                     sub = cand
                     break
+        self.count_answer(sub, path, n_queries)
         if sub is None:
-            self.count("forced_source", n_queries)
             return _mix(self.support, counts, src, 1)
-        if len(sub) != len(path):
-            self.count("truncations", n_queries)
-        self.count("n_alphas", n_queries)
         alpha = self.config.alpha_override
         if alpha is None:
             alpha = dynamic_alpha(path, sub)
@@ -440,9 +448,9 @@ class _Splits:
     the distinct values of the node rows and the target sample, which every
     child's deciles pool. The subpath and alpha of p_left and of the
     children's pivot queries are resolved once for all attributes off the
-    node path, whose answers differ only through the arity check, and once
-    per attribute on it. `search` screens every candidate's gain in float64
-    from the tables and keeps those the exact gain must decide.
+    node path and once per attribute on it (`split_knowledge`, `answer`).
+    `search` screens every candidate's gain in float64 from the tables and
+    keeps those the exact gain must decide.
     """
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
@@ -456,7 +464,7 @@ class _Splits:
         self.tabled = pivot is None or (self.sample and node.config.alpha_override is None)
         self.best = -math.inf
         self.split_sub: dict = {}
-        self.fallbacks: dict = {}
+        self.answers: dict = {}
         self.prefix_targets: dict = {}
         self.sub_value_counts: dict = {}
         discrete = [a for a in rows.schema.predictive if a.is_discrete]
@@ -479,8 +487,6 @@ class _Splits:
                 self.tindex = self.index(node.tpiv)
                 self.n_values = len(pivot.domain) if self.values is None else len(self.values)
                 self.ttotal = np.bincount(self.tindex, minlength=self.n_values)
-                # the attributes of the node's own pivot queries
-                self.queried = {pivot.name, *self.order}
                 # each row's key in the (value × class) table
                 self.cell_class = index * k + node.y
             self.total = np.bincount(self.cell_class, minlength=self.n_values * k).reshape(
@@ -555,20 +561,6 @@ class _Splits:
             counts = _cumulative_counts(keys, (len(cands.thresholds) + 1,)).tolist()
         return sub, alpha, counts, rows.n
 
-    def count_split(self, knowledge, n: int) -> None:
-        """The diagnostics of n candidates' p_left, answered by `knowledge`
-        (`split_knowledge`'s answer; None for an empty store)."""
-        if knowledge is None:
-            return
-        node = self.node
-        sub = knowledge[0]
-        if sub is None:
-            node.count("forced_source", n)
-            return
-        if len(sub) != len(node.path):
-            node.count("truncations", n)
-        node.count("n_alphas", n)
-
     def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
         """P(cond | path): the source frequency affinely mixed with target
         knowledge; alpha is 1 (source only) when the store cannot answer even
@@ -619,7 +611,7 @@ class _Splits:
             if not self.node.ks.is_empty:
                 first = SplitCondition(attr.name, cands.op, cands.thresholds[admissible[0]])
                 knowledge = self.split_knowledge(cands, first)
-                self.count_split(knowledge, len(admissible))
+                self.node.count_answer(knowledge[0], self.node.path, len(admissible))
             entry = (position, cands, admissible, knowledge)
             if not self.tabled:
                 found += [_Screened(position, i, math.nan, cands, knowledge, None, None)
@@ -641,8 +633,7 @@ class _Splits:
         candidates of a block whose gain is NaN or within 2δ of the best so
         far are added to `found`. Counts the diagnostics of the children."""
         node = self.node
-        attrs = [cands.attr for _, cands, _, _ in entries]
-        cumulative = not attrs[0].is_discrete
+        cumulative = not entries[0][1].attr.is_discrete
         if cumulative:
             (_, cands, _, _), = entries
             keys, tkeys, n_keys = cands.keys, cands.tkeys, len(cands.thresholds) + 1
@@ -677,7 +668,7 @@ class _Splits:
                 tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative,
                                       shape[:1])[picked]
                 cells = self.group(counts, np.concatenate([tleft, self.ttotal - tleft]))
-                case, alpha = self.resolve(attrs, whose, cells)
+                case, alpha = self.resolve([e[1] for e in entries], whose, cells)
                 h = _mixed_entropies(cells.counts, cells.tcounts, alpha)
                 h[case == _UNTABLED] = np.nan
             p = p_left[done:end]
@@ -691,7 +682,7 @@ class _Splits:
                     left, right = (functools.partial(_frequencies, node.support,
                                                      classes[c].tolist()) for c in (j, n + j))
                 else:
-                    left, right = (self.exact(cands.attr, cells, case, c) for c in (j, n + j))
+                    left, right = (self.exact(cands, cells, case, c) for c in (j, n + j))
                 found.append(_Screened(position, int(codes[done + j]) - cands.first,
                                        float(gains[j]), cands, knowledge, left, right))
             done = end
@@ -708,41 +699,27 @@ class _Splits:
                           np.full(n, n_values))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
 
-    def resolve(self, attrs: list, whose: np.ndarray, cells: _Cells):
-        """How each child (child i of a candidate of attrs[whose[i]]) answers
-        its pivot queries, as `_Node.estimate` resolves them: from
-        its own target rows with alpha 0 when it has any and the arity
-        allows its full path (`_FULL`), else from those of the longest
-        answerable subpath with its alpha (`_TRUNCATED`), from the source
-        alone when there is none (`_FORCED`), and `_UNTABLED` when that
-        subpath keeps the child's own condition, which the tables cannot
-        answer. Replaces the target counts of the children not answered
-        from their own rows with those they mix, counts the diagnostics, and
-        returns the cases and the float alphas."""
-        full = np.array([self.full_path(a) for a in attrs])[whose]
-        full &= cells.tcounts.sum(axis=1) > 0
+    def resolve(self, owners: list, whose: np.ndarray, cells: _Cells):
+        """How each child (child i of a candidate of owners[whose[i]], a
+        `_Candidates`) answers its pivot queries, as `_Node.estimate` resolves
+        them: from its own target rows with alpha 0 when it has any and the
+        arity allows its full path (`_FULL`), else as `answer` falls back.
+        Replaces the target counts of the children not answered from their
+        own rows with those they mix, counts the diagnostics, and returns the
+        cases and the float alphas."""
+        fulls, cases, alphas, cums = zip(*(self.answer(cands) for cands in owners))
+        full = np.array(fulls)[whose] & (cells.tcounts.sum(axis=1) > 0)
         case = np.full(len(whose), _FULL)
         alpha = np.zeros(len(whose))
         if not full.all():
             rest = ~full
-            owners = whose[rest]
-            # each attribute's fallback; those off the node path share one
-            case_of = np.full(len(attrs), _FORCED)
-            alpha_of = np.ones(len(attrs))
-            same = np.full(len(attrs), -1)
-            cums: dict = {}
-            for j in set(owners.tolist()):
-                case_of[j], a, cum = self.answer(attrs[j])
-                if cum is not None:
-                    alpha_of[j] = float(a)
-                    same[j] = cums.setdefault(id(cum), (len(cums), cum))[0]
-            case[rest] = case_of[owners]
-            alpha[rest] = alpha_of[owners]
+            case[rest] = np.array(cases)[whose[rest]]
+            alpha[rest] = np.array(alphas, dtype=float)[whose[rest]]
             tgt = cells.tcounts.copy()
             source = rest & (case != _TRUNCATED)
             tgt[source] = cells.counts[source].sum(axis=2)
-            for g, cum in cums.values():
-                sel = rest & (same[whose] == g)
+            for cum in {id(c): c for c in cums if c is not None}.values():
+                sel = rest & np.array([c is cum for c in cums])[whose]
                 bounds = cells.bounds[sel]
                 tgt[sel] = cum[bounds[:, 1:]] - cum[bounds[:, :-1]]
             cells.tcounts = tgt
@@ -750,17 +727,41 @@ class _Splits:
                                         minlength=4).astype(int).tolist()[:3])
         return case, alpha
 
-    def answer(self, attr: Attribute | None):
-        """The case, exact alpha and cumulative target counts (None unless
-        truncated) of a child of attr (of the node itself for None) whose
-        own target rows do not answer it; see `resolve`."""
-        fallback = self.fallback(attr)
-        if fallback is None:
-            return _FORCED, 1, None
-        if fallback is False:
-            return _UNTABLED, None, None
-        cum, alpha = fallback
-        return _TRUNCATED, alpha, cum
+    def answer(self, cands: _Candidates) -> tuple:
+        """(whether the arity lets a child of cands answer its pivot queries
+        on its full path, and the case, alpha and cumulative target counts
+        along the value axis when its own target rows do not answer them).
+
+        Below the full path, the `subpaths` of the child's path are tried
+        longest first: one that keeps the child's own condition gives
+        `_UNTABLED` (the tables cannot answer it), the first other one with
+        target rows `_TRUNCATED`, with its dynamic alpha, and none `_FORCED`.
+        Only a truncated child has counts; the others have none and alpha 1.
+        Children off the node path share one answer, except those split on
+        the pivot, whose full path has one attribute fewer.
+        """
+        node = self.node
+        name = cands.attr.name
+        key = name if name in self.order or name == node.pivot.name else None
+        if key not in self.answers:
+            cond = SplitCondition(name, cands.op, cands.thresholds[0])
+            child = node.path.extend(cond)
+            # a pivot query; subpaths depend on its attribute alone
+            query = SplitCondition(node.pivot.name, EQ, None)
+            full, found = False, (_FORCED, 1, None)
+            for sub in subpaths(node.ks, query, child):
+                if len(sub) == len(child):
+                    full = True
+                    continue
+                if cond in sub.conditions:
+                    found = _UNTABLED, 1, None
+                    break
+                cum, m = self.prefix_target(sub)
+                if m:
+                    found = _TRUNCATED, dynamic_alpha(child, sub), cum
+                    break
+            self.answers[key] = (full, *found)
+        return self.answers[key]
 
     def count_queries(self, full: int, forced: int, truncated: int) -> None:
         """The diagnostics of pivot queries answered on the full path,
@@ -770,42 +771,15 @@ class _Splits:
         node.count("truncations", truncated)
         node.count("forced_source", forced)
 
-    def full_path(self, attr: Attribute | None) -> bool:
-        """Whether the arity allows the pivot queries of a child of attr (of
-        the node itself when attr is None) on its full path."""
-        n_attrs = len(self.queried) + (attr is not None and attr.name not in self.queried)
-        return n_attrs <= self.node.ks.arity_limit
-
-    def exact(self, attr: Attribute | None, cells: _Cells, case: np.ndarray,
+    def exact(self, cands: _Candidates, cells: _Cells, case: np.ndarray,
               i: int) -> Callable[[], Distribution] | None:
         """Child i's exact class distribution, to compute, as `resolve`
         answers it; None when the tables cannot answer it."""
         if case[i] == _UNTABLED:
             return None
         counts, tgt, _ = cells[i]
-        alpha = 0 if case[i] == _FULL else self.answer(attr)[1]
+        alpha = 0 if case[i] == _FULL else self.answer(cands)[2]
         return functools.partial(_mix, self.node.support, counts, tgt, alpha)
-
-    def parent(self) -> Distribution:
-        """The node's own class distribution, from the tables' totals."""
-        node = self.node
-        if node.pivot is None:
-            return _frequencies(node.support, self.total[0].tolist())
-        if self.values is None:
-            counts, tgt = self.total.tolist(), self.ttotal.tolist()
-            bounds = list(range(self.n_values + 1))
-        else:
-            counts, tgt, bounds = _decile_cells(self.values, self.pooled, self.total[None],
-                                                self.ttotal[None])[0]
-        # a continuous pivot queries the cells' upper edges but the last
-        n_queries = len(counts) - (self.values is not None)
-        case, alpha = _FULL, 0
-        if not (sum(tgt) and self.full_path(None)):
-            case, alpha, cum = self.answer(None)
-            tgt = ([sum(row) for row in counts] if cum is None
-                   else np.diff(cum[bounds]).tolist())
-        self.count_queries(*(n_queries * (case == c) for c in (_FULL, _FORCED, _TRUNCATED)))
-        return _mix(node.support, counts, tgt, alpha)
 
     def gain(self, rows: Dataset, parent: Distribution, cand: _Screened):
         """cand's condition and exact information gain."""
@@ -823,48 +797,19 @@ class _Splits:
                                       None if tmask is None else ~tmask)
         return cond, information_gain(parent, p_left, left, right)
 
-    def fallback(self, attr: Attribute | None):
-        """The cumulative target counts along the value axis and the alpha
-        of the subpath that the node (attr None) or a child of attr falls
-        back to, None when none is answerable, False when it keeps attr's
-        own conditions (the tables cannot answer those)."""
-        order, node = self.order, self.node
-        adds = attr is not None and attr.name not in order
-        # the node itself, a child that adds attr to the path, or one on it
-        key = None if attr is None else "" if adds else attr.name
-        if key in self.fallbacks:
-            return self.fallbacks[key]
-        n_attrs = len(order) + adds
-        found = None
-        for j in range(n_attrs - 1, -1, -1):
-            if len({node.pivot.name, *order[:j]}) > node.ks.arity_limit:
-                continue
-            if key and j > order.index(key):
-                found = False
-                break
-            cum, m = self.prefix_target(j)
-            if m:
-                found = cum, Fraction(n_attrs - j, n_attrs)
-                break
-        self.fallbacks[key] = found
-        return found
-
-    def prefix_target(self, j: int) -> tuple[np.ndarray, int]:
+    def prefix_target(self, sub: Path) -> tuple[np.ndarray, int]:
         """Counts, cumulative along the value axis from 0, and row count of
-        the target rows on the node path's conditions on its first j
-        distinct attributes."""
-        if j not in self.prefix_targets:
+        the target rows on `sub`, a subpath of the node path."""
+        if sub not in self.prefix_targets:
             node = self.node
-            if j == len(self.order):
+            if sub == node.path:
                 rows, index = node.target, self.tindex
             else:
-                allowed = set(self.order[:j])
-                rows = node.ks.sample_rows(
-                    Path(tuple(c for c in node.path.conditions if c.attribute in allowed)))
+                rows = node.ks.sample_rows(sub)
                 index = self.index(_pivot_values(rows, node.pivot))
             counts = np.bincount(index, minlength=self.n_values)
-            self.prefix_targets[j] = np.concatenate([[0], counts.cumsum()]), rows.n
-        return self.prefix_targets[j]
+            self.prefix_targets[sub] = np.concatenate([[0], counts.cumsum()]), rows.n
+        return self.prefix_targets[sub]
 
 
 def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: int,
@@ -1009,9 +954,9 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     are its cells; a continuous pivot's values are the distinct ones of the
     node and the target sample, and every child's decile cells and their
     counts are read from prefix sums along them at once (`_decile_cells`).
-    The node's own distribution comes from the tables' totals. The subpath
-    and alpha that answer p_left, and the pivot queries when the full path
-    cannot, are resolved once per node (see `_Splits`).
+    The node's own distribution is `_Node.estimate`'s, as at a leaf. The
+    subpath and alpha that answer p_left, and the pivot queries when the
+    full path cannot, are resolved once per node (see `_Splits`).
 
     Every candidate's gain is first screened in float64 from the tables;
     only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
@@ -1029,13 +974,12 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     the diagnostics count, and returns None.
     """
     node = _Node(node_rows, path, x_w, ks, config, diagnostics)
+    parent = node.estimate(slice(None), path, slice(None))
     min_rows = config.min_node_fraction * n_train
     least, most = _child_bounds(node_rows.n, min_rows)
     if most < least:
-        node.estimate(slice(None), path, slice(None))
         return None
     splits = _Splits(node, node_rows, min_rows)
-    parent = splits.parent() if splits.tabled else node.estimate(slice(None), path, slice(None))
     best: tuple[SplitCondition, float] | None = None
     for cand in splits.search(node_rows, entropy(parent)):
         cond, ig = splits.gain(node_rows, parent, cand)
@@ -1132,7 +1076,8 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
         raise EmptyDataset("training data is empty")
     schema = train_source.schema
     if config.x_w_override is not None:
-        schema.attribute(config.x_w_override)
+        if config.x_w_override not in schema.predictive_names:
+            raise ConfigError(f"pivot {config.x_w_override!r} is not a predictive attribute")
         x_w = config.x_w_override
     elif ks.is_empty:
         x_w = None

@@ -42,3 +42,13 @@ def test_only_data_reads_input_documents():
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Call) and _reads_input(node)]
     assert not offenders, offenders
+
+
+def test_only_knowledge_reads_the_arity_limit():
+    """The knowledge regime is stated in one module: the others ask it
+    which subpaths a query may fall back to, never the store's arity."""
+    offenders = [f"{path.name}:{node.lineno} reads arity_limit"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "knowledge.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "arity_limit"]
+    assert not offenders, offenders

@@ -9,9 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dadt.data import EMPTY_PATH, EQ, Attribute, Schema, SplitCondition, dataset_from_rows
+from dadt import cli
+from dadt.data import (
+    EMPTY_PATH,
+    EQ,
+    Attribute,
+    Schema,
+    SplitCondition,
+    dataset_from_rows,
+    serialize_dataset,
+)
 from dadt.errors import DomainError, GroupMissing, NoPositives, UnlabeledData
-from dadt.knowledge import KnowledgeRegime, build_from_target_sample
+from dadt.knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample
 from dadt.metrics import (
     accuracy,
     attribute_shift_report,
@@ -25,7 +34,7 @@ from dadt.metrics import (
     tree_shift_distance,
 )
 from dadt.stats import Distribution, wasserstein
-from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route
+from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route, tree_to_json
 
 from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
 
@@ -110,6 +119,22 @@ class TestFairnessGaps:
         d = labeled_rows([("0", "0", "1")] * 4)
         with pytest.raises(GroupMissing):
             demographic_parity(ConstantModel("1"), d, "X1", "1")
+
+    def test_continuous_protected_attribute(self, tmp_path, capsys):
+        schema = Schema(predictive=(Attribute("C1", "continuous"),
+                                    Attribute("D1", "discrete", ("a", "b"))),
+                        class_attr=Attribute("Y", "discrete", ("no", "yes")))
+        d = random_dataset(np.random.default_rng(0), schema, 60)
+        tree = grow(d, KnowledgeStore.empty(schema), TreeConfig())
+        with pytest.raises(DomainError, match="discrete"):
+            evaluate_model(tree, d, "C1")
+        with pytest.raises(DomainError, match="discrete"):
+            postprocess_thresholds(tree, d, "C1", "dp")
+        (tmp_path / "tree.json").write_text(tree_to_json(tree))
+        (tmp_path / "data.csv").write_text(serialize_dataset(d))
+        assert cli.main(["evaluate", "--tree", str(tmp_path / "tree.json"),
+                         "--data", str(tmp_path / "data.csv"), "--protected", "C1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_no_positives(self):
         d = labeled_rows([("0", "0", "1"), ("1", "0", "0")])

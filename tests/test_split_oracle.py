@@ -378,7 +378,7 @@ def test_screen_gains_are_within_a_thousandth_of_the_tolerance(case):
         node = dadt.tree._Node(node_rows, path, x_w, ks, config, {})
         splits = dadt.tree._Splits(node, node_rows, config.min_node_fraction * n_train)
         assert splits.tabled
-        parent = splits.parent()
+        parent = node.estimate(slice(None), path, slice(None))
         with mock.patch.object(dadt.tree, "_SCREEN_TOL", math.inf):
             screened = splits.search(node_rows, entropy(parent))
         for cand in screened:

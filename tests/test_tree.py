@@ -243,6 +243,25 @@ class TestGrow:
         with pytest.raises(UnlabeledData):
             grow(d.without_labels(), empty_ks(d.schema), TreeConfig())
 
+    def test_pivot_must_be_predictive(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        d = random_dataset(rng, random_mixed_schema(rng), 40)
+        for ks in (empty_ks(d.schema), build_from_target_sample(d, KnowledgeRegime.full())):
+            for pivot in ("Y", "nope"):
+                with pytest.raises(ConfigError, match="predictive"):
+                    grow(d, ks, TreeConfig(x_w_override=pivot))
+        data = tmp_path / "d"
+        assert cli.main(["synth", "--n-source", "50", "--n-target", "50", "--out", str(data)]) == 0
+        capsys.readouterr()
+        for regime in ("ntdk", "ftdk"):
+            assert cli.main(["train", "--source", str(data / "source.csv"),
+                             "--schema", str(data / "schema.json"), "--regime", regime,
+                             "--target", str(data / "target.csv"), "--pivot", "Y",
+                             "--out", str(tmp_path / "t.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "predictive" in err
+        assert not (tmp_path / "t.json").exists()
+
     def test_ntdk_equals_baseline(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
