@@ -46,7 +46,6 @@ class Attribute:
     name: str
     kind: str
     domain: tuple[str, ...] | None = None
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in (DISCRETE, CONTINUOUS):
@@ -102,8 +101,6 @@ class Schema:
             d = {"name": a.name, "kind": a.kind}
             if a.domain is not None:
                 d["domain"] = list(a.domain)
-            if a.bounds is not None:
-                d["bounds"] = list(a.bounds)
             return d
 
         doc = {
@@ -129,8 +126,7 @@ def schema_from_json(source) -> Schema:
 def _attr_from_dict(d: dict) -> Attribute:
     kind = d["kind"]
     domain = tuple(str(v) for v in d["domain"]) if d.get("domain") is not None else None
-    bounds = tuple(d["bounds"]) if d.get("bounds") is not None else None
-    return Attribute(name=d["name"], kind=kind, domain=domain, bounds=bounds)
+    return Attribute(name=d["name"], kind=kind, domain=domain)
 
 
 def _inline_csv(text: str) -> bool:

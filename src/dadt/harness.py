@@ -157,12 +157,12 @@ def _checked_keys(section: str, settings, cls) -> dict:
     return dict(settings)
 
 
-def parse_experiment_config(source, base_dir: str | None = None) -> ExperimentConfig:
+def parse_experiment_config(source) -> ExperimentConfig:
     """Parse a config document, read by `read_json`; file paths resolve
     relative to the config file (to "." for a document given as content)."""
     doc = read_json(source)
     path = source_path(source)
-    base = base_dir or (os.path.dirname(os.path.abspath(path)) if path else ".")
+    base = os.path.dirname(os.path.abspath(path)) if path else "."
     try:
         if "seed" not in doc:
             raise ConfigError("experiment config must declare a seed")

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 from .data import (
     EQ,
     GT,
@@ -107,10 +105,15 @@ class CdfEntry:
 class KnowledgeStore:
     schema: Schema
     arity_limit: float  # math.inf for full knowledge, 0 for none
-    sample: Dataset | None = None
-    labeled_sample: Dataset | None = None  # class info; used only for pivot selection
+    sample: Dataset | None = None  # the target sample without labels; queries count it
+    # the same sample with its labels, if it has them; pivot selection
+    # counts the target class conditionals of every attribute on it
+    labeled_sample: Dataset | None = None
     tables: dict[tuple[str, ...], dict[tuple, float]] = field(default_factory=dict)
     cdfs: list[CdfEntry] = field(default_factory=list)
+    # a cross-tab document's target class conditionals of discrete attributes,
+    # {name: {"marginal": {value: p}, "y_given_x": {value: Distribution}}};
+    # pivot selection reads them when the store has no labeled sample
     class_conditionals: dict[str, dict] | None = None
     # The cache of `sample_rows`: rows by path, and the conditions of the
     # node path they serve. It takes no part in comparisons, and a store
@@ -169,39 +172,12 @@ def build_from_target_sample(target: Dataset, regime: KnowledgeRegime) -> Knowle
     if target.n == 0:
         raise EmptyDataset("cannot build knowledge from an empty sample")
     arity = math.inf if regime.variant == "full" else float(regime.arity)
-    store = KnowledgeStore(
+    return KnowledgeStore(
         schema=target.schema,
         arity_limit=arity,
         sample=target.without_labels(),
         labeled_sample=target if target.labeled else None,
     )
-    if target.labeled:
-        store.class_conditionals = _class_conditionals_from_sample(target)
-    return store
-
-
-def _class_conditionals_from_sample(target: Dataset) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    y_col = target.class_column()
-    class_values = target.schema.class_values
-    n = target.n
-    for attr in target.schema.predictive:
-        if not attr.is_discrete:
-            continue  # continuous pivots are scored from the retained sample
-        col = target.column(attr.name)
-        marginal: dict[str, float] = {}
-        y_given_x: dict[str, Distribution] = {}
-        for v in attr.domain:
-            mask = col == v
-            m = int(np.count_nonzero(mask))
-            marginal[v] = m / n
-            if m > 0:
-                sub = y_col[mask]
-                y_given_x[v] = Distribution(
-                    class_values,
-                    tuple(int(np.count_nonzero(sub == y)) / m for y in class_values))
-        out[attr.name] = {"marginal": marginal, "y_given_x": y_given_x}
-    return out
 
 
 def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
@@ -259,7 +235,15 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
             class_cond = {}
             for spec in doc["class_conditionals"]:
                 var = spec["var"]
-                schema.attribute(var)
+                attr = schema.attribute(var)
+                if var == schema.class_attr.name or not attr.is_discrete:
+                    raise FormatError(
+                        f"class conditionals of {var!r} need a discrete predictive attribute")
+                for part in ("marginal", "y_given_x"):
+                    outside = sorted(set(map(str, spec[part])) - set(attr.domain))
+                    if outside:
+                        raise FormatError(
+                            f"{part} of {var!r} has values {outside} outside its domain")
                 y_given_x = {
                     str(x): _class_dist_from_dict(schema, dist)
                     for x, dist in spec["y_given_x"].items()

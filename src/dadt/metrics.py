@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Attribute, Dataset
 from .errors import (
     DomainError,
     EmptyDataset,
@@ -309,6 +309,11 @@ def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     return float(total)
 
 
+def _marginal(d: Dataset, attr: Attribute) -> Distribution:
+    counts = np.bincount(d.codes(attr.name), minlength=len(attr.domain)).tolist()
+    return Distribution(attr.domain, tuple(c / d.n for c in counts))
+
+
 def attribute_shift_report(source: Dataset, target: Dataset, ks) -> list[dict]:
     """Per-attribute marginal shift and class-conditional disagreement.
 
@@ -325,13 +330,7 @@ def attribute_shift_report(source: Dataset, target: Dataset, ks) -> list[dict]:
     rows = []
     for attr in schema.predictive:
         if attr.is_discrete:
-            s_col = source.column(attr.name)
-            t_col = target.column(attr.name)
-            s_dist = Distribution(attr.domain, tuple(
-                int(np.count_nonzero(s_col == v)) / source.n for v in attr.domain))
-            t_dist = Distribution(attr.domain, tuple(
-                int(np.count_nonzero(t_col == v)) / target.n for v in attr.domain))
-            w_marginal = wasserstein(s_dist, t_dist)
+            w_marginal = wasserstein(_marginal(source, attr), _marginal(target, attr))
         else:
             w_marginal = wasserstein_empirical(source.column(attr.name),
                                                target.column(attr.name))

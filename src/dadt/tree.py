@@ -57,7 +57,6 @@ from .knowledge import (
 from .stats import (
     Distribution,
     class_distribution,
-    class_fractions,
     entropy,
     freq_fraction,
     information_gain,
@@ -239,17 +238,14 @@ class _Node:
         name = self.pivot.name
         if self.pivot.is_discrete:
             edges = None
-            cells = piv
-            n_cells = n_queries = len(self.pivot.domain)
+            n_queries = len(self.pivot.domain)
             first = SplitCondition(name, EQ, self.pivot.domain[0])
         else:
             pool = piv if self.pool is None else self.pool
             edges = _continuous_bin_edges(np.concatenate([piv, pool]))
-            cells = np.array(edges).searchsorted(piv)
-            n_cells = len(edges) + 1
             n_queries = len(edges)
             first = SplitCondition(name, LEQ, edges[0])
-        counts = np.bincount(cells * k + y, minlength=n_cells * k).reshape(n_cells, k).tolist()
+        counts = _cell_class_counts(self.pivot, piv, edges, y, k)
         src = [sum(row) for row in counts]
 
         # The answerable subpath depends on the pivot attribute and the path,
@@ -277,7 +273,7 @@ class _Node:
         if tv is not None:
             m = len(tv)
             if edges is None:
-                tgt = target_ps = np.bincount(tv, minlength=n_cells).tolist()
+                tgt = target_ps = np.bincount(tv, minlength=len(counts)).tolist()
             else:
                 target_ps = np.searchsorted(np.sort(tv), edges, side="right").tolist()
                 tgt = [t - prev for t, prev in zip(target_ps + [m], [0] + target_ps)]
@@ -310,6 +306,19 @@ class _Node:
 
 def _pivot_values(rows: Dataset, pivot: Attribute) -> np.ndarray:
     return rows.codes(pivot.name) if pivot.is_discrete else rows.column(pivot.name)
+
+
+def _cell_class_counts(attr: Attribute, values: np.ndarray, edges: list | None,
+                       y: np.ndarray, k: int) -> list:
+    """Integer (cell × class) counts of rows by their `_pivot_values` of attr
+    and their class codes y. A discrete attribute's cells are its domain
+    codes; a continuous one's are the (lo, e] bins between consecutive
+    edges, open below the first edge and above the last."""
+    if edges is None:
+        cells, n_cells = values, len(attr.domain)
+    else:
+        cells, n_cells = np.array(edges).searchsorted(values), len(edges) + 1
+    return np.bincount(cells * k + y, minlength=n_cells * k).reshape(n_cells, k).tolist()
 
 
 def _mix(support: tuple, counts: list, tgt: list, alpha: Rational) -> Distribution:
@@ -1018,52 +1027,39 @@ def pivot_score(source: Dataset, ks: KnowledgeStore, attr: Attribute,
     """Target-marginal-weighted Wasserstein distance between the source and
     target class conditionals of one attribute; None when the store cannot
     supply the target conditionals.
+
+    Both sides are counted per cell (`_cell_class_counts`): a discrete
+    attribute's values, or a continuous one's decile bins of the source and
+    target values pooled. The target side is the store's labeled sample. A
+    store without one takes a discrete attribute's target marginal and
+    conditionals from its cross-tab document's `class_conditionals`, and
+    has none for a continuous attribute. Cells add up in cell order; one
+    without target mass adds nothing, and one without source rows compares
+    the source marginal.
     """
     support = source.schema.class_values
-    col = source.column(attr.name)
-
-    if attr.is_discrete:
-        info = (ks.class_conditionals or {}).get(attr.name)
+    labeled = ks.labeled_sample
+    values = _pivot_values(source, attr)
+    edges = None
+    if labeled is None:
+        info = (ks.class_conditionals or {}).get(attr.name) if attr.is_discrete else None
         if info is None:
             return None
-        total = 0.0
-        for v in attr.domain:
-            p_t = info["marginal"].get(v, 0.0)
-            tgt = info["y_given_x"].get(v)
-            if p_t <= 0.0 or tgt is None:
-                continue
-            mask = col == v
-            if mask.any():
-                src = class_distribution(source.subset(mask))
-            else:
-                src = source_marginal
-            total += wasserstein(src, tgt) * p_t
-        return total
-
-    if ks.labeled_sample is None:
-        return None
-    t_col = ks.labeled_sample.column(attr.name)
-    t_y = ks.labeled_sample.class_column()
-    s_y = source.class_column()
-    edges = _continuous_bin_edges(np.concatenate([col, t_col]))
+        targets = [(info["marginal"].get(v, 0.0), info["y_given_x"].get(v))
+                   for v in attr.domain]
+    else:
+        t_values = _pivot_values(labeled, attr)
+        if not attr.is_discrete:
+            edges = _continuous_bin_edges(np.concatenate([values, t_values]))
+        counts = _cell_class_counts(attr, t_values, edges, labeled.class_codes(), len(support))
+        targets = [(sum(row) / labeled.n, _frequencies(support, row) if any(row) else None)
+                   for row in counts]
+    counts = _cell_class_counts(attr, values, edges, source.class_codes(), len(support))
     total = 0.0
-    lo = -np.inf
-    for e in edges + [np.inf]:
-        t_mask = (t_col > lo) & (t_col <= e)
-        s_mask = (col > lo) & (col <= e)
-        lo = e
-        m = int(np.count_nonzero(t_mask))
-        if m == 0:
+    for row, (p_t, tgt) in zip(counts, targets):
+        if p_t <= 0.0 or tgt is None:
             continue
-        p_t = m / len(t_col)
-        tgt = Distribution(support, tuple(
-            int(np.count_nonzero(t_y[t_mask] == y)) / m for y in support))
-        if s_mask.any():
-            k = int(np.count_nonzero(s_mask))
-            src = Distribution(support, tuple(
-                int(np.count_nonzero(s_y[s_mask] == y)) / k for y in support))
-        else:
-            src = source_marginal
+        src = _frequencies(support, row) if any(row) else source_marginal
         total += wasserstein(src, tgt) * p_t
     return total
 
@@ -1091,8 +1087,7 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
         return Leaf(class_dist=dist, n_source_rows=rows.n, path=path)
 
     def build(rows: Dataset, path: Path, depth: int):
-        fracs = class_fractions(rows)
-        if max(fracs.values()) >= config.purity_stop:
+        if Fraction(int(np.bincount(rows.class_codes()).max()), rows.n) >= config.purity_stop:
             return make_leaf(rows, path)
         if depth >= config.max_depth:
             return make_leaf(rows, path)

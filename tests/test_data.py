@@ -55,6 +55,10 @@ class TestSchema:
         assert schema.protected_attr == "SEX"
         again = schema_from_json(schema.to_json_dict())
         assert again == schema
+        # attribute bounds of older documents are read and ignored
+        with_bounds = json.loads(json.dumps(SCHEMA_DOC))
+        with_bounds["predictive"][1]["bounds"] = [0, 120]
+        assert schema_from_json(with_bounds) == schema
 
     def test_unknown_attribute(self):
         schema = schema_from_json(SCHEMA_DOC)

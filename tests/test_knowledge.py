@@ -117,23 +117,10 @@ class TestSampleBackedStore:
         with pytest.raises(UnknownAttribute):
             query_target(ks, eq("Z", "0"), EMPTY_PATH)
 
-    def test_class_conditionals_built_when_labeled(self):
-        d = rows_dataset(binary_schema(), [
-            {"X1": "0", "X2": "0", "Y": "1"},
-            {"X1": "0", "X2": "1", "Y": "0"},
-            {"X1": "1", "X2": "0", "Y": "0"},
-            {"X1": "1", "X2": "1", "Y": "1"},
-        ])
-        ks = build_from_target_sample(d, KnowledgeRegime.full())
-        info = ks.class_conditionals["X1"]
-        assert info["marginal"]["0"] == 0.5
-        assert info["y_given_x"]["0"].probs == (0.5, 0.5)
-
     def test_equals_its_copy_after_queries(self):
         ks = build_from_target_sample(abc_sample(), KnowledgeRegime.full())
         copy = KnowledgeStore(ks.schema, ks.arity_limit, sample=ks.sample,
-                              labeled_sample=ks.labeled_sample,
-                              class_conditionals=ks.class_conditionals)
+                              labeled_sample=ks.labeled_sample)
         query_target(ks, eq("A", "1"), Path((eq("B", "1"), eq("C", "0"))))
         assert ks == copy
         query_target(copy, eq("A", "0"), Path((eq("C", "1"),)))
@@ -396,6 +383,39 @@ class TestCrosstabClassConditionalMarginal:
         doc = {"class_conditionals": [self.conditional("X1", marginal)]}
         with pytest.raises(NormalizationError):
             load_from_crosstabs(doc, binary_schema())
+
+    def test_continuous_attribute(self):
+        schema = Schema(predictive=(Attribute("A", "continuous"),
+                                    Attribute("X1", "discrete", ("0", "1"))),
+                        class_attr=Attribute("Y", "discrete", ("0", "1")))
+        doc = {"class_conditionals": [self.conditional("A", {"0": 0.5, "1": 0.5})]}
+        with pytest.raises(FormatError):
+            load_from_crosstabs(doc, schema)
+
+    def test_class_attribute(self):
+        doc = {"class_conditionals": [self.conditional("Y", {"0": 0.5, "1": 0.5})]}
+        with pytest.raises(FormatError):
+            load_from_crosstabs(doc, binary_schema())
+
+    def test_keys_outside_the_domain(self):
+        # before the check this loaded, pivot_score gave X2 0.0 and
+        # select_pivot picked it
+        misspelt = {"var": "X2", "marginal": {"a": 0.5, "b": 0.5},
+                    "y_given_x": {"a": {"0": 0.5, "1": 0.5}, "b": {"0": 0.2, "1": 0.8}}}
+        with pytest.raises(FormatError):
+            load_from_crosstabs({"class_conditionals": [
+                self.conditional("X1", {"0": 0.5, "1": 0.5}), misspelt]}, binary_schema())
+        in_domain_marginal = self.conditional("X1", {"0": 0.5, "1": 0.5})
+        in_domain_marginal["y_given_x"]["a"] = {"0": 0.5, "1": 0.5}
+        with pytest.raises(FormatError):
+            load_from_crosstabs({"class_conditionals": [in_domain_marginal]},
+                                binary_schema())
+
+    def test_keys_may_omit_values(self):
+        doc = {"class_conditionals": [{"var": "X1", "marginal": {"1": 1.0},
+                                       "y_given_x": {"1": {"0": 0.2, "1": 0.8}}}]}
+        ks = load_from_crosstabs(doc, binary_schema())
+        assert set(ks.class_conditionals["X1"]["y_given_x"]) == {"1"}
 
     def test_normalised_marginal_loads(self):
         doc = {"class_conditionals": [self.conditional("X1", {"0": 0.25, "1": 0.75})]}

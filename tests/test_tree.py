@@ -485,8 +485,10 @@ class TestSerialization:
         doc = json.loads(tree_to_json(tree))
         doc["config"].update({"regime": {"variant": "full", "arity": None},
                               "seed": 3, "knowledge_at_leaves": True})
+        doc["schema"]["predictive"][0]["bounds"] = [-5.0, 5.0]
         old = tree_from_json(json.dumps(doc))
         assert old.config == tree.config
+        assert old.schema == tree.schema
         for row in d.iter_rows():
             assert predict(old, row) == predict(tree, row)
 
