@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -39,6 +40,12 @@ def _tree_config(args) -> TreeConfig:
                       purity_stop=args.purity_stop,
                       alpha_override=args.alpha,
                       x_w_override=args.pivot)
+
+
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def _cmd_synth(args) -> int:
@@ -81,14 +88,16 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     tree = tree_from_json(args.tree)
     data = load_dataset(args.data, tree.schema)
+    class_name = tree.schema.class_attr.name
+    # a row's line is its leaf's: one line per leaf distribution, formatted once
+    lines = {leaf.class_dist: _csv_line([leaf.class_dist.argmax()]
+                                        + [repr(p) for p in leaf.class_dist.probs])
+             for leaf in tree.leaves()}
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        class_name = tree.schema.class_attr.name
-        support = tree.schema.class_values
-        writer.writerow([f"predicted_{class_name}"] + [f"p_{y}" for y in support])
-        for row in data.iter_rows():
-            label, dist = predict(tree, row)
-            writer.writerow([label] + [repr(p) for p in dist.probs])
+        fh.write(_csv_line([f"predicted_{class_name}"]
+                           + [f"p_{y}" for y in tree.schema.class_values]))
+        for rows in data.row_chunks():
+            fh.write("".join([lines[predict(tree, row)[1]] for row in rows]))
     print(f"wrote predictions to {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,9 @@ GT = "gt"
 
 _NEGATE = {EQ: NEQ, NEQ: EQ, LEQ: GT, GT: LEQ}
 
-# rows per chunk of `Dataset.iter_rows`; bounds the memory of the row lists
+# rows per chunk wherever rows are taken a bounded number at a time: reading
+# and writing CSV, row dicts (`Dataset.iter_rows`, `row_chunks`) and routing
+# (`tree.route_dataset`); bounds the Python objects alive for rows at once
 _ROW_CHUNK = 4096
 
 
@@ -55,6 +58,9 @@ class Attribute:
                 raise ValueError(f"discrete attribute {self.name!r} needs a non-empty domain")
             if len(set(self.domain)) != len(self.domain):
                 raise ValueError(f"duplicate labels in domain of {self.name!r}")
+            # CSV is read with universal newlines, so no cell can hold a \r
+            if any("\r" in v for v in self.domain):
+                raise ValueError(f"a label in the domain of {self.name!r} holds a carriage return")
 
     @property
     def is_discrete(self) -> bool:
@@ -155,16 +161,6 @@ def _read(source, inline) -> str | bytes:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-
-
-def read_text(source, inline=_inline_csv) -> str:
-    """The UTF-8 text an input argument holds or names (see `source_path`);
-    unreadable or non-UTF-8 input raises ParseError."""
-    data = _read(source, inline)
-    try:
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def read_json(source):
@@ -334,25 +330,28 @@ class Dataset:
             for values in zip(*columns) if names else [()] * len(idx):
                 yield dict(zip(names, values))
 
+    def row_chunks(self):
+        """The row dicts of `iter_rows`, one iterator per chunk of rows; each
+        is to be used up before the next is taken."""
+        rows = self.iter_rows()
+        for _ in range(0, self.n, _ROW_CHUNK):
+            yield itertools.islice(rows, _ROW_CHUNK)
+
 
 def dataset_from_rows(schema: Schema, rows: list[dict], labeled: bool = True) -> Dataset:
-    """Build a validated dataset from row dicts (values already typed)."""
-    return _dataset_from_columns(schema, lambda name: [r[name] for r in rows], labeled)
-
-
-def _dataset_from_columns(schema: Schema, raw_column, labeled: bool) -> Dataset:
-    """Type and check each column, in schema order; `raw_column(name)` gives
-    a column's values in row order."""
+    """Build a validated dataset from row dicts (values already typed); each
+    column is typed and checked in schema order."""
     names = list(schema.predictive_names)
     if labeled:
         names.append(schema.class_attr.name)
-    columns = {name: _typed_column(schema.attribute(name), raw_column(name), col=name)
+    columns = {name: _typed_column(schema.attribute(name), [r[name] for r in rows], col=name)
                for name in names}
     return Dataset(schema, columns, labeled=labeled)
 
 
-def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
-    """The column as an array; the first bad value in row order raises."""
+def _typed_column(attr: Attribute, raw, col: str, start: int = 0) -> np.ndarray:
+    """The column as an array; the first bad value in row order raises,
+    numbering `raw`'s rows from `start`."""
     if attr.is_discrete:
         # every cell becomes the domain's own string, so a column holds no
         # more distinct strings than its domain has values
@@ -360,7 +359,7 @@ def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
         try:
             return np.array([canonical[s] for s in map(str, raw)], dtype=object)
         except KeyError:
-            i, s = next((i, s) for i, s in enumerate(map(str, raw)) if s not in canonical)
+            i, s = next((i, s) for i, s in enumerate(map(str, raw), start) if s not in canonical)
             raise ValueOutOfDomain(
                 f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}") from None
     try:
@@ -369,7 +368,7 @@ def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
             return out
     except (TypeError, ValueError, OverflowError):
         pass
-    for i, v in enumerate(raw):
+    for i, v in enumerate(raw, start):
         try:
             x = float(v)
         except (TypeError, ValueError) as exc:
@@ -382,9 +381,14 @@ def _typed_column(attr: Attribute, raw, col: str) -> np.ndarray:
 
 
 def load_dataset(csv_source, schema_source) -> Dataset:
-    """Load and validate a CSV (header row required) against a schema document."""
+    """Load and validate a CSV (header row required) against a schema document.
+
+    Rows are read and typed `_ROW_CHUNK` at a time. Errors come in the order
+    a whole-file check gives: unreadable or non-UTF-8 input; then the first
+    structural error (cell count, missing value, malformed CSV) in row order;
+    then the first bad value by schema column, then by row."""
     schema = schema_source if isinstance(schema_source, Schema) else schema_from_json(schema_source)
-    reader = _csv_rows(read_text(csv_source))
+    reader = _csv_rows(_text_stream(csv_source))
     header = next(reader, None)
     if header is None:
         raise ParseError("CSV has no header row")
@@ -399,37 +403,75 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     if len(set(header)) != len(header):
         raise SchemaMismatch("duplicate column names in CSV header")
 
-    raw_rows = []
-    for lineno, cells in enumerate(reader):
-        if len(cells) != len(header):
-            raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
-        if "" in cells:
-            col = header[cells.index("")]
-            raise ParseError(f"row {lineno}, column {col!r}: missing value")
-        raw_rows.append(cells)
-    by_name = dict(zip(header, zip(*raw_rows))) if raw_rows else dict.fromkeys(header, ())
-    del raw_rows
-    return _dataset_from_columns(schema, by_name.__getitem__, labeled)
+    names = list(schema.predictive_names) + ([class_name] if labeled else [])
+    attrs = [schema.attribute(name) for name in names]
+    # each column starts with its empty array: a header-only file loads typed
+    parts = [[_typed_column(a, (), name)] for a, name in zip(attrs, names)]
+    bad = None  # (schema position, error) of the first bad value found so far
+    start = 0
+    while rows := list(itertools.islice(reader, _ROW_CHUNK)):
+        for lineno, cells in enumerate(rows, start):
+            if len(cells) != len(header):
+                raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
+            if "" in cells:
+                col = header[cells.index("")]
+                raise ParseError(f"row {lineno}, column {col!r}: missing value")
+        by_name = dict(zip(header, zip(*rows)))
+        # after a bad value, later rows are typed only in the columns before
+        # it, where a bad value still comes first
+        for k in range(len(names) if bad is None else bad[0]):
+            try:
+                parts[k].append(_typed_column(attrs[k], by_name[names[k]], names[k], start))
+            except (ParseError, ValueOutOfDomain) as exc:
+                bad = (k, exc)
+                break
+        start += len(rows)
+    if bad is not None:
+        raise bad[1]
+    columns = {}
+    for name, p in zip(names, parts):  # at most one column is held twice
+        columns[name] = np.concatenate(p)
+        p.clear()
+    return Dataset(schema, columns, labeled=labeled)
 
 
-def _csv_rows(text: str):
-    try:  # newline=None: \r\n and \r end lines as in a file opened in text mode
-        yield from csv.reader(io.StringIO(text, newline=None))
+def _text_stream(source):
+    """The text an input argument holds or names (see `source_path`), as a
+    stream with universal newlines: CRLF and CR end lines as in a file opened
+    in text mode. Unreadable or non-UTF-8 input raises ParseError."""
+    data = _read(source, _inline_csv)
+    if isinstance(data, str):
+        return io.StringIO(data, newline=None)
+    try:
+        data.decode("utf-8")  # the whole input, before any row is read
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+
+
+def _csv_rows(stream):
+    try:
+        yield from csv.reader(stream)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(f"malformed CSV: {exc}") from exc
 
 
 def serialize_dataset(d: Dataset) -> str:
-    """Emit the dataset as CSV; round-trips through load_dataset."""
+    """Emit the dataset as CSV, `_ROW_CHUNK` rows at a time; round-trips
+    through load_dataset."""
     names = list(d.schema.predictive_names)
     if d.labeled:
         names.append(d.schema.class_attr.name)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
-    cols = [d.column(name).tolist() if d.schema.attribute(name).is_discrete
-            else map(repr, np.asarray(d.column(name), dtype=float).tolist()) for name in names]
-    writer.writerows(zip(*cols))
+    columns = [(d.column(name), d.schema.attribute(name).is_discrete) for name in names]
+    for start in range(0, d.n, _ROW_CHUNK):
+        part = slice(start, start + _ROW_CHUNK)
+        cells = [col[part].tolist() if discrete
+                 else map(repr, np.asarray(col[part], dtype=float).tolist())
+                 for col, discrete in columns]
+        writer.writerows(zip(*cells))
     return buf.getvalue()
 
 

@@ -275,6 +275,9 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
 def _class_dist_from_dict(schema: Schema, d: dict) -> Distribution:
     support = schema.class_values
     probs = [float(d.get(y, 0.0)) for y in support]
+    outside = sorted(map(str, set(d) - set(support)))
+    if outside:
+        raise FormatError(f"class distribution has values {outside} outside the class domain")
     total = sum(probs)
     if not abs(total - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"class distribution sums to {total}")

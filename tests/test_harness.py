@@ -12,11 +12,14 @@ import os
 import numpy as np
 import pytest
 
+import dadt.data
 import dadt.harness
 from dadt.cli import main
-from dadt.data import serialize_dataset
+from dadt.data import Attribute, Dataset, Schema, serialize_dataset
 from dadt.errors import ConfigError
+from dadt.knowledge import KnowledgeStore
 from dadt.metrics import evaluate_model, postprocess_thresholds
+from dadt.tree import TreeConfig, grow, predict, tree_to_json
 from dadt.harness import (
     ExperimentConfig,
     PairSpec,
@@ -268,6 +271,34 @@ class TestCli:
                      "--target", str(data / "target.csv"),
                      "--schema", str(data / "schema.json"), "--out", str(shift)]) == 0
         assert len(shift.read_text().splitlines()) == 4
+
+    def test_predict_writes_each_rows_leaf_line(self, tmp_path, monkeypatch):
+        # class labels that need quoting; rows over several chunks of 3
+        monkeypatch.setattr(dadt.data, "_ROW_CHUNK", 3)
+        rng = np.random.default_rng(8)
+        schema = Schema(predictive=(Attribute("A", "continuous"),
+                                    Attribute("B", "discrete", ("x,1", 'q"2', "l\nm"))),
+                        class_attr=Attribute("Y", "discrete", ("no,way", 'say "yes"')))
+        n = 40
+        a = rng.normal(size=n)
+        b = np.array(schema.predictive[1].domain, dtype=object)[rng.integers(3, size=n)]
+        y = np.array(schema.class_values, dtype=object)[(a > 0).astype(int)]
+        d = Dataset(schema, {"A": a, "B": b, "Y": y})
+        tree = grow(d, KnowledgeStore.empty(schema), TreeConfig(max_depth=3,
+                                                                min_node_fraction=0.1))
+        assert len(tree.leaves()) > 1
+        (tmp_path / "tree.json").write_text(tree_to_json(tree), encoding="utf-8")
+        (tmp_path / "d.csv").write_text(serialize_dataset(d), encoding="utf-8")
+        assert main(["predict", "--tree", str(tmp_path / "tree.json"),
+                     "--data", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "preds.csv")]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["predicted_Y", "p_no,way", 'p_say "yes"'])
+        for i in range(n):
+            label, dist = predict(tree, d.row(i))
+            writer.writerow([label] + [repr(p) for p in dist.probs])
+        assert (tmp_path / "preds.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = {"seed": 2,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadt.cli import main
-from dadt.data import Attribute, Schema, read_text, schema_from_json
+from dadt.data import Attribute, Schema, load_dataset, schema_from_json
 from dadt.errors import DadtError, ParseError
 from dadt.knowledge import KnowledgeStore, load_from_crosstabs
 
@@ -139,7 +139,7 @@ def test_schema_from_json_bytes(inputs):
 
 def test_unopenable_path_is_parse_error():
     with pytest.raises(ParseError, match="cannot read"):
-        read_text(Path("a\0b.csv"))
+        load_dataset(Path("a\0b.csv"), binary_schema())
 
 
 # -- mutations --------------------------------------------------------------

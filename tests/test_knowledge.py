@@ -411,6 +411,16 @@ class TestCrosstabClassConditionalMarginal:
             load_from_crosstabs({"class_conditionals": [in_domain_marginal]},
                                 binary_schema())
 
+    @pytest.mark.parametrize("dist", [{"0": 0.5, "1": 0.5, "2": 0.7},
+                                      {"0": 0.5, "1": 0.5, "Y": 0.0},
+                                      {"0": 1.0, "O": 0.0}])
+    def test_class_values_outside_the_class_domain(self, dist):
+        # before the check the unknown class was dropped and (0.5, 0.5) loaded
+        doc = {"class_conditionals": [self.conditional("X1", {"0": 0.5, "1": 0.5})]}
+        doc["class_conditionals"][0]["y_given_x"]["1"] = dist
+        with pytest.raises(FormatError, match="outside the class domain"):
+            load_from_crosstabs(doc, binary_schema())
+
     def test_keys_may_omit_values(self):
         doc = {"class_conditionals": [{"var": "X1", "marginal": {"1": 1.0},
                                        "y_given_x": {"1": {"0": 0.2, "1": 0.8}}}]}
