@@ -8,6 +8,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import load_dataset, schema_from_json, serialize_dataset
@@ -107,10 +108,7 @@ def _cmd_evaluate(args) -> int:
     data = load_dataset(args.data, tree.schema)
     protected = args.protected or tree.schema.protected_attr
     report = evaluate_model(tree, data, protected)
-    doc = {"acc": report.acc, "dp": report.dp, "eop": report.eop,
-           "confusion": report.confusion, "n_test": report.n_test,
-           "notes": list(report.notes),
-           "w_tree": tree_shift_distance(tree, data)}
+    doc = {**asdict(report), "w_tree": tree_shift_distance(tree, data)}
     text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -440,11 +440,12 @@ def _text_stream(source):
     stream with universal newlines: CRLF and CR end lines as in a file opened
     in text mode. Unreadable or non-UTF-8 input raises ParseError."""
     data = _read(source, _inline_csv)
-    if isinstance(data, str):
-        return io.StringIO(data, newline=None)
     try:
+        # inline text as UTF-8: 1 byte a character where a str may take 4
+        if isinstance(data, str):
+            data = data.encode("utf-8")
         data.decode("utf-8")  # the whole input, before any row is read
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 

@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import ConfigError, DadtError
 from .knowledge import NAMED_REGIMES, KnowledgeStore, build_from_target_sample
 from .metrics import (
     EvalReport,
-    GainValue,
     RelativeGains,
     evaluate_model,
     postprocess_thresholds,
@@ -44,6 +43,8 @@ from .metrics import (
 from .tree import TreeConfig, grow
 
 REGIMES = ("tt",) + tuple(NAMED_REGIMES)
+# the regimes every other regime's relative gains are measured between
+_BASELINES = ("tt", "ntdk")
 _MAX_CELLS = 2**20
 
 
@@ -213,11 +214,12 @@ def parse_experiment_config(source) -> ExperimentConfig:
 
 @dataclass
 class RegimeOutcome:
+    """One regime's result; its fields, in order, are its results.json entry."""
+    error: str | None = None
     report: EvalReport | None = None
     gains: RelativeGains | None = None
     w_tree: float | None = None
     x_w: str | None = None
-    error: str | None = None
     # the fairness post-processing's per-group thresholds, and whether they
     # make the model predict one class for every row
     thresholds: dict | None = None
@@ -253,15 +255,13 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
         protected = source.schema.protected_attr
 
         for regime in cfg.regimes:
-            out = outcomes[regime]
             try:
-                (out.report, out.w_tree, out.x_w, out.thresholds,
-                 out.constant_model) = _run_regime(cfg, regime, src_train, tgt_train,
-                                                   tgt_test, protected)
+                outcomes[regime] = _run_regime(cfg, regime, src_train, tgt_train,
+                                               tgt_test, protected)
             except DadtError as exc:
-                out.error = f"{type(exc).__name__}: {exc}"
+                outcomes[regime] = RegimeOutcome(error=f"{type(exc).__name__}: {exc}")
 
-        _attach_gains(cfg, outcomes)
+        _attach_gains(outcomes)
     except DadtError as exc:
         return ExperimentResult(pair_id=spec.pair_id, outcomes=outcomes,
                                 wall_clock=time.perf_counter() - start,
@@ -270,14 +270,10 @@ def run_pair(cfg: ExperimentConfig, idx: int, spec: PairSpec) -> ExperimentResul
                             wall_clock=time.perf_counter() - start)
 
 
-def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
+def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected) -> RegimeOutcome:
     tree_cfg = TreeConfig(**cfg.tree)
     if regime == "tt":
-        ks = KnowledgeStore.empty(src_train.schema)
-        tree = grow(tgt_train, ks, tree_cfg)
-    elif regime == "ntdk":
-        ks = KnowledgeStore.empty(src_train.schema)
-        tree = grow(src_train, ks, tree_cfg)
+        tree = grow(tgt_train, KnowledgeStore.empty(src_train.schema), tree_cfg)
     else:
         ks = build_from_target_sample(tgt_train, NAMED_REGIMES[regime])
         tree = grow(src_train, ks, tree_cfg)
@@ -292,17 +288,16 @@ def _run_regime(cfg, regime, src_train, tgt_train, tgt_test, protected):
         # every group is one; read off the predictions evaluate_model made
         predicted = [(c["tp"] + c["fp"], sum(c.values())) for c in report.confusion.values()]
         constant = not any(p for p, _ in predicted) or all(p == n for p, n in predicted)
-    w_tree = tree_shift_distance(tree, tgt_test)
-    return report, w_tree, tree.x_w, thresholds, constant
+    return RegimeOutcome(report=report, w_tree=tree_shift_distance(tree, tgt_test),
+                         x_w=tree.x_w, thresholds=thresholds, constant_model=constant)
 
 
-def _attach_gains(cfg: ExperimentConfig, outcomes: dict) -> None:
-    ntdk = outcomes.get("ntdk")
-    tt = outcomes.get("tt")
+def _attach_gains(outcomes: dict) -> None:
+    tt, ntdk = (outcomes.get(r) for r in _BASELINES)
     if not (ntdk and tt and ntdk.report and tt.report):
         return
     for regime, out in outcomes.items():
-        if regime in ("ntdk", "tt") or out.report is None:
+        if regime in _BASELINES or out.report is None:
             continue
         r_acc = relative_gain_acc(tt.report.acc, ntdk.report.acc, out.report.acc)
         r_dp = r_eop = None
@@ -370,45 +365,17 @@ def scatter_csv(results: list[ExperimentResult]) -> str:
         ntdk = res.outcomes.get("ntdk")
         w_ntdk = ntdk.w_tree if ntdk else None
         for regime, out in res.outcomes.items():
-            if regime in ("ntdk", "tt") or out.gains is None:
+            if regime in _BASELINES or out.gains is None:
                 continue
             writer.writerow([_fmt(v) for v in (
                 res.pair_id, regime, w_ntdk, out.w_tree, out.gains.r_acc.value)])
     return buf.getvalue()
 
 
-def _gain_dict(g: GainValue | None) -> dict | None:
-    if g is None:
-        return None
-    return {"value": g.value, "degenerate": g.degenerate}
-
-
 def results_json(results: list[ExperimentResult]) -> str:
-    docs = []
-    for res in results:
-        entry = {"pair_id": res.pair_id, "wall_clock_s": res.wall_clock,
-                 "error": res.error, "regimes": {}}
-        for regime, out in res.outcomes.items():
-            rep = out.report
-            entry["regimes"][regime] = {
-                "error": out.error,
-                "report": None if rep is None else {
-                    "acc": rep.acc, "dp": rep.dp, "eop": rep.eop,
-                    "confusion": rep.confusion, "n_test": rep.n_test,
-                    "notes": list(rep.notes),
-                },
-                "gains": None if out.gains is None else {
-                    "r_acc": _gain_dict(out.gains.r_acc),
-                    "r_dp": _gain_dict(out.gains.r_dp),
-                    "r_eop": _gain_dict(out.gains.r_eop),
-                    "components": out.gains.components,
-                },
-                "w_tree": out.w_tree,
-                "x_w": out.x_w,
-                "thresholds": out.thresholds,
-                "constant_model": out.constant_model,
-            }
-        docs.append(entry)
+    docs = [{"pair_id": res.pair_id, "wall_clock_s": res.wall_clock, "error": res.error,
+             "regimes": {regime: asdict(out) for regime, out in res.outcomes.items()}}
+            for res in results]
     return json.dumps(docs, indent=2)
 
 

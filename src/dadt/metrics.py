@@ -41,6 +41,8 @@ def default_positive_label(schema) -> str:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Its fields, in order, are the report `dadt evaluate` writes and each
+    results.json regime's report."""
     acc: float
     dp: float | None
     eop: float | None

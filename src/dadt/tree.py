@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, NamedTuple
@@ -88,6 +88,7 @@ _COMPARE = {LEQ: operator.le, EQ: operator.eq, GT: operator.gt, NEQ: operator.ne
 
 @dataclass(frozen=True)
 class TreeConfig:
+    """Growing settings; its fields are a tree document's config."""
     max_depth: int = 8
     min_node_fraction: float = 0.05
     purity_stop: float = 1.0
@@ -353,25 +354,19 @@ def _mix(support: tuple, counts: list, tgt: list, alpha: Rational) -> Distributi
 
 def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
                    weights: list) -> Distribution:
-    """sum over cells of weight * P(Y | cell) for float (or mixed) weights,
-    renormalized; a cell with no source rows takes the node's distribution."""
+    """sum over cells of weight * P(Y | cell) for float weights (a clamped
+    weight is the int 0), renormalized; a cell with no source rows takes the
+    node's distribution."""
     n = sum(class_counts)
-    node_fracs = [Fraction(c, n) for c in class_counts]
-    acc: list = [Fraction(0)] * len(support)
+    node_fracs = [c / n for c in class_counts]
+    acc = [0.0] * len(support)
     for row, s, w in zip(counts, src, weights):
-        fracs = [Fraction(c, s) for c in row] if s else node_fracs
+        fracs = [c / s for c in row] if s else node_fracs
         acc = [a + w * f for a, f in zip(acc, fracs)]
     total = sum(acc)
     if abs(total - 1) > _MASS_TOL:
-        raise InternalError(f"class mixture mass {float(total)} drifted beyond tolerance")
-    probs = []
-    for v in acc:
-        v = v / total if total != 0 else v
-        if isinstance(v, Fraction):
-            probs.append(v.numerator / v.denominator)
-        else:
-            probs.append(min(max(float(v), 0.0), 1.0))
-    return Distribution(support, tuple(probs))
+        raise InternalError(f"class mixture mass {total} drifted beyond tolerance")
+    return Distribution(support, tuple(min(max(v / total, 0.0), 1.0) for v in acc))
 
 
 @dataclass
@@ -1215,17 +1210,9 @@ def _node_from_dict(d: dict, schema: Schema):
 
 
 def tree_to_json(tree: DecisionTree) -> str:
-    cfg = tree.config
     doc = {
         "schema": tree.schema.to_json_dict(),
-        "config": {
-            "max_depth": cfg.max_depth,
-            "min_node_fraction": cfg.min_node_fraction,
-            "purity_stop": cfg.purity_stop,
-            "alpha_override": cfg.alpha_override,
-            "x_w_override": cfg.x_w_override,
-            "route_unseen_right": cfg.route_unseen_right,
-        },
+        "config": asdict(tree.config),
         "x_w": tree.x_w,
         "diagnostics": {key: tree.diagnostics.get(key, 0) for key in _DIAGNOSTIC_KEYS},
         "root": _node_to_dict(tree.root),
@@ -1242,11 +1229,7 @@ def tree_from_json(source) -> DecisionTree:
             raise ParseError("the tree document's schema must be an inline object")
         schema = schema_from_json(doc["schema"])
         c = doc["config"]
-        config = TreeConfig(
-            max_depth=c["max_depth"], min_node_fraction=c["min_node_fraction"],
-            purity_stop=c["purity_stop"],
-            alpha_override=c["alpha_override"], x_w_override=c["x_w_override"],
-            route_unseen_right=c["route_unseen_right"])
+        config = TreeConfig(**{f.name: c[f.name] for f in fields(TreeConfig)})
         root = _node_from_dict(doc["root"], schema)
         return DecisionTree(root=root, config=config, schema=schema,
                             x_w=doc.get("x_w"), diagnostics=dict(doc.get("diagnostics", {})))

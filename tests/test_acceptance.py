@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadt.baseline import grow_baseline, trees_equal
 from dadt.data import EMPTY_PATH, EQ, Path, SplitCondition, dataset_from_rows, filter_by_path, split_train_test
@@ -30,7 +32,7 @@ from dadt.metrics import (
     tree_shift_distance,
 )
 from dadt.stats import Distribution, entropy, information_gain, wasserstein
-from dadt.tree import TreeConfig, estimate_class_dist, grow
+from dadt.tree import TreeConfig, estimate_class_dist, grow, tree_to_json
 
 from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
 
@@ -149,6 +151,48 @@ def test_self_adaptation_identity():
         adapted = grow(d, ks, TreeConfig())
         ok = ok and trees_equal(ntdk, adapted)
     _report("knowledge built from the source itself reproduces the plain tree exactly", ok)
+
+
+# A path holds at most max_depth distinct attributes and a query adds one, so
+# partial knowledge of arity max_depth + 1 answers every query that full
+# knowledge does: the trees are equal byte for byte, diagnostics included.
+IDENTITY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+def _ptdk_and_ftdk_json(source, target, depth: int, arity: int) -> tuple[str, str]:
+    cfg = TreeConfig(max_depth=depth)
+    return tuple(tree_to_json(grow(source, build_from_target_sample(target, regime), cfg))
+                 for regime in (KnowledgeRegime.partial(arity), KnowledgeRegime.full()))
+
+
+def _synthetic_pair(seed: int, delta: float):
+    s, t, _ = generate_synthetic(SynthConfig(
+        n_source=1000, n_target=1000, n_attrs=10, label_noise=0.1,
+        covshift_violation=delta, seed=seed))
+    return s, t
+
+
+@IDENTITY
+@given(seed=st.integers(0, 2**16), delta=st.sampled_from(DELTAS), depth=st.sampled_from((3, 8)))
+def test_arity_identity_synthetic(seed, delta, depth):
+    ptdk, ftdk = _ptdk_and_ftdk_json(*_synthetic_pair(seed, delta), depth, depth + 1)
+    assert ptdk == ftdk
+
+
+@IDENTITY
+@given(seed=st.integers(0, 2**16))
+def test_arity_identity_mixed(seed):
+    rng = np.random.default_rng(seed)
+    schema = random_mixed_schema(rng, max_attrs=6)
+    source, target = random_dataset(rng, schema, 300), random_dataset(rng, schema, 300)
+    ptdk, ftdk = _ptdk_and_ftdk_json(source, target, 3, 4)
+    assert ptdk == ftdk
+
+
+def test_arity_identity_is_not_vacuous():
+    # arity max_depth truncates queries, and the trees differ
+    ptdk, ftdk = _ptdk_and_ftdk_json(*_synthetic_pair(40, 0.25), 3, 3)
+    assert ptdk != ftdk
 
 
 def test_equal_pair_population_reconstruction():

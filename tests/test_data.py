@@ -184,6 +184,16 @@ class TestLoadDataset:
             for name in ("A", "B", "Y"):
                 assert list(again.column(name)) == list(d.column(name))
 
+    @pytest.mark.parametrize("old, new", [
+        ("SEX", "S\udc80X"),  # header
+        ("male,", "m\ud800le,"),  # discrete cell
+        ("31.5", "3\udfff"),  # continuous cell
+    ])
+    def test_inline_text_that_is_not_utf8_is_a_parse_error(self, old, new):
+        # a lone surrogate has no UTF-8 form, wherever it stands
+        with pytest.raises(ParseError, match="^input is not UTF-8 text"):
+            load_dataset(CSV.replace(old, new, 1), SCHEMA_DOC)
+
     @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "\r"])
     def test_labels_with_a_carriage_return_are_rejected(self, label, tmp_path):
         # universal newlines read any \r in a cell as a line end or as \n
@@ -209,6 +219,10 @@ class TestLoadDataset:
 # rows. Rows kept as Python strings next to a copy of the whole text take
 # about 845 bytes per row.
 _LOAD_PEAK_BYTES_PER_ROW = 400
+# The same content given inline as a str, against the same as bytes: its
+# UTF-8 copy adds about a quarter; a str held at up to 4 bytes a character
+# and read as such came to about twice the bytes input's peak.
+_STR_OVER_BYTES_PEAK = 1.3
 
 
 def test_load_memory_is_bounded_per_row(tmp_path):
@@ -222,16 +236,26 @@ def test_load_memory_is_bounded_per_row(tmp_path):
     columns |= {f"D{i}": np.array(["lo", "mid", "hi"], dtype=object)[rng.integers(3, size=n)]
                 for i in range(4)}
     columns["Y"] = np.array(["0", "1"], dtype=object)[rng.integers(2, size=n)]
+
+    def traced_peak(source) -> int:
+        tracemalloc.start()
+        try:
+            d = load_dataset(source, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == n
+        return peak
+
     path = tmp_path / "mixed.csv"
-    path.write_text(serialize_dataset(data.Dataset(schema, columns)), encoding="utf-8")
-    tracemalloc.start()
-    try:
-        d = load_dataset(path, schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.n == n
+    text = serialize_dataset(data.Dataset(schema, columns))
+    path.write_text(text, encoding="utf-8")
+    peak = traced_peak(path)
     assert peak < _LOAD_PEAK_BYTES_PER_ROW * n, f"{peak / n:.0f} bytes per row"
+    bytes_peak = traced_peak(text.encode("utf-8"))
+    str_peak = traced_peak(text)
+    assert str_peak <= _STR_OVER_BYTES_PEAK * bytes_peak, \
+        f"str {str_peak / n:.0f}, bytes {bytes_peak / n:.0f} bytes per row"
 
 
 class TestRows:
