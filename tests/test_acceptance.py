@@ -8,6 +8,7 @@ stated runtime budgets.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -18,9 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadt.baseline import grow_baseline, trees_equal
-from dadt.data import EMPTY_PATH, EQ, Path, SplitCondition, dataset_from_rows, filter_by_path, split_train_test
+from dadt.data import (
+    EMPTY_PATH,
+    EQ,
+    Attribute,
+    Dataset,
+    Path,
+    Schema,
+    SplitCondition,
+    dataset_from_rows,
+    filter_by_path,
+    split_train_test,
+)
 from dadt.harness import SynthConfig, generate_synthetic, parse_experiment_config, results_csv, run_experiment
-from dadt.knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample, load_from_crosstabs
+from dadt.knowledge import (
+    NAMED_REGIMES,
+    KnowledgeRegime,
+    KnowledgeStore,
+    build_from_target_sample,
+    load_from_crosstabs,
+)
 from dadt.metrics import (
     accuracy,
     demographic_parity,
@@ -193,6 +211,58 @@ def test_arity_identity_is_not_vacuous():
     # arity max_depth truncates queries, and the trees differ
     ptdk, ftdk = _ptdk_and_ftdk_json(*_synthetic_pair(40, 0.25), 3, 3)
     assert ptdk != ftdk
+
+
+# Induction reads the rows only through counts: the order of the source and
+# target rows cannot change a tree, and giving every row twice doubles every
+# count and so only each leaf's row count. The second identity is gated on
+# discrete schemas alone, because np.quantile's interpolation, which places
+# a continuous pivot's decile edges, depends on the number of values.
+ROWS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+def _rows_at(d: Dataset, index: np.ndarray) -> Dataset:
+    """A dataset of its own holding d's rows at index, in that order."""
+    names = d.schema.predictive_names + (d.schema.class_attr.name,)
+    return Dataset(d.schema, {name: d.column(name)[index] for name in names})
+
+
+def _regime_json(source: Dataset, target: Dataset, regime: str) -> str:
+    ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+    return tree_to_json(grow(source, ks, TreeConfig()))
+
+
+@ROWS
+@given(seed=st.integers(0, 2**16), regime=st.sampled_from(("ntdk", "ftdk", "ptdk2")))
+def test_row_order_identity_mixed(seed, regime):
+    rng = np.random.default_rng(seed)
+    schema = random_mixed_schema(rng, max_attrs=6)
+    source, target = random_dataset(rng, schema, 300), random_dataset(rng, schema, 300)
+    shuffled = [_rows_at(d, rng.permutation(d.n)) for d in (source, target)]
+    assert _regime_json(*shuffled, regime) == _regime_json(source, target, regime)
+
+
+@ROWS
+@given(seed=st.integers(0, 2**16), regime=st.sampled_from(("ntdk", "ftdk", "ptdk2")))
+def test_duplication_identity_discrete(seed, regime):
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        predictive=tuple(Attribute(f"A{i}", "discrete",
+                                   tuple(f"v{j}" for j in range(int(rng.integers(2, 5)))))
+                         for i in range(int(rng.integers(2, 7)))),
+        class_attr=Attribute("Y", "discrete", ("no", "yes")))
+    source, target = random_dataset(rng, schema, 300), random_dataset(rng, schema, 300)
+    doubled = json.loads(_regime_json(
+        *(_rows_at(d, np.tile(np.arange(d.n), 2)) for d in (source, target)), regime))
+    stack = [doubled["root"]]
+    while stack:
+        node = stack.pop()
+        if node["leaf"]:
+            assert node["n_source_rows"] % 2 == 0
+            node["n_source_rows"] //= 2
+        else:
+            stack += [node["left"], node["right"]]
+    assert doubled == json.loads(_regime_json(source, target, regime))
 
 
 def test_equal_pair_population_reconstruction():

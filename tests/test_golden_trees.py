@@ -9,6 +9,11 @@ samples, partial arities, cross-tables with CDFs, a fixed alpha, discrete and
 continuous pivots, pivot cells with no source rows, and subpaths that
 truncate because the target has no mass there.
 
+`STRUCTURE` holds digests of the same documents without their diagnostics
+counters, so that a change of what the counters count shows every tree
+otherwise unchanged. Each leaf's distribution is also checked against the
+estimate of its own path's source rows.
+
 To re-record after an intended change of the trees, run
 
     PYTHONPATH=src:tests python -c "import test_golden_trees as g; g.print_digests()"
@@ -16,12 +21,14 @@ To re-record after an intended change of the trees, run
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from dadt.data import Attribute, Dataset, Schema
+from dadt.data import Attribute, Dataset, Schema, filter_by_path
 from dadt.harness import SynthConfig, generate_synthetic
 from dadt.knowledge import (
     NAMED_REGIMES,
@@ -30,7 +37,7 @@ from dadt.knowledge import (
     build_from_target_sample,
     load_from_crosstabs,
 )
-from dadt.tree import TreeConfig, grow, tree_to_json
+from dadt.tree import TreeConfig, estimate_class_dist, grow, tree_to_json
 
 from conftest import random_dataset, random_mixed_schema
 
@@ -180,16 +187,37 @@ def _pair(kind: str, seed: int):
     raise KeyError(kind)
 
 
-def tree_digest(case_id: str) -> str:
+@functools.cache
+def _grown(case_id: str):
+    """The case's source rows, store, config and grown tree."""
     (kind, seed), regime, config = CASES[case_id]
     source, target = _pair(kind, seed)
-    tree = grow(source, _store(source, target, regime), TreeConfig(**config))
-    return hashlib.sha256(tree_to_json(tree).encode("utf-8")).hexdigest()[:16]
+    ks = _store(source, target, regime)
+    config = TreeConfig(**config)
+    return source, ks, config, grow(source, ks, config)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def tree_digest(case_id: str) -> str:
+    return _digest(tree_to_json(_grown(case_id)[3]))
+
+
+def structure_digest(case_id: str) -> str:
+    """Digest of the case's tree document without its diagnostics."""
+    doc = json.loads(tree_to_json(_grown(case_id)[3]))
+    del doc["diagnostics"]
+    return _digest(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def print_digests() -> None:
-    for case_id in CASES:
-        print(f'    "{case_id}": "{tree_digest(case_id)}",')
+    for name, digest in (("GOLDEN", tree_digest), ("STRUCTURE", structure_digest)):
+        print(f"{name} = {{")
+        for case_id in CASES:
+            print(f'    "{case_id}": "{digest(case_id)}",')
+        print("}")
 
 
 GOLDEN = {
@@ -238,7 +266,69 @@ GOLDEN = {
     "notgt-low-ftdk": "1eeeaaab44b811d3",
 }
 
+STRUCTURE = {
+    "mixed0-ntdk": "15008ddb2d34cd6f",
+    "mixed0-ftdk": "d77061dc1c595089",
+    "mixed0-ptdk2": "f2c916179cc1eaf2",
+    "mixed0-ptdk3": "16d370d75ddbe2a6",
+    "mixed1-ntdk": "55c9a33f8cc9660a",
+    "mixed1-ftdk": "067a7c9bbf107219",
+    "mixed1-ptdk2": "9c172cfb9b5c5b5d",
+    "mixed1-ptdk3": "8689c11bb13610db",
+    "mixed2-ntdk": "1dee75b60a1a7767",
+    "mixed2-ftdk": "de1da6ea2d348373",
+    "mixed2-ptdk2": "b47ceedd590205d5",
+    "mixed2-ptdk3": "de1da6ea2d348373",
+    "synth0-ntdk": "2adde7c5eda1c4ca",
+    "synth0-ftdk": "88f92eddb2dfee79",
+    "synth0-ptdk2": "0435f1e67130566c",
+    "synth0-ptdk3": "1ba18557dce42841",
+    "synth1-ntdk": "3ff2f5f5ca12edeb",
+    "synth1-ftdk": "3af72e324a1ec7b1",
+    "synth1-ptdk2": "4b54e7fbec78390c",
+    "synth1-ptdk3": "2061639bf50797b3",
+    "random0-ftdk": "86fc79f4a29fd711",
+    "random0-ptdk2": "6705ad188c3b1862",
+    "random1-ftdk": "146a7890ba2cbb5e",
+    "random1-ptdk2": "1a8d7db4784811ca",
+    "random2-ftdk": "7deabf9ced90fe27",
+    "random2-ptdk2": "0d398bcb023782c6",
+    "mixed0-self": "22e2a92c84b28aa8",
+    "synth0-self": "4bdea4287ed65cbd",
+    "random0-self": "8d52d7f4237127f4",
+    "mixed0-ftdk-alpha": "39ed481c84601f5c",
+    "mixed1-ptdk2-alpha": "c97b0f3a4c94f6a1",
+    "mixed0-crosstab-alpha": "0e6ee59af1869298",
+    "mixed0-ftdk-pivot-D1": "7f3a90aef14f0dca",
+    "mixed1-ptdk2-pivot-D1": "fd8c8975ed180792",
+    "mixed0-ftdk-pivot-C2": "fd9fefbfcf8dbaa6",
+    "mixed0-crosstab": "1b4ffdb8f133614f",
+    "mixed1-crosstab-pivot-C1": "2bb2af3bb0e2fefe",
+    "mixed2-crosstab-no-C2": "b609747c79bd0f77",
+    "nosrc-c-ftdk": "164dfdf2032a195f",
+    "nosrc-c-ptdk2": "4acf2bbd1ed1efdd",
+    "notgt-c-ftdk": "33082f306ca29452",
+    "notgt-c-ptdk3": "5ba75da56105f34a",
+    "notgt-low-ftdk": "4d1e48603675650e",
+}
+
 
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_tree_digest(case_id):
     assert tree_digest(case_id) == GOLDEN[case_id]
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_tree_structure_digest(case_id):
+    assert structure_digest(case_id) == STRUCTURE[case_id]
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_leaves_equal_their_paths_estimate(case_id):
+    """Each leaf holds the class distribution that `estimate_class_dist`
+    gives its path's source rows."""
+    source, ks, config, tree = _grown(case_id)
+    for leaf in tree.leaves():
+        rows = filter_by_path(source, leaf.path)
+        assert leaf.n_source_rows == rows.n
+        assert leaf.class_dist == estimate_class_dist(rows, leaf.path, tree.x_w, ks, config)
