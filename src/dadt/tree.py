@@ -786,7 +786,8 @@ class _Splits:
         return functools.partial(_mix, self.node.support, counts, tgt, alpha)
 
     def gain(self, rows: Dataset, parent: Distribution, cand: _Screened):
-        """cand's condition and exact information gain."""
+        """cand's condition, exact information gain and left and right
+        children's distributions."""
         node, cands, i = self.node, cand.cands, cand.i
         cond = SplitCondition(cands.attr.name, cands.op, cands.thresholds[i])
         p_left = self.split_prob(rows, cond, i, cand.knowledge)
@@ -799,7 +800,7 @@ class _Splits:
             if right is None:
                 right = node.estimate(~mask, node.path.extend(cond.negate()),
                                       None if tmask is None else ~tmask)
-        return cond, information_gain(parent, p_left, left, right)
+        return cond, information_gain(parent, p_left, left, right), left, right
 
     def prefix_target(self, sub: Path) -> tuple[np.ndarray, int]:
         """Counts, cumulative along the value axis from 0, and row count of
@@ -942,9 +943,12 @@ def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
 
 
 def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
-               x_w: str | None, config: TreeConfig, n_train: int,
-               diagnostics: dict) -> tuple[SplitCondition, float] | None:
-    """Maximum-gain candidate, or None when no admissible split improves.
+               x_w: str | None, config: TreeConfig, n_train: int, diagnostics: dict,
+               parent: Distribution
+               ) -> tuple[SplitCondition, float, Distribution, Distribution] | None:
+    """The maximum-gain candidate's condition and gain, and its left and
+    right children's class distributions; None when no admissible split
+    improves. `parent` is the node's own distribution.
 
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
@@ -958,8 +962,7 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     are its cells; a continuous pivot's values are the distinct ones of the
     node and the target sample, and every child's decile cells and their
     counts are read from prefix sums along them at once (`_decile_cells`).
-    The node's own distribution is `_Node.estimate`'s, as at a leaf. The
-    subpath and alpha that answer p_left, and the pivot queries when the
+    The subpath and alpha that answer p_left, and the pivot queries when the
     full path cannot, are resolved once per node (see `_Splits`).
 
     Every candidate's gain is first screened in float64 from the tables;
@@ -970,25 +973,22 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     child falls back to `_Node.estimate` on its own rows where the tables
     cannot answer it: a fixed alpha, a store of cross-tables or CDFs, or a
     subpath that keeps the candidate's own condition. All exact counts are
-    integers, so every probability equals that of counting each
-    candidate's rows.
+    integers, so every probability, and each child's distribution that is
+    returned, equals that of `estimate_class_dist` on the child's own rows.
 
-    A node with fewer rows than two children need (`_child_bounds`) builds
-    no tables: it computes only its own estimate, whose knowledge queries
-    the diagnostics count, and returns None.
+    A node with fewer rows than two children need (`_child_bounds`) returns
+    None before it builds anything.
     """
-    node = _Node(node_rows, path, x_w, ks, config, diagnostics)
-    parent = node.estimate(slice(None), path, slice(None))
     min_rows = config.min_node_fraction * n_train
     least, most = _child_bounds(node_rows.n, min_rows)
     if most < least:
         return None
-    splits = _Splits(node, node_rows, min_rows)
-    best: tuple[SplitCondition, float] | None = None
+    splits = _Splits(_Node(node_rows, path, x_w, ks, config, diagnostics), node_rows, min_rows)
+    best = None
     for cand in splits.search(node_rows, entropy(parent)):
-        cond, ig = splits.gain(node_rows, parent, cand)
-        if best is None or ig > best[1]:
-            best = (cond, ig)
+        found = splits.gain(node_rows, parent, cand)
+        if best is None or found[1] > best[1]:
+            best = found
     if best is None or best[1] <= _MIN_GAIN:
         return None
     return best
@@ -1077,25 +1077,24 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
     diagnostics = {key: 0 for key in _DIAGNOSTIC_KEYS}
     n_train = train_source.n
 
-    def make_leaf(rows: Dataset, path: Path) -> Leaf:
-        dist = estimate_class_dist(rows, path, x_w, ks, config, diagnostics)
-        return Leaf(class_dist=dist, n_source_rows=rows.n, path=path)
-
-    def build(rows: Dataset, path: Path, depth: int):
-        if Fraction(int(np.bincount(rows.class_codes()).max()), rows.n) >= config.purity_stop:
-            return make_leaf(rows, path)
-        if depth >= config.max_depth:
-            return make_leaf(rows, path)
-        found = best_split(rows, path, ks, x_w, config, n_train, diagnostics)
+    def build(rows: Dataset, path: Path, depth: int, dist: Distribution):
+        """The subtree of the rows at path, whose class distribution is dist."""
+        found = None
+        if (Fraction(int(np.bincount(rows.class_codes()).max()), rows.n) < config.purity_stop
+                and depth < config.max_depth):
+            found = best_split(rows, path, ks, x_w, config, n_train, diagnostics, dist)
         if found is None:
-            return make_leaf(rows, path)
-        cond, ig = found
+            return Leaf(class_dist=dist, n_source_rows=rows.n, path=path)
+        cond, ig, left_dist, right_dist = found
         mask = cond.matches(rows.column(cond.attribute))
-        left = build(rows.subset(mask), path.extend(cond), depth + 1)
-        right = build(rows.subset(~mask), path.extend(cond.negate()), depth + 1)
+        left = build(rows.subset(mask), path.extend(cond), depth + 1, left_dist)
+        right = build(rows.subset(~mask), path.extend(cond.negate()), depth + 1, right_dist)
         return Internal(condition=cond, left=left, right=right, ig_achieved=ig)
 
-    root = build(train_source, EMPTY_PATH, 0)
+    # the root's distribution is the only one estimated here; every other
+    # node's comes from its parent's split search
+    root = build(train_source, EMPTY_PATH, 0,
+                 estimate_class_dist(train_source, EMPTY_PATH, x_w, ks, config, diagnostics))
     # build refers to itself through its closure; breaking that cycle frees
     # the datasets and store the closure holds now, not at the next cyclic
     # garbage collection

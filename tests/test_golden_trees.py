@@ -222,48 +222,48 @@ def print_digests() -> None:
 
 GOLDEN = {
     "mixed0-ntdk": "2fb0c3e815aa7fe3",
-    "mixed0-ftdk": "cb1a1a85cefaaa2e",
-    "mixed0-ptdk2": "0bc2c403c5b41d80",
-    "mixed0-ptdk3": "f1b96d03b2383cb9",
+    "mixed0-ftdk": "2f47517535939469",
+    "mixed0-ptdk2": "0988648f5ccbb3f4",
+    "mixed0-ptdk3": "cf534ec407452ad8",
     "mixed1-ntdk": "4b503cf4c33bbac2",
-    "mixed1-ftdk": "3282447a498901fd",
-    "mixed1-ptdk2": "2267b39ff807c8d6",
-    "mixed1-ptdk3": "70a512542bb44c34",
+    "mixed1-ftdk": "75d68d1738170b4a",
+    "mixed1-ptdk2": "384716c5f1a780c0",
+    "mixed1-ptdk3": "e9633290fac61a6b",
     "mixed2-ntdk": "1d78b8eed59fcb54",
-    "mixed2-ftdk": "716710ce34b9663c",
-    "mixed2-ptdk2": "214283ed51fc7847",
-    "mixed2-ptdk3": "3a7d1115820b215e",
+    "mixed2-ftdk": "0450c8aa8a6c68c6",
+    "mixed2-ptdk2": "e0a157e580af403d",
+    "mixed2-ptdk3": "f2ed09db6bfee5f9",
     "synth0-ntdk": "93c3b2a797875568",
-    "synth0-ftdk": "ba3a347db6d662ad",
-    "synth0-ptdk2": "a0e8debfb15a291b",
-    "synth0-ptdk3": "85872d7c4ceb51a0",
+    "synth0-ftdk": "d7b46c4574163e02",
+    "synth0-ptdk2": "fdfba9ae13dfb8bd",
+    "synth0-ptdk3": "5315cecfe39af8f7",
     "synth1-ntdk": "6c8d21ea7447bea2",
-    "synth1-ftdk": "a0283ef0f495bad4",
-    "synth1-ptdk2": "c4a63683c0f27cdc",
-    "synth1-ptdk3": "4ea9e7515685d7e7",
-    "random0-ftdk": "ecaf626b135dd6aa",
-    "random0-ptdk2": "4a2c83a603b5897a",
-    "random1-ftdk": "b0640f0151969833",
-    "random1-ptdk2": "53b5ce37e9339832",
-    "random2-ftdk": "5af7e8355aeba63d",
-    "random2-ptdk2": "734c3ad8933086ad",
-    "mixed0-self": "91e2f31663080cc5",
-    "synth0-self": "3d8fc2032d89cdf3",
-    "random0-self": "2ddb745e838c3037",
-    "mixed0-ftdk-alpha": "fba7c254f9805522",
-    "mixed1-ptdk2-alpha": "3e18a19e5188c802",
-    "mixed0-crosstab-alpha": "b2a2a64ced68a698",
-    "mixed0-ftdk-pivot-D1": "af5d83ba634b0263",
-    "mixed1-ptdk2-pivot-D1": "38d8514609587f80",
-    "mixed0-ftdk-pivot-C2": "58e63223a7b3205b",
-    "mixed0-crosstab": "c00c9b85539313df",
-    "mixed1-crosstab-pivot-C1": "7e7f782e4f8af2bd",
-    "mixed2-crosstab-no-C2": "9e3f58af8967089c",
-    "nosrc-c-ftdk": "b4f623effec247d9",
-    "nosrc-c-ptdk2": "62a82721348d1b61",
-    "notgt-c-ftdk": "8dac70859322e7ca",
-    "notgt-c-ptdk3": "e5ae0c5a92329a40",
-    "notgt-low-ftdk": "1eeeaaab44b811d3",
+    "synth1-ftdk": "73c1d9f154b76d85",
+    "synth1-ptdk2": "d3203af6288562c0",
+    "synth1-ptdk3": "ac9c1cb093e272d1",
+    "random0-ftdk": "052b587d38581cd3",
+    "random0-ptdk2": "bd01b773c798c1aa",
+    "random1-ftdk": "901e09ad64027502",
+    "random1-ptdk2": "13cd4d6f1b5ae57f",
+    "random2-ftdk": "ecdbb552ecf3bd40",
+    "random2-ptdk2": "d6fea296c501027c",
+    "mixed0-self": "f5e0a2456cd30312",
+    "synth0-self": "bf6d61c7e670dda9",
+    "random0-self": "a2d2a894adfa1b82",
+    "mixed0-ftdk-alpha": "8ee237c8724a021a",
+    "mixed1-ptdk2-alpha": "615f7489fe08b5a9",
+    "mixed0-crosstab-alpha": "c5d87acc2915b1f1",
+    "mixed0-ftdk-pivot-D1": "fd07d05acc950640",
+    "mixed1-ptdk2-pivot-D1": "909fc06cc0fdd9eb",
+    "mixed0-ftdk-pivot-C2": "c7fb3e1a6dae9002",
+    "mixed0-crosstab": "23a3ee7ebd2b265b",
+    "mixed1-crosstab-pivot-C1": "0d293fdec5092fdd",
+    "mixed2-crosstab-no-C2": "4f7d01f1757bee65",
+    "nosrc-c-ftdk": "da93ca566a4664d2",
+    "nosrc-c-ptdk2": "379c15a3b7944068",
+    "notgt-c-ftdk": "9949e6efe72ce396",
+    "notgt-c-ptdk3": "f5f43baae9ea894d",
+    "notgt-low-ftdk": "ebcb107041bb6e99",
 }
 
 STRUCTURE = {

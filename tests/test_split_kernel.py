@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 from dadt.data import EMPTY_PATH, Attribute, Dataset, Schema
 from dadt.knowledge import KnowledgeRegime, build_from_target_sample
-from dadt.tree import TreeConfig, _continuous_bin_edges, _decile_cells, _decile_edges, best_split
+from dadt.tree import (
+    TreeConfig,
+    _continuous_bin_edges,
+    _decile_cells,
+    _decile_edges,
+    best_split,
+    estimate_class_dist,
+)
 
 
 def _draw(rng, n: int, grid: float | None, spread: float) -> np.ndarray:
@@ -85,7 +92,8 @@ def test_split_search_table_memory_is_bounded():
     config = TreeConfig(x_w_override="A")
     tracemalloc.start()
     try:
-        found = best_split(source, EMPTY_PATH, ks, "A", config, source.n, {})
+        parent = estimate_class_dist(source, EMPTY_PATH, "A", ks, config)
+        found = best_split(source, EMPTY_PATH, ks, "A", config, source.n, {}, parent)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

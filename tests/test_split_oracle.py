@@ -61,10 +61,10 @@ def oracle_split_prob(node_rows, cond, path, ks, config, diagnostics):
     return affine_estimate(source_p, target_p, alpha)
 
 
-def oracle_best_split(node_rows, path, ks, x_w, config, n_train, diagnostics):
-    """Maximum-gain candidate, every probability computed per candidate."""
+def oracle_best_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent):
+    """Maximum-gain candidate and its children, every probability computed
+    per candidate."""
     min_rows = config.min_node_fraction * n_train
-    parent = estimate_class_dist(node_rows, path, x_w, ks, config, diagnostics)
     best = None
     for attr in node_rows.schema.predictive:
         col = node_rows.column(attr.name)
@@ -87,7 +87,7 @@ def oracle_best_split(node_rows, path, ks, x_w, config, n_train, diagnostics):
                                         x_w, ks, config, diagnostics)
             ig = information_gain(parent, p_left, left, right)
             if best is None or ig > best[1]:
-                best = (cond, ig)
+                best = (cond, ig, left, right)
     if best is None or best[1] <= 1e-12:
         return None
     return best
@@ -374,19 +374,18 @@ def test_screen_gains_are_within_a_thousandth_of_the_tolerance(case):
     bound = dadt.tree._SCREEN_TOL / 1000
     checked = []
 
-    def check_then_split(node_rows, path, ks, x_w, config, n_train, diagnostics):
+    def check_then_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent):
         node = dadt.tree._Node(node_rows, path, x_w, ks, config, {})
         splits = dadt.tree._Splits(node, node_rows, config.min_node_fraction * n_train)
         assert splits.tabled
-        parent = node.estimate(slice(None), path, slice(None))
         with mock.patch.object(dadt.tree, "_SCREEN_TOL", math.inf):
             screened = splits.search(node_rows, entropy(parent))
         for cand in screened:
             if not math.isnan(cand.gain):
-                cond, exact = splits.gain(node_rows, parent, cand)
+                cond, exact, _, _ = splits.gain(node_rows, parent, cand)
                 assert abs(cand.gain - exact) <= bound, (cond, cand.gain, exact)
                 checked.append(cond)
-        return best_split(node_rows, path, ks, x_w, config, n_train, diagnostics)
+        return best_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent)
 
     with mock.patch.object(dadt.tree, "best_split", check_then_split):
         grow(source, ks, config)

@@ -173,9 +173,11 @@ class TestBestSplit:
     def test_hand_built_twelve_rows(self):
         d = self.hand_table()
         cfg = TreeConfig(min_node_fraction=0.25)
-        found = best_split(d, EMPTY_PATH, empty_ks(d.schema), None, cfg, d.n, {})
+        ks = empty_ks(d.schema)
+        found = best_split(d, EMPTY_PATH, ks, None, cfg, d.n, {},
+                           estimate_class_dist(d, EMPTY_PATH, None, ks, cfg))
         assert found is not None
-        cond, ig = found
+        cond, ig, _, _ = found
         assert cond == eq("X1", "0")
         assert ig == pytest.approx(0.3112781244591328, abs=1e-9)
 
@@ -186,12 +188,16 @@ class TestBestSplit:
                 rows += [{"X1": a, "X2": b, "Y": "1" if a == b else "0"}] * 5
         d = rows_dataset(binary_schema(), rows)
         cfg = TreeConfig(min_node_fraction=0.1)
-        assert best_split(d, EMPTY_PATH, empty_ks(d.schema), None, cfg, d.n, {}) is None
+        ks = empty_ks(d.schema)
+        assert best_split(d, EMPTY_PATH, ks, None, cfg, d.n, {},
+                          estimate_class_dist(d, EMPTY_PATH, None, ks, cfg)) is None
 
     def test_min_node_fraction_blocks(self):
         d = self.hand_table()
         cfg = TreeConfig(min_node_fraction=0.4)  # the 3-row child is too small
-        found = best_split(d, EMPTY_PATH, empty_ks(d.schema), None, cfg, d.n, {})
+        ks = empty_ks(d.schema)
+        found = best_split(d, EMPTY_PATH, ks, None, cfg, d.n, {},
+                           estimate_class_dist(d, EMPTY_PATH, None, ks, cfg))
         assert found is None or found[0].attribute != "X1"
 
     def test_continuous_midpoints(self):
@@ -202,7 +208,9 @@ class TestBestSplit:
             {"A": 3.0, "Y": "1"}, {"A": 4.0, "Y": "1"},
         ])
         cfg = TreeConfig(min_node_fraction=0.25)
-        cond, ig = best_split(d, EMPTY_PATH, empty_ks(schema), None, cfg, d.n, {})
+        ks = empty_ks(schema)
+        cond, ig, _, _ = best_split(d, EMPTY_PATH, ks, None, cfg, d.n, {},
+                                    estimate_class_dist(d, EMPTY_PATH, None, ks, cfg))
         assert cond == SplitCondition("A", LEQ, 2.5)
         assert ig == pytest.approx(1.0)
 
