@@ -97,8 +97,11 @@ class TreeConfig:
     route_unseen_right: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
+        if type(self.max_depth) is not int or self.max_depth < 1:
+            raise ConfigError("max_depth must be an integer >= 1")
+        if any(isinstance(v, bool) for v in (self.min_node_fraction, self.purity_stop,
+                                             self.alpha_override)):
+            raise ConfigError("min_node_fraction, purity_stop and alpha_override take no bool")
         if not 0.0 < self.min_node_fraction < 1.0:
             raise ConfigError("min_node_fraction must be in (0, 1)")
         if not 0.5 < self.purity_stop <= 1.0:
@@ -1078,7 +1081,6 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
     n_train = train_source.n
 
     def build(rows: Dataset, path: Path, depth: int, dist: Distribution):
-        """The subtree of the rows at path, whose class distribution is dist."""
         found = None
         if (Fraction(int(np.bincount(rows.class_codes()).max()), rows.n) < config.purity_stop
                 and depth < config.max_depth):
@@ -1091,8 +1093,6 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
         right = build(rows.subset(~mask), path.extend(cond.negate()), depth + 1, right_dist)
         return Internal(condition=cond, left=left, right=right, ig_achieved=ig)
 
-    # the root's distribution is the only one estimated here; every other
-    # node's comes from its parent's split search
     root = build(train_source, EMPTY_PATH, 0,
                  estimate_class_dist(train_source, EMPTY_PATH, x_w, ks, config, diagnostics))
     # build refers to itself through its closure; breaking that cycle frees

@@ -110,6 +110,8 @@ BAD_INPUTS = {
                            lambda c: with_value(c, "pairs", 0, "synth", "n_source", "a")),
     "config-tree-value": ("experiment", "config.json",
                           lambda c: with_value(c, "tree", "max_depth", "a")),
+    "config-tree-depth-nan": ("experiment", "config.json",
+                              lambda c: with_value(c, "tree", "max_depth", math.nan)),
     "config-output-dir-nul": ("experiment", "config.json",
                               lambda c: with_value(c, "output_dir", "o\0x")),
     "config-seed-infinite": ("experiment", "config.json",
@@ -120,6 +122,8 @@ BAD_INPUTS = {
                                lambda c: with_value(c, "pairs", 0, "synth", "n_source", True)),
     "schema-deeply-nested": ("train", "schema.json", lambda _: b"[" * 100_000),
     "tree-schema-not-object": ("predict", "tree.json", lambda c: with_value(c, "schema", [1])),
+    "tree-depth-fractional": ("predict", "tree.json",
+                              lambda c: with_value(c, "config", "max_depth", 2.5)),
     "tree-row-count-infinite": ("predict", "tree.json",
                                 lambda c: with_value(c, "root", "left", "n_source_rows", math.inf)),
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestConfig:
             TreeConfig(purity_stop=0.5)
         with pytest.raises(ConfigError):
             TreeConfig(alpha_override=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", math.nan), ("max_depth", math.inf), ("max_depth", 2.5),
+        ("max_depth", True), ("min_node_fraction", True), ("purity_stop", True),
+        ("alpha_override", True), ("alpha_override", False)])
+    def test_validation_refuses_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TreeConfig(**{field: value})
 
 
 class TestEstimateClassDist:
