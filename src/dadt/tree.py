@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, NamedTuple
@@ -70,8 +70,6 @@ _QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
 _DECILES = np.array(_QUANTILES)
 # most cells in one block of split-candidate count tables
 _TABLE_CELLS = 1 << 16
-# How a child's pivot queries are answered (`_Splits.resolve`).
-_FULL, _FORCED, _TRUNCATED, _UNTABLED = range(4)
 # δ, the screen's tolerance: a candidate whose float gain lies within 2δ of
 # the node's best float gain gets its exact gain. With u = 2^-53, each class
 # probability of a child's float mixture carries at most about C + 10
@@ -108,6 +106,10 @@ class TreeConfig:
             raise ConfigError("purity_stop must be in (0.5, 1]")
         if self.alpha_override is not None and not 0.0 <= self.alpha_override <= 1.0:
             raise ConfigError("alpha_override must be in [0, 1]")
+        if self.x_w_override is not None and not isinstance(self.x_w_override, str):
+            raise ConfigError("x_w_override must be an attribute name or null")
+        if type(self.route_unseen_right) is not bool:
+            raise ConfigError("route_unseen_right must be true or false")
 
 
 @dataclass
@@ -425,9 +427,9 @@ class _Cells:
 class _Screened(NamedTuple):
     """A split candidate whose exact gain is computed: candidate i of the
     attribute at `position` in the schema, the knowledge answering its
-    p_left, its float gain (NaN when it was not screened, or the tables
-    cannot answer a child) and, per child, its exact distribution to
-    compute, or None where the tables cannot answer it."""
+    p_left, its float gain (NaN when the node is not tabled, and its
+    candidates are not screened) and, per child, its exact distribution to
+    compute, or None on a node that is not tabled."""
 
     position: int
     i: int
@@ -436,6 +438,38 @@ class _Screened(NamedTuple):
     knowledge: tuple | None
     left: Callable[[], Distribution] | None
     right: Callable[[], Distribution] | None
+
+
+@dataclass
+class _Fallbacks:
+    """The `subpaths` below a child's full path, longest first, that its
+    pivot queries (`query`) fall back to when its own target rows do not
+    answer them, shared by the children whose paths have them: those of
+    the candidates on one attribute of the node path (`cands`), or of every
+    candidate off it (`cands` None). `child` is one such child's path. A
+    subpath of an attribute on the path may keep the child's own condition;
+    it is then the node subpath below it re-split by that condition."""
+
+    ks: KnowledgeStore
+    query: SplitCondition
+    child: Path
+    cands: _Candidates | None
+    alphas: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def subs(self) -> list:
+        """The subpaths, walked when a child first falls back."""
+        return [sub for sub in subpaths(self.ks, self.query, self.child)
+                if len(sub) < len(self.child)]
+
+    def keeps_condition(self, j: int) -> bool:
+        return self.child.conditions[-1] in self.subs[j].conditions
+
+    def alpha(self, j: int) -> Fraction:
+        """The dynamic alpha of a child answered on the j-th subpath."""
+        if j not in self.alphas:
+            self.alphas[j] = dynamic_alpha(self.child, self.subs[j])
+        return self.alphas[j]
 
 
 def _child_bounds(n: int, min_rows: float) -> tuple[float, float]:
@@ -453,9 +487,11 @@ class _Splits:
     every candidate's left child and, as the node minus the left, its right
     child. The value axis is the pivot's domain or, for a continuous pivot,
     the distinct values of the node rows and the target sample, which every
-    child's deciles pool. The subpath and alpha of p_left and of the
-    children's pivot queries are resolved once for all attributes off the
-    node path and once per attribute on it (`split_knowledge`, `answer`).
+    child's deciles pool; along it, a continuous pivot's tables are prefix
+    sums. The subpath and alpha of p_left are resolved once for all
+    attributes off the node path and once per attribute on it
+    (`split_knowledge`), and so are the children's pivot queries (`answer`),
+    whose fallbacks are counted only where a child uses them (`resolve`).
     `search` screens every candidate's gain in float64 from the tables and
     keeps those the exact gain must decide.
     """
@@ -472,7 +508,8 @@ class _Splits:
         self.best = -math.inf
         self.split_sub: dict = {}
         self.answers: dict = {}
-        self.prefix_targets: dict = {}
+        self.off_path: _Fallbacks | None = None
+        self.targets: dict = {}
         self.sub_value_counts: dict = {}
         discrete = [a for a in rows.schema.predictive if a.is_discrete]
         self.discrete = tuple(a.name for a in discrete)
@@ -498,6 +535,8 @@ class _Splits:
                 self.cell_class = index * k + node.y
             self.total = np.bincount(self.cell_class, minlength=self.n_values * k).reshape(
                 self.n_values, k)
+            if self.values is not None:
+                self.total, self.ttotal = _prefix(self.total), _prefix(self.ttotal)
         self.codes = self.tcodes = self.n_lefts = self.tcounts = None
         if not self.discrete:
             return
@@ -605,8 +644,8 @@ class _Splits:
     def search(self, rows: Dataset, h_parent: float) -> list[_Screened]:
         """The admissible candidates whose exact gain decides the split, in
         schema-then-threshold order: on a tabled node, those whose float
-        gain (the parent's entropy being h_parent) is NaN or within 2δ of
-        the best one; on any other node, all of them."""
+        gain (the parent's entropy being h_parent) lies within 2δ of the
+        best one; on any other node, all of them."""
         found: list[_Screened] = []
         discrete = []
         for position, attr in enumerate(rows.schema.predictive):
@@ -637,8 +676,8 @@ class _Splits:
         candidates, admissible, knowledge) of attributes that share one key
         range: one continuous attribute, or every discrete one. Tables are
         built for blocks of candidates of at most `_TABLE_CELLS` cells; the
-        candidates of a block whose gain is NaN or within 2δ of the best so
-        far are added to `found`. Counts the diagnostics of the children."""
+        candidates of a block whose gain is within 2δ of the best so far are
+        added to `found`. Counts the diagnostics of the children."""
         node = self.node
         cumulative = not entries[0][1].attr.is_discrete
         if cumulative:
@@ -646,6 +685,7 @@ class _Splits:
             keys, tkeys, n_keys = cands.keys, cands.tkeys, len(cands.thresholds) + 1
         else:
             keys, tkeys, n_keys = self.codes, self.tcodes, int(self.offsets[-1])
+        owners = [cands for _, cands, _, _ in entries]
         # the candidates' keys, ascending, and the entry each belongs to
         codes = np.array([cands.first + i for _, cands, admissible, _ in entries
                           for i in admissible])
@@ -653,6 +693,7 @@ class _Splits:
         p_left = np.array([p for _, cands, admissible, knowledge in entries
                            for p in self.split_probs(cands, admissible, knowledge)])
         shape = (self.n_values, self.k)
+        prefix = self.values is not None
         step = max(1, _TABLE_CELLS // math.prod(shape))
         done = 0
         while done < len(codes):
@@ -666,39 +707,37 @@ class _Splits:
             picked = codes[done:end] - a
             n = len(picked)
             left = _block_counts(keys, self.cell_class, a, b, n_keys, cumulative, shape)[picked]
-            counts = np.concatenate([left, self.total - left])
-            whose = np.concatenate([owner[done:end]] * 2)
+            counts = _children(left, self.total, prefix)
             if node.pivot is None:
                 classes = counts[:, 0]
-                h = _entropies(classes / classes.sum(axis=1, keepdims=True))
+                h = _entropies(classes / _class_sum(classes)[:, None])
             else:
                 tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative,
                                       shape[:1])[picked]
-                cells = self.group(counts, np.concatenate([tleft, self.ttotal - tleft]))
-                case, alpha = self.resolve([e[1] for e in entries], whose, cells)
-                h = _mixed_entropies(cells.counts, cells.tcounts, alpha)
-                h[case == _UNTABLED] = np.nan
+                cells = self.group(counts, _children(tleft, self.ttotal, prefix))
+                choice, alphas = self.resolve(owners, np.tile(owner[done:end], 2), cells,
+                                              (a, b, picked))
+                h = _mixed_entropies(cells.counts, cells.tcounts,
+                                     np.array(alphas, dtype=float)[choice])
             p = p_left[done:end]
             gains = h_parent - p * h[:n] - (1 - p) * h[n:]
-            screened = gains[~np.isnan(gains)]
-            if len(screened):
-                self.best = max(self.best, float(screened.max()))
+            self.best = max(self.best, float(gains.max()))
             for j in np.flatnonzero(~(gains < self.best - 2 * _SCREEN_TOL)).tolist():
-                position, cands, _, knowledge = entries[whose[j]]
+                position, cands, _, knowledge = entries[owner[done + j]]
                 if node.pivot is None:
                     left, right = (functools.partial(_frequencies, node.support,
                                                      classes[c].tolist()) for c in (j, n + j))
                 else:
-                    left, right = (self.exact(cands, cells, case, c) for c in (j, n + j))
+                    left, right = (self.exact(cells, choice, alphas, c) for c in (j, n + j))
                 found.append(_Screened(position, int(codes[done + j]) - cands.first,
                                        float(gains[j]), cands, knowledge, left, right))
             done = end
 
     def group(self, counts: np.ndarray, tcounts: np.ndarray) -> _Cells:
         """Children's cells, from their (value × class) and target value
-        counts. A discrete pivot's cells are its values; a continuous
-        pivot's lie between the deciles of the child's rows pooled with the
-        target sample."""
+        counts, prefix sums along a continuous pivot's values. A discrete
+        pivot's cells are its values; a continuous pivot's lie between the
+        deciles of the child's rows pooled with the target sample."""
         if self.values is None:
             n, n_values = tcounts.shape
             bounds = np.broadcast_to(np.arange(n_values + 1), (n, n_values + 1))
@@ -706,68 +745,76 @@ class _Splits:
                           np.full(n, n_values))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
 
-    def resolve(self, owners: list, whose: np.ndarray, cells: _Cells):
+    def resolve(self, owners: list, whose: np.ndarray, cells: _Cells,
+                block: tuple) -> tuple[np.ndarray, list]:
         """How each child (child i of a candidate of owners[whose[i]], a
-        `_Candidates`) answers its pivot queries, as `_Node.estimate` resolves
-        them: from its own target rows with alpha 0 when it has any and the
-        arity allows its full path (`_FULL`), else as `answer` falls back.
-        Replaces the target counts of the children not answered from their
-        own rows with those they mix, counts the diagnostics, and returns the
-        cases and the float alphas."""
-        fulls, cases, alphas, cums = zip(*(self.answer(cands) for cands in owners))
-        full = np.array(fulls)[whose] & (cells.tcounts.sum(axis=1) > 0)
-        case = np.full(len(whose), _FULL)
-        alpha = np.zeros(len(whose))
-        if not full.all():
-            rest = ~full
-            case[rest] = np.array(cases)[whose[rest]]
-            alpha[rest] = np.array(alphas, dtype=float)[whose[rest]]
+        `_Candidates`, in the block (a, b, picked) of `screen`) answers its
+        pivot queries, as `_Node.estimate` resolves them: from its own
+        target rows with alpha 0 when it has any and the arity allows its
+        full path; else on the first of its fallback subpaths (`answer`)
+        with target rows, with its dynamic alpha; else from the source
+        alone, with alpha 1. Only the children that fall back walk their
+        fallbacks. Replaces the target counts of the children not answered
+        from their own rows with those they mix, counts the diagnostics,
+        and returns each child's position in the list of alphas, and the
+        list: alpha 0 first and alpha 1 second."""
+        answers = [self.answer(cands) for cands in owners]
+        own = np.array([full for full, _ in answers])[whose] & (cells.tcounts.sum(axis=1) > 0)
+        alphas = [Fraction(0), Fraction(1)]
+        choice = np.where(own, 0, 1)
+        if not own.all():
             tgt = cells.tcounts.copy()
-            source = rest & (case != _TRUNCATED)
-            tgt[source] = cells.counts[source].sum(axis=2)
-            for cum in {id(c): c for c in cums if c is not None}.values():
-                sel = rest & np.array([c is cum for c in cums])[whose]
-                bounds = cells.bounds[sel]
-                tgt[sel] = cum[bounds[:, 1:]] - cum[bounds[:, :-1]]
+            for chain in {id(c): c for _, c in answers}.values():
+                mine = np.array([c is chain for _, c in answers])[whose]
+                todo = np.flatnonzero(mine & ~own)
+                for j, sub in enumerate(chain.subs):
+                    if not len(todo):
+                        break
+                    if chain.keeps_condition(j):
+                        cum = self.resplit(chain.cands, Path(sub.conditions[:-1]), block)[todo]
+                        rows = cum[:, -1] > 0
+                        cum = cum[rows]
+                    else:
+                        # the same rows for every child
+                        cum = self.target_on(sub)[2]
+                        rows = np.full(len(todo), cum[-1] > 0)
+                    if rows.any():
+                        use = todo[rows]
+                        alphas.append(chain.alpha(j))
+                        choice[use] = len(alphas) - 1
+                        tgt[use] = _between(cum, cells.bounds[use])
+                        todo = todo[~rows]
+                # answered from the source alone, alpha 1: any target counts with rows do
+                tgt[todo] = _class_sum(cells.counts[todo])
             cells.tcounts = tgt
-        self.count_queries(*np.bincount(case, weights=cells.n_queries,
-                                        minlength=4).astype(int).tolist()[:3])
-        return case, alpha
+        self.count_queries(*np.bincount(np.minimum(choice, 2), weights=cells.n_queries,
+                                        minlength=3).astype(int).tolist())
+        return choice, alphas
 
-    def answer(self, cands: _Candidates) -> tuple:
+    def answer(self, cands: _Candidates) -> tuple[bool, _Fallbacks]:
         """(whether the arity lets a child of cands answer its pivot queries
-        on its full path, and the case, alpha and cumulative target counts
-        along the value axis when its own target rows do not answer them).
-
-        Below the full path, the `subpaths` of the child's path are tried
-        longest first: one that keeps the child's own condition gives
-        `_UNTABLED` (the tables cannot answer it), the first other one with
-        target rows `_TRUNCATED`, with its dynamic alpha, and none `_FORCED`.
-        Only a truncated child has counts; the others have none and alpha 1.
-        Children off the node path share one answer, except those split on
-        the pivot, whose full path has one attribute fewer.
+        on its full path, the first of the `subpaths` of the child's path,
+        and the `_Fallbacks` below it). Children off the node path share
+        one answer, except those split on the pivot, whose full path has
+        one attribute fewer; all of them share their fallbacks, the node
+        path's own subpaths.
         """
         node = self.node
         name = cands.attr.name
         key = name if name in self.order or name == node.pivot.name else None
         if key not in self.answers:
-            cond = SplitCondition(name, cands.op, cands.thresholds[0])
-            child = node.path.extend(cond)
+            child = node.path.extend(SplitCondition(name, cands.op, cands.thresholds[0]))
             # a pivot query; subpaths depend on its attribute alone
             query = SplitCondition(node.pivot.name, EQ, None)
-            full, found = False, (_FORCED, 1, None)
-            for sub in subpaths(node.ks, query, child):
-                if len(sub) == len(child):
-                    full = True
-                    continue
-                if cond in sub.conditions:
-                    found = _UNTABLED, 1, None
-                    break
-                cum, m = self.prefix_target(sub)
-                if m:
-                    found = _TRUNCATED, dynamic_alpha(child, sub), cum
-                    break
-            self.answers[key] = (full, *found)
+            first = next(subpaths(node.ks, query, child), None)
+            full = first is not None and len(first) == len(child)
+            if name in self.order:
+                chain = _Fallbacks(node.ks, query, child, cands)
+            else:
+                if self.off_path is None:
+                    self.off_path = _Fallbacks(node.ks, query, child, None)
+                chain = self.off_path
+            self.answers[key] = full, chain
         return self.answers[key]
 
     def count_queries(self, full: int, forced: int, truncated: int) -> None:
@@ -778,15 +825,12 @@ class _Splits:
         node.count("truncations", truncated)
         node.count("forced_source", forced)
 
-    def exact(self, cands: _Candidates, cells: _Cells, case: np.ndarray,
-              i: int) -> Callable[[], Distribution] | None:
+    def exact(self, cells: _Cells, choice: np.ndarray, alphas: list,
+              i: int) -> Callable[[], Distribution]:
         """Child i's exact class distribution, to compute, as `resolve`
-        answers it; None when the tables cannot answer it."""
-        if case[i] == _UNTABLED:
-            return None
+        answers it."""
         counts, tgt, _ = cells[i]
-        alpha = 0 if case[i] == _FULL else self.answer(cands)[2]
-        return functools.partial(_mix, self.node.support, counts, tgt, alpha)
+        return functools.partial(_mix, self.node.support, counts, tgt, alphas[choice[i]])
 
     def gain(self, rows: Dataset, parent: Distribution, cand: _Screened):
         """cand's condition, exact information gain and left and right
@@ -794,30 +838,48 @@ class _Splits:
         node, cands, i = self.node, cand.cands, cand.i
         cond = SplitCondition(cands.attr.name, cands.op, cands.thresholds[i])
         p_left = self.split_prob(rows, cond, i, cand.knowledge)
-        left = None if cand.left is None else cand.left()
-        right = None if cand.right is None else cand.right()
-        if left is None or right is None:
+        if cand.left is None:
+            # a node that is not tabled: each child from its own rows
             mask, tmask = cands.masks(i)
-            if left is None:
-                left = node.estimate(mask, node.path.extend(cond), tmask)
-            if right is None:
-                right = node.estimate(~mask, node.path.extend(cond.negate()),
-                                      None if tmask is None else ~tmask)
+            left = node.estimate(mask, node.path.extend(cond), tmask)
+            right = node.estimate(~mask, node.path.extend(cond.negate()),
+                                  None if tmask is None else ~tmask)
+        else:
+            left, right = cand.left(), cand.right()
         return cond, information_gain(parent, p_left, left, right), left, right
 
-    def prefix_target(self, sub: Path) -> tuple[np.ndarray, int]:
-        """Counts, cumulative along the value axis from 0, and row count of
-        the target rows on `sub`, a subpath of the node path."""
-        if sub not in self.prefix_targets:
+    def target_on(self, sub: Path) -> tuple[Dataset, np.ndarray, np.ndarray]:
+        """The target rows on `sub`, a subpath of the node path, their
+        positions on the value axis and their counts along it, cumulative
+        from 0."""
+        if sub not in self.targets:
             node = self.node
             if sub == node.path:
                 rows, index = node.target, self.tindex
             else:
                 rows = node.ks.sample_rows(sub)
                 index = self.index(_pivot_values(rows, node.pivot))
-            counts = np.bincount(index, minlength=self.n_values)
-            self.prefix_targets[sub] = np.concatenate([[0], counts.cumsum()]), rows.n
-        return self.prefix_targets[sub]
+            self.targets[sub] = rows, index, _prefix(np.bincount(index,
+                                                                 minlength=self.n_values))
+        return self.targets[sub]
+
+    def resplit(self, cands: _Candidates, sub: Path, block: tuple) -> np.ndarray:
+        """Counts along the value axis, cumulative from 0, of the target rows
+        on `sub`, a subpath of the node path, that meet the condition of each
+        child of the block (a, b, picked) of cands's candidates: a (candidate
+        × value) table of the left children's, then the right children's as
+        the rows on sub minus the left's."""
+        rows, index, cum = self.target_on(sub)
+        name = cands.attr.name
+        if cands.attr.is_discrete:
+            keys, n_keys = rows.codes(name) + cands.first, int(self.offsets[-1])
+        else:
+            keys = np.searchsorted(cands.thresholds, rows.column(name))
+            n_keys = len(cands.thresholds) + 1
+        a, b, picked = block
+        left = _block_counts(keys, index, a, b, n_keys, not cands.attr.is_discrete,
+                             (self.n_values,))[picked]
+        return _children(left, cum, True)
 
 
 def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: int,
@@ -841,34 +903,38 @@ def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: i
     return table.cumsum(axis=0) if cumulative else table
 
 
-def _decile_cells(values: np.ndarray, pooled: np.ndarray, counts: np.ndarray,
-                  tcounts: np.ndarray) -> _Cells:
+def _decile_cells(values: np.ndarray, pooled: np.ndarray, cum: np.ndarray,
+                  tcum: np.ndarray) -> _Cells:
     """The cells of children under a continuous pivot: between the edges
     `_continuous_bin_edges` takes of each child's values pooled with those
     counted in `pooled`, as `_Node.estimate` cuts them. Every child gets ten
     cells; those of the edges it drops are empty and not kept.
 
     `values` are the distinct pivot values, ascending, and `pooled` the
-    cumulative count of the pool at each. Row i of `counts` holds child i's
-    (value × class) counts and of `tcounts` its target rows' value counts.
-    A bound is the number of values at or below a cell's upper edge; the
-    bounds run from 0 to len(values).
+    cumulative count of the pool at each. Row i of `cum` holds child i's
+    (value × class) counts and of `tcum` its target rows' value counts,
+    both cumulative along the values from a leading row of zeros. A bound
+    is the number of values at or below a cell's upper edge; the bounds run
+    from 0 to len(values).
     """
-    n, n_values, k = counts.shape
-    cum = np.zeros((n, n_values + 1, k), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=cum[:, 1:])
-    tcum = np.zeros((n, n_values + 1), dtype=np.int64)
-    np.cumsum(tcounts, axis=1, out=tcum[:, 1:])
-    edges, kept = _decile_edges(values, cum[:, 1:].sum(axis=2) + pooled)
+    n, n_bounds = tcum.shape
+    edges, kept = _decile_edges(values, _class_sum(cum[:, 1:]) + pooled)
     # a dropped edge takes the rank of the one kept before it: its cell is empty
     ranks = values.searchsorted(np.maximum.accumulate(edges, axis=1), side="right")
     bounds = np.column_stack([np.zeros(n, dtype=ranks.dtype), ranks,
-                              np.full(n, n_values, dtype=ranks.dtype)])
+                              np.full(n, n_bounds - 1, dtype=ranks.dtype)])
     kept = np.column_stack([np.ones(n, dtype=bool), kept, np.ones(n, dtype=bool)])
-    rows = np.arange(n)[:, None]
     # a continuous pivot queries the cells' upper edges but the last
-    return _Cells(np.diff(cum[rows, bounds], axis=1), np.diff(tcum[rows, bounds], axis=1),
-                  bounds, kept, kept.sum(axis=1) - 2)
+    return _Cells(_between(cum, bounds), _between(tcum, bounds), bounds, kept,
+                  kept.sum(axis=1) - 2)
+
+
+def _between(cum: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Counts between consecutive bounds of each row of `bounds`, from
+    counts summed along the value axis from 0: one row of them for all
+    rows of bounds, or one for each."""
+    at = cum[bounds] if cum.ndim == 1 else cum[np.arange(len(cum))[:, None], bounds]
+    return at[:, 1:] - at[:, :-1]
 
 
 def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -904,7 +970,7 @@ def _mixed_entropies(counts: np.ndarray, tgt: np.ndarray, alpha: np.ndarray) -> 
     computes it exactly: row i of `counts` holds child i's (cell × class)
     source counts, of `tgt` its target cell counts, and alpha[i] its
     weight of the source."""
-    source = counts.sum(axis=2)
+    source = _class_sum(counts)
     n = source.sum(axis=1, keepdims=True)
     a = alpha[:, None]
     w = a * (source / n) + (1 - a) * (tgt / tgt.sum(axis=1, keepdims=True))
@@ -917,7 +983,36 @@ def _mixed_entropies(counts: np.ndarray, tgt: np.ndarray, alpha: np.ndarray) -> 
 
 def _entropies(q: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row of q."""
-    return -(q * np.log2(q, out=np.zeros_like(q), where=q > 0)).sum(axis=1)
+    return -_class_sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0))
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """a summed over its last axis, the classes, by adding one slice per
+    class: numpy's reduction over so short an axis costs ten times more."""
+    return functools.reduce(operator.add, (a[..., c] for c in range(a.shape[-1])))
+
+
+def _prefix(counts: np.ndarray) -> np.ndarray:
+    """counts summed along their first axis, from a leading row of zeros."""
+    out = np.zeros((len(counts) + 1,) + counts.shape[1:], dtype=np.int64)
+    np.cumsum(counts, axis=0, out=out[1:])
+    return out
+
+
+def _children(left: np.ndarray, total: np.ndarray, prefix: bool) -> np.ndarray:
+    """Left children's (value × ...) counts, one row each, followed by their
+    right children's, the node's `total` minus the left's. With `prefix`,
+    both are summed along the values from a leading 0: the left's by one
+    cumsum, and `total` is given so."""
+    n = len(left)
+    out = np.empty((2 * n, len(total)) + left.shape[2:], dtype=np.int64)
+    if prefix:
+        out[:n, 0] = 0
+        np.cumsum(left, axis=1, out=out[:n, 1:])
+    else:
+        out[:n] = left
+    np.subtract(total, out[:n], out=out[n:])
+    return out
 
 
 def _cumulative_counts(keys: np.ndarray, shape: tuple) -> np.ndarray:
@@ -963,21 +1058,26 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     child is the node minus its left (histogram subtraction), and target
     rows get the same (candidate × value) tables. A discrete pivot's values
     are its cells; a continuous pivot's values are the distinct ones of the
-    node and the target sample, and every child's decile cells and their
-    counts are read from prefix sums along them at once (`_decile_cells`).
-    The subpath and alpha that answer p_left, and the pivot queries when the
-    full path cannot, are resolved once per node (see `_Splits`).
+    node and the target sample, its tables are prefix sums along them (the
+    left children's from one cumsum, the right children's as the node's
+    minus the left's), and every child's decile cells and their counts are
+    read from them at once (`_decile_cells`). The subpath and alpha that
+    answer p_left, and the pivot queries when the full path cannot, are
+    resolved once per node (see `_Splits`); a child that falls back to a
+    subpath keeping its own condition, on an attribute already on the
+    path, counts the node subpath's target rows that meet the condition
+    in a (candidate × value) table of its own (`_Splits.resplit`).
 
     Every candidate's gain is first screened in float64 from the tables;
     only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
-    one, or that the tables cannot answer, get the exact gain, in
-    schema-then-threshold order. Float and exact gains differ by far less
-    than δ, so the exact maximum and its first occurrence are among them. A
-    child falls back to `_Node.estimate` on its own rows where the tables
-    cannot answer it: a fixed alpha, a store of cross-tables or CDFs, or a
-    subpath that keeps the candidate's own condition. All exact counts are
-    integers, so every probability, and each child's distribution that is
-    returned, equals that of `estimate_class_dist` on the child's own rows.
+    one get the exact gain, in schema-then-threshold order. Float and exact
+    gains differ by far less than δ, so the exact maximum and its first
+    occurrence are among them. On a node whose children the tables cannot
+    answer, under a fixed alpha or a store of cross-tables or CDFs, every
+    admissible candidate gets the exact gain, and each child is estimated
+    by `_Node.estimate` on its own rows. All exact counts are integers, so
+    every probability, and each child's distribution that is returned,
+    equals that of `estimate_class_dist` on the child's own rows.
 
     A node with fewer rows than two children need (`_child_bounds`) returns
     None before it builds anything.

@@ -124,6 +124,11 @@ BAD_INPUTS = {
     "tree-schema-not-object": ("predict", "tree.json", lambda c: with_value(c, "schema", [1])),
     "tree-depth-fractional": ("predict", "tree.json",
                               lambda c: with_value(c, "config", "max_depth", 2.5)),
+    "tree-route-unseen-not-bool": ("predict", "tree.json",
+                                   lambda c: with_value(c, "config", "route_unseen_right",
+                                                        "false")),
+    "config-tree-pivot-not-name": ("experiment", "config.json",
+                                   lambda c: with_value(c, "tree", "x_w_override", 3)),
     "tree-row-count-infinite": ("predict", "tree.json",
                                 lambda c: with_value(c, "root", "left", "n_source_rows", math.inf)),
 }

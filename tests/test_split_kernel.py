@@ -6,26 +6,33 @@ search takes those deciles, and the cells' counts, for all candidates at
 once from prefix sums along the pivot's distinct values; here they are
 checked against `_continuous_bin_edges` and `searchsorted` on each child's
 own values. The tables are built in blocks, so their memory does not grow
-with the number of candidates.
+with the number of candidates. With a target sample and the dynamic alpha
+every child comes from the tables, those re-split on an attribute already
+on the node path included.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dataset, random_mixed_schema
 from dadt.data import EMPTY_PATH, Attribute, Dataset, Schema
-from dadt.knowledge import KnowledgeRegime, build_from_target_sample
+from dadt.knowledge import NAMED_REGIMES, KnowledgeRegime, build_from_target_sample
 from dadt.tree import (
+    Internal,
     TreeConfig,
     _continuous_bin_edges,
     _decile_cells,
     _decile_edges,
+    _Node,
     best_split,
     estimate_class_dist,
+    grow,
 )
 
 
@@ -39,9 +46,11 @@ def _draw(rng, n: int, grid: float | None, spread: float) -> np.ndarray:
        spread=st.sampled_from([0.1, 1.0, 4.0]), n_node=st.integers(1, 80),
        n_pool=st.sampled_from([0, 1, 2, 9, 40, 150]), k=st.integers(1, 3))
 def test_decile_cells_equal_each_childs_own_edges(seed, grid, spread, n_node, n_pool, k):
-    """Children are random subsets of the node's rows, the first one a
-    single row, with random subsets of the pool as target rows; a narrow
-    spread on a coarse grid gives tied values and duplicate deciles."""
+    """Left children are random subsets of the node's rows, the first one a
+    single row, with random subsets of the pool as target rows; each right
+    child that holds a row is the node minus its left child, and its prefix
+    table the node's minus the left's, as the split search takes it. A
+    narrow spread on a coarse grid gives tied values and duplicate deciles."""
     rng = np.random.default_rng(seed)
     node = _draw(rng, n_node, grid, spread)
     pool = _draw(rng, n_pool, grid, spread)
@@ -50,15 +59,30 @@ def test_decile_cells_equal_each_childs_own_edges(seed, grid, spread, n_node, n_
     pooled = np.bincount(values.searchsorted(pool), minlength=len(values)).cumsum()
     index = values.searchsorted(node)
     tindex = values.searchsorted(pool)
-    children = [rng.choice(n_node, size=1, replace=False)] + [
+    lefts = [rng.choice(n_node, size=1, replace=False)] + [
         rng.choice(n_node, size=rng.integers(1, n_node + 1), replace=False) for _ in range(6)]
-    targets = [rng.random(n_pool) < rng.random() for _ in children]
-    counts = np.stack([np.bincount(index[c] * k + y[c], minlength=len(values) * k)
-                       .reshape(len(values), k) for c in children])
-    tcounts = np.stack([np.bincount(tindex[t], minlength=len(values)) for t in targets])
+    ltargets = [rng.random(n_pool) < rng.random() for _ in lefts]
 
-    edges, kept = _decile_edges(values, counts.sum(axis=2).cumsum(axis=1) + pooled)
-    cells = _decile_cells(values, pooled, counts, tcounts)
+    def prefix(counts):
+        out = np.zeros((len(counts), len(values) + 1) + counts.shape[2:], dtype=np.int64)
+        out[:, 1:] = counts.cumsum(axis=1)
+        return out
+
+    lcum = prefix(np.stack([np.bincount(index[c] * k + y[c], minlength=len(values) * k)
+                            .reshape(len(values), k) for c in lefts]))
+    ltcum = prefix(np.stack([np.bincount(tindex[t], minlength=len(values)) for t in ltargets]))
+    whole = np.arange(n_node)
+    node_cum = prefix(np.bincount(index * k + y, minlength=len(values) * k)
+                      .reshape(1, len(values), k))
+    pool_cum = prefix(np.bincount(tindex, minlength=len(values))[None])
+    right = [i for i, c in enumerate(lefts) if len(c) < n_node]
+    children = lefts + [np.setdiff1d(whole, lefts[i]) for i in right]
+    targets = ltargets + [~ltargets[i] for i in right]
+    cum = np.concatenate([lcum, node_cum - lcum[right]])
+    tcum = np.concatenate([ltcum, pool_cum - ltcum[right]])
+
+    edges, kept = _decile_edges(values, cum[:, 1:].sum(axis=2) + pooled)
+    cells = _decile_cells(values, pooled, cum, tcum)
     for i, (c, t) in enumerate(zip(children, targets)):
         expected = _continuous_bin_edges(np.concatenate([node[c], pool]))
         assert edges[i][kept[i]].tolist() == expected
@@ -99,3 +123,44 @@ def test_split_search_table_memory_is_bounded():
         tracemalloc.stop()
     assert found is not None
     assert peak < _PEAK_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _resplits_continuous(tree) -> bool:
+    """Whether some split is on a continuous attribute that a split above
+    it is on too."""
+    stack = [(tree.root, frozenset())]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, Internal):
+            name = node.condition.attribute
+            if name in above and not tree.schema.attribute(name).is_discrete:
+                return True
+            stack += [(node.left, above | {name}), (node.right, above | {name})]
+    return False
+
+
+def test_sample_store_children_come_from_the_tables():
+    """Under full and partial knowledge of a target sample, with the
+    dynamic alpha, `grow` estimates the root alone from its own rows;
+    every other node's distribution, re-split children's included, comes
+    from its parent's count tables."""
+    calls = []
+    original = _Node.estimate
+
+    def estimate(node, *args):
+        calls.append(node.path)
+        return original(node, *args)
+
+    resplit = False
+    with mock.patch.object(_Node, "estimate", estimate):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            schema = random_mixed_schema(rng)
+            source, target = random_dataset(rng, schema, 300), random_dataset(rng, schema, 300)
+            for regime in ("ftdk", "ptdk2", "ptdk3"):
+                calls.clear()
+                tree = grow(source, build_from_target_sample(target, NAMED_REGIMES[regime]),
+                            TreeConfig())
+                assert calls == [EMPTY_PATH], (seed, regime)
+                resplit |= _resplits_continuous(tree)
+    assert resplit

@@ -80,7 +80,9 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_depth", math.nan), ("max_depth", math.inf), ("max_depth", 2.5),
         ("max_depth", True), ("min_node_fraction", True), ("purity_stop", True),
-        ("alpha_override", True), ("alpha_override", False)])
+        ("alpha_override", True), ("alpha_override", False), ("x_w_override", 1),
+        ("x_w_override", ["X1"]), ("route_unseen_right", "false"),
+        ("route_unseen_right", 1), ("route_unseen_right", None)])
     def test_validation_refuses_wrong_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TreeConfig(**{field: value})
