@@ -793,11 +793,11 @@ class _Splits:
 
     def answer(self, cands: _Candidates) -> tuple[bool, _Fallbacks]:
         """(whether the arity lets a child of cands answer its pivot queries
-        on its full path, the first of the `subpaths` of the child's path,
-        and the `_Fallbacks` below it). Children off the node path share
-        one answer, except those split on the pivot, whose full path has
-        one attribute fewer; all of them share their fallbacks, the node
-        path's own subpaths.
+        on its full path, as the first of the `subpaths` of the child's path
+        tells, and the `_Fallbacks` below it, not yet walked). Children off
+        the node path share one answer, except those split on the pivot,
+        whose full path has one attribute fewer; all of them share their
+        fallbacks, the node path's own subpaths.
         """
         node = self.node
         name = cands.attr.name

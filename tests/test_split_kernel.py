@@ -71,12 +71,11 @@ def test_decile_cells_equal_each_childs_own_edges(seed, grid, spread, n_node, n_
     lcum = prefix(np.stack([np.bincount(index[c] * k + y[c], minlength=len(values) * k)
                             .reshape(len(values), k) for c in lefts]))
     ltcum = prefix(np.stack([np.bincount(tindex[t], minlength=len(values)) for t in ltargets]))
-    whole = np.arange(n_node)
     node_cum = prefix(np.bincount(index * k + y, minlength=len(values) * k)
                       .reshape(1, len(values), k))
     pool_cum = prefix(np.bincount(tindex, minlength=len(values))[None])
     right = [i for i, c in enumerate(lefts) if len(c) < n_node]
-    children = lefts + [np.setdiff1d(whole, lefts[i]) for i in right]
+    children = lefts + [np.setdiff1d(np.arange(n_node), lefts[i]) for i in right]
     targets = ltargets + [~ltargets[i] for i in right]
     cum = np.concatenate([lcum, node_cum - lcum[right]])
     tcum = np.concatenate([ltcum, pool_cum - ltcum[right]])
