@@ -33,6 +33,7 @@ from dadt.tree import (
     best_split,
     estimate_class_dist,
     grow,
+    tree_to_json,
 )
 
 
@@ -163,3 +164,43 @@ def test_sample_store_children_come_from_the_tables():
                 assert calls == [EMPTY_PATH], (seed, regime)
                 resplit |= _resplits_continuous(tree)
     assert resplit
+
+
+def test_discrete_blocks_above_key_0_give_the_same_trees(monkeypatch):
+    """Tables small enough to cut the discrete attributes' key range into
+    blocks of a few keys, most of them starting above key 0, give every
+    tree the one-block tables give, under a continuous pivot and without
+    one; the blocks are checked to occur."""
+    from dadt import tree as tree_module
+
+    def draw_schema(rng) -> Schema:
+        attrs = [Attribute(f"D{i}", "discrete", tuple(f"v{j}" for j in range(arity)))
+                 for i, arity in enumerate(rng.integers(2, 5, size=int(rng.integers(2, 5))))]
+        attrs.insert(int(rng.integers(len(attrs) + 1)), Attribute("C", "continuous"))
+        return Schema(predictive=tuple(attrs),
+                      class_attr=Attribute("Y", "discrete", ("no", "yes")))
+
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        schema = draw_schema(rng)
+        source, target = random_dataset(rng, schema, 250), random_dataset(rng, schema, 250)
+        for regime in ("ntdk", "ftdk", "ptdk2"):
+            ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+            config = TreeConfig(x_w_override="C")
+            cases.append((source, ks, config, tree_to_json(grow(source, ks, config))))
+
+    starts = []
+    original = tree_module._block_counts
+
+    def block_counts(keys, cells, a, b, n_keys, cumulative, shape):
+        if not cumulative:
+            starts.append(a)
+        return original(keys, cells, a, b, n_keys, cumulative, shape)
+
+    monkeypatch.setattr(tree_module, "_block_counts", block_counts)
+    for table_cells in (1, 4_000, 12_000):
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", table_cells)
+        for source, ks, config, expected in cases:
+            assert tree_to_json(grow(source, ks, config)) == expected, table_cells
+    assert sum(a > 0 for a in starts) > len(starts) / 2
