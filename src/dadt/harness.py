@@ -196,11 +196,14 @@ def parse_experiment_config(source) -> ExperimentConfig:
             out_dir = os.path.normpath(os.path.join(base, out_dir))
         tree = _checked_keys("tree", doc.get("tree", {}), TreeConfig)
         TreeConfig(**tree)
-        train_fraction = float(doc.get("train_fraction", 0.75))
-        if not 0.0 < train_fraction < 1.0:
-            raise ConfigError("train_fraction must be in (0, 1)")
+        seed = doc["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ConfigError("seed must be an integer >= 0")
+        train_fraction = doc.get("train_fraction", 0.75)
+        if type(train_fraction) not in (int, float) or not 0.0 < train_fraction < 1.0:
+            raise ConfigError("train_fraction must be a number in (0, 1)")
         return ExperimentConfig(
-            seed=int(doc["seed"]),
+            seed=seed,
             pairs=tuple(pairs),
             regimes=regimes,
             tree=tree,

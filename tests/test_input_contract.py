@@ -116,6 +116,15 @@ BAD_INPUTS = {
                               lambda c: with_value(c, "output_dir", "o\0x")),
     "config-seed-infinite": ("experiment", "config.json",
                              lambda c: with_value(c, "seed", math.inf)),
+    "config-seed-fractional": ("experiment", "config.json",
+                               lambda c: with_value(c, "seed", 1.5)),
+    "config-seed-bool": ("experiment", "config.json", lambda c: with_value(c, "seed", True)),
+    "config-seed-string": ("experiment", "config.json", lambda c: with_value(c, "seed", "7")),
+    "config-seed-negative": ("experiment", "config.json", lambda c: with_value(c, "seed", -1)),
+    "config-seed-huge-float": ("experiment", "config.json",
+                               lambda c: with_value(c, "seed", 1e30)),
+    "config-train-fraction-string": ("experiment", "config.json",
+                                     lambda c: with_value(c, "train_fraction", "0.5")),
     "config-synth-seed-negative": ("experiment", "config.json",
                                    lambda c: with_value(c, "pairs", 0, "synth", "seed", -1)),
     "config-synth-size-bool": ("experiment", "config.json",
