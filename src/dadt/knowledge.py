@@ -404,8 +404,6 @@ def dynamic_alpha(path: Path, subpath: Path) -> Fraction:
     if not sub_conds <= set(path.conditions):
         raise SubsetViolation("subpath conditions must be a subset of the path's")
     attrs = set(path.attributes())
-    if not attrs:
-        return Fraction(0)
     missing = attrs - set(subpath.attributes())
     return Fraction(len(missing), len(attrs))
 
@@ -429,8 +427,6 @@ def affine_estimate(source_p, target_p, alpha):
         if not 0 <= v <= 1:
             raise DomainError(f"{name}={v} outside [0, 1]")
     mixed = alpha * source_p + (1 - alpha) * target_p
-    if isinstance(mixed, Fraction):
-        return mixed
     if -1e-12 <= mixed < 0.0:
         return 0.0
     if 1.0 < mixed <= 1.0 + 1e-12:
