@@ -66,8 +66,7 @@ from .stats import (
 _MIN_GAIN = 1e-12
 _MASS_TOL = 1e-9
 _N_BINS = 10
-_QUANTILES = np.linspace(0.1, 0.9, _N_BINS - 1).tolist()
-_DECILES = np.array(_QUANTILES)
+_DECILES = np.linspace(0.1, 0.9, _N_BINS - 1)
 # most cells in one block of split-candidate count tables
 _TABLE_CELLS = 1 << 16
 # δ, the screen's tolerance: a candidate whose float gain lies within 2δ of
@@ -164,25 +163,10 @@ class DecisionTree:
 
 
 def _continuous_bin_edges(values: np.ndarray) -> list[float]:
-    """Strictly increasing deciles of values.
-
-    The arithmetic is np.quantile's default (linear) method, operation for
-    operation, on one sort of the values; np.quantile itself costs several
-    times more per call, and every split candidate's children call this.
-    """
-    s = np.sort(values)
-    top = len(s) - 1
-    pos = [top * q for q in _QUANTILES]
-    lo = [math.floor(p) for p in pos]
-    bounds = s[lo + [min(i + 1, top) for i in lo]].tolist()
-    edges: list[float] = []
-    for p, i, below, above in zip(pos, lo, bounds, bounds[len(lo):]):
-        gamma = p - i
-        diff = above - below
-        f = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
-        if not edges or f > edges[-1]:
-            edges.append(f)
-    return edges
+    """Strictly increasing deciles of values: `_decile_edges` of one row."""
+    distinct, counts = np.unique(values, return_counts=True)
+    edges, kept = _decile_edges(distinct, counts.cumsum()[None])
+    return edges[0][kept[0]].tolist()
 
 
 class _Node:
@@ -378,22 +362,36 @@ def _mixed_weights(support: tuple, counts: list, src: list, class_counts: list,
 class _Candidates:
     """One attribute's split candidates at a node.
 
-    A row's key is `first` plus the position of its value in the
-    attribute's domain or, for a continuous attribute, of the first midpoint
-    it lies at or below. Candidate i's left rows are those whose key is
-    first + i or, for a continuous attribute, at most i; `n_lefts` counts
-    them and `tcounts` the left target rows. `tkeys` and `tcounts` are None
-    without a target sample.
+    A row's key (`key`) is `first` plus the position of its value in the
+    attribute's domain or, for a continuous attribute, of the first of the
+    midpoints `mids` (None for a discrete attribute) it lies at or below;
+    keys run over range(n_keys). Candidate i's left rows are those whose
+    key is first + i or, for a continuous attribute, at most i; `n_lefts`
+    counts the node's and `tcounts` its target rows', whose keys are `keys`
+    and `tkeys`. `tkeys` and `tcounts` are None without a target sample.
     """
 
     attr: Attribute
     op: str
     thresholds: list
     first: int
-    keys: np.ndarray
-    tkeys: np.ndarray | None
-    n_lefts: list
-    tcounts: list | None
+    n_keys: int
+    mids: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    tkeys: np.ndarray | None = None
+    n_lefts: list | None = None
+    tcounts: list | None = None
+
+    def key(self, rows: Dataset) -> np.ndarray:
+        """Each row's key."""
+        if self.mids is None:
+            return rows.codes(self.attr.name) + self.first
+        return self.mids.searchsorted(rows.column(self.attr.name))
+
+    def lefts(self, keys: np.ndarray) -> list:
+        """The number of keys at most each key of a continuous attribute:
+        the left rows of each candidate."""
+        return _prefix(np.bincount(keys, minlength=self.n_keys))[1:].tolist()
 
     def masks(self, i: int):
         """Candidate i's left node rows and left target rows (None without
@@ -561,19 +559,18 @@ class _Splits:
             lo = self.start[attr.name]
             part = slice(lo, lo + len(attr.domain))
             return _Candidates(
-                attr, EQ, attr.domain, lo, self.codes[j],
+                attr, EQ, attr.domain, lo, int(self.offsets[-1]), None, self.codes[j],
                 None if self.tcodes is None else self.tcodes[j], self.n_lefts[part],
                 None if self.tcounts is None else self.tcounts[part])
-        col = rows.column(attr.name)
-        vals = np.unique(col)
+        vals = np.unique(rows.column(attr.name))
         mids = (vals[:-1] + vals[1:]) / 2.0
-        keys = mids.searchsorted(col)
-        tkeys = tcounts = None
+        cands = _Candidates(attr, LEQ, mids.tolist(), 0, len(mids) + 1, mids)
+        cands.keys = cands.key(rows)
+        cands.n_lefts = cands.lefts(cands.keys)
         if self.node.target is not None:
-            tkeys = mids.searchsorted(self.node.target.column(attr.name))
-            tcounts = _cumulative_counts(tkeys, (len(mids) + 1,)).tolist()
-        return _Candidates(attr, LEQ, mids.tolist(), 0, keys, tkeys,
-                           _cumulative_counts(keys, (len(mids) + 1,)).tolist(), tcounts)
+            cands.tkeys = cands.key(self.node.target)
+            cands.tcounts = cands.lefts(cands.tkeys)
+        return cands
 
     def split_knowledge(self, cands: _Candidates, cond: SplitCondition):
         """(subpath, alpha, each candidate's target count and the target row
@@ -603,8 +600,7 @@ class _Splits:
             lo = self.start[attr.name]
             counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
         else:
-            keys = np.searchsorted(cands.thresholds, rows.column(attr.name))
-            counts = _cumulative_counts(keys, (len(cands.thresholds) + 1,)).tolist()
+            counts = cands.lefts(cands.key(rows))
         return sub, alpha, counts, rows.n
 
     def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
@@ -623,15 +619,12 @@ class _Splits:
         return affine_estimate(source_p, target_p, alpha)
 
     def split_probs(self, cands: _Candidates, admissible: list, knowledge) -> list:
-        """`split_prob` of the admissible candidates in float64; NaN where
-        only a query per candidate answers it."""
+        """`split_prob` of the admissible candidates in float64."""
         n = len(self.node.y)
         n_lefts = cands.n_lefts
         if knowledge is None or knowledge[0] is None:
             return [n_lefts[i] / n for i in admissible]
         _, alpha, tcounts, m = knowledge
-        if tcounts is None:
-            return [math.nan] * len(admissible)
         alpha = float(alpha)
         return [alpha * (n_lefts[i] / n) + (1 - alpha) * (tcounts[i] / m) for i in admissible]
 
@@ -679,12 +672,13 @@ class _Splits:
         candidates of a block whose gain is within 2δ of the best so far are
         added to `found`. Counts the diagnostics of the children."""
         node = self.node
+        n_keys = entries[0][1].n_keys
         cumulative = not entries[0][1].attr.is_discrete
         if cumulative:
             (_, cands, _, _), = entries
-            keys, tkeys, n_keys = cands.keys, cands.tkeys, len(cands.thresholds) + 1
+            keys, tkeys = cands.keys, cands.tkeys
         else:
-            keys, tkeys, n_keys = self.codes, self.tcodes, int(self.offsets[-1])
+            keys, tkeys = self.codes, self.tcodes
         owners = [cands for _, cands, _, _ in entries]
         # the candidates' keys, ascending, and the entry each belongs to
         codes = np.array([cands.first + i for _, cands, admissible, _ in entries
@@ -697,12 +691,10 @@ class _Splits:
         step = max(1, _TABLE_CELLS // math.prod(shape))
         done = 0
         while done < len(codes):
-            a = int(codes[done])
-            if cumulative:
-                b = min(a + step, int(codes[-1]) + 1)
-            else:
-                a -= a % step
-                b = min(a + step, n_keys)
+            # blocks are aligned to multiples of step: a key range that fits
+            # one block is counted whole, with no filter on the keys
+            a = int(codes[done]) // step * step
+            b = min(a + step, n_keys)
             end = int(codes.searchsorted(b))
             picked = codes[done:end] - a
             n = len(picked)
@@ -870,15 +862,9 @@ class _Splits:
         × value) table of the left children's, then the right children's as
         the rows on sub minus the left's."""
         rows, index, cum = self.target_on(sub)
-        name = cands.attr.name
-        if cands.attr.is_discrete:
-            keys, n_keys = rows.codes(name) + cands.first, int(self.offsets[-1])
-        else:
-            keys = np.searchsorted(cands.thresholds, rows.column(name))
-            n_keys = len(cands.thresholds) + 1
         a, b, picked = block
-        left = _block_counts(keys, index, a, b, n_keys, not cands.attr.is_discrete,
-                             (self.n_values,))[picked]
+        left = _block_counts(cands.key(rows), index, a, b, cands.n_keys,
+                             not cands.attr.is_discrete, (self.n_values,))[picked]
         return _children(left, cum, True)
 
 
@@ -905,8 +891,8 @@ def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: i
 
 def _decile_cells(values: np.ndarray, pooled: np.ndarray, cum: np.ndarray,
                   tcum: np.ndarray) -> _Cells:
-    """The cells of children under a continuous pivot: between the edges
-    `_continuous_bin_edges` takes of each child's values pooled with those
+    """The cells of children under a continuous pivot: between the kept
+    deciles (`_decile_edges`) of each child's values pooled with those
     counted in `pooled`, as `_Node.estimate` cuts them. Every child gets ten
     cells; those of the edges it drops are empty and not kept.
 
@@ -938,14 +924,13 @@ def _between(cum: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nine deciles of each row's values, as `_continuous_bin_edges`
-    computes them, and which of them it keeps.
+    """The nine deciles of each row's values, by np.quantile's default
+    (linear) interpolation, operation for operation, and which of them are
+    kept: each that lies above every decile before it.
 
     `values` are distinct and ascending; row i of `pooled` holds the number
     of row i's values at or below each of them. The order statistics of all
-    rows come from one search of the rows' counts laid end to end, and the
-    interpolation is that of `_continuous_bin_edges`, operation for
-    operation.
+    rows come from one search of the rows' counts laid end to end.
     """
     n_rows, n_values = pooled.shape
     sizes = pooled[:, -1]
@@ -1013,12 +998,6 @@ def _children(left: np.ndarray, total: np.ndarray, prefix: bool) -> np.ndarray:
         out[:n] = left
     np.subtract(total, out[:n], out=out[n:])
     return out
-
-
-def _cumulative_counts(keys: np.ndarray, shape: tuple) -> np.ndarray:
-    """Counts of each key in range(prod(shape)), as an array of `shape`
-    summed along the first axis."""
-    return np.bincount(keys, minlength=math.prod(shape)).reshape(shape).cumsum(axis=0)
 
 
 def _frequencies(support: tuple, class_counts: list) -> Distribution:

@@ -4,8 +4,7 @@ Every split candidate's children under a continuous pivot are cut into the
 deciles of the child's pivot values pooled with the target sample. The split
 search takes those deciles, and the cells' counts, for all candidates at
 once from prefix sums along the pivot's distinct values; here they are
-checked against `_continuous_bin_edges` and `searchsorted` on each child's
-own values. The tables are built in blocks, so their memory does not grow
+checked against `np.quantile` and `searchsorted` on each child's own values. The tables are built in blocks, so their memory does not grow
 with the number of candidates. With a target sample and the dynamic alpha
 every child comes from the tables, those re-split on an attribute already
 on the node path included.
@@ -26,7 +25,6 @@ from dadt.knowledge import NAMED_REGIMES, KnowledgeRegime, build_from_target_sam
 from dadt.tree import (
     Internal,
     TreeConfig,
-    _continuous_bin_edges,
     _decile_cells,
     _decile_edges,
     _Node,
@@ -35,6 +33,16 @@ from dadt.tree import (
     grow,
     tree_to_json,
 )
+
+
+def _quantile_edges(values: np.ndarray) -> list[float]:
+    """np.quantile's deciles of values, each kept when it lies above the
+    last one kept."""
+    edges: list[float] = []
+    for q in np.quantile(values, np.linspace(0.1, 0.9, 9)):
+        if not edges or float(q) > edges[-1]:
+            edges.append(float(q))
+    return edges
 
 
 def _draw(rng, n: int, grid: float | None, spread: float) -> np.ndarray:
@@ -84,7 +92,7 @@ def test_decile_cells_equal_each_childs_own_edges(seed, grid, spread, n_node, n_
     edges, kept = _decile_edges(values, cum[:, 1:].sum(axis=2) + pooled)
     cells = _decile_cells(values, pooled, cum, tcum)
     for i, (c, t) in enumerate(zip(children, targets)):
-        expected = _continuous_bin_edges(np.concatenate([node[c], pool]))
+        expected = _quantile_edges(np.concatenate([node[c], pool]))
         assert edges[i][kept[i]].tolist() == expected
         cell = np.array(expected).searchsorted(node[c])
         n_cells = len(expected) + 1
