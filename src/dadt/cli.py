@@ -97,8 +97,8 @@ def _cmd_predict(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([f"predicted_{class_name}"]
                            + [f"p_{y}" for y in tree.schema.class_values]))
-        for rows in data.row_chunks():
-            fh.write("".join([lines[predict(tree, row)[1]] for row in rows]))
+        for chunk in data.chunks():
+            fh.write("".join([lines[predict(tree, row)[1]] for row in chunk.iter_rows()]))
     print(f"wrote predictions to {args.out}")
     return 0
 

@@ -39,8 +39,8 @@ GT = "gt"
 _NEGATE = {EQ: NEQ, NEQ: EQ, LEQ: GT, GT: LEQ}
 
 # rows per chunk wherever rows are taken a bounded number at a time: reading
-# and writing CSV, row dicts (`Dataset.iter_rows`, `row_chunks`) and routing
-# (`tree.route_dataset`); bounds the Python objects alive for rows at once
+# CSV, and every pass over a dataset's rows through `Dataset.chunks` (writing
+# CSV, row dicts, routing); bounds the Python objects alive for rows at once
 _ROW_CHUNK = 4096
 
 
@@ -101,6 +101,11 @@ class Schema:
     @property
     def class_values(self) -> tuple[str, ...]:
         return self.class_attr.domain
+
+    def column_names(self, labeled: bool) -> tuple[str, ...]:
+        """A dataset's columns, in order: the predictive attributes', then
+        the class attribute's when the dataset is labeled."""
+        return self.predictive_names + ((self.class_attr.name,) if labeled else ())
 
     def to_json_dict(self) -> dict:
         def attr_dict(a: Attribute) -> dict:
@@ -308,11 +313,9 @@ class Dataset:
         return Dataset(self.schema, cols, self.index, labeled=False, codes=codes)
 
     def row(self, i: int) -> dict:
-        names = list(self.schema.predictive_names)
-        if self.labeled:
-            names.append(self.schema.class_attr.name)
         ridx = self.index[i]
-        return {name: self._columns[name][ridx] for name in names}
+        return {name: self._columns[name][ridx]
+                for name in self.schema.column_names(self.labeled)}
 
     def chunks(self):
         """Views of consecutive rows, a bounded chunk of them at a time."""
@@ -320,32 +323,19 @@ class Dataset:
             yield self.subset(slice(start, start + _ROW_CHUNK))
 
     def iter_rows(self):
-        """Row dicts of Python scalars, built a bounded chunk of rows at a time."""
-        names = list(self.schema.predictive_names)
-        if self.labeled:
-            names.append(self.schema.class_attr.name)
-        for start in range(0, self.n, _ROW_CHUNK):
-            idx = self.index[start:start + _ROW_CHUNK]
-            columns = [self._columns[name][idx].tolist() for name in names]
-            for values in zip(*columns) if names else [()] * len(idx):
+        """Row dicts of Python scalars, built a chunk of rows at a time."""
+        names = self.schema.column_names(self.labeled)
+        for chunk in self.chunks():
+            columns = [chunk.column(name).tolist() for name in names]
+            for values in zip(*columns) if names else [()] * chunk.n:
                 yield dict(zip(names, values))
-
-    def row_chunks(self):
-        """The row dicts of `iter_rows`, one iterator per chunk of rows; each
-        is to be used up before the next is taken."""
-        rows = self.iter_rows()
-        for _ in range(0, self.n, _ROW_CHUNK):
-            yield itertools.islice(rows, _ROW_CHUNK)
 
 
 def dataset_from_rows(schema: Schema, rows: list[dict], labeled: bool = True) -> Dataset:
     """Build a validated dataset from row dicts (values already typed); each
     column is typed and checked in schema order."""
-    names = list(schema.predictive_names)
-    if labeled:
-        names.append(schema.class_attr.name)
     columns = {name: _typed_column(schema.attribute(name), [r[name] for r in rows], col=name)
-               for name in names}
+               for name in schema.column_names(labeled)}
     return Dataset(schema, columns, labeled=labeled)
 
 
@@ -403,7 +393,7 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     if len(set(header)) != len(header):
         raise SchemaMismatch("duplicate column names in CSV header")
 
-    names = list(schema.predictive_names) + ([class_name] if labeled else [])
+    names = schema.column_names(labeled)
     attrs = [schema.attribute(name) for name in names]
     # each column starts with its empty array: a header-only file loads typed
     parts = [[_typed_column(a, (), name)] for a, name in zip(attrs, names)]
@@ -458,21 +448,24 @@ def _csv_rows(stream):
 
 
 def serialize_dataset(d: Dataset) -> str:
-    """Emit the dataset as CSV, `_ROW_CHUNK` rows at a time; round-trips
-    through load_dataset."""
-    names = list(d.schema.predictive_names)
-    if d.labeled:
-        names.append(d.schema.class_attr.name)
+    """Emit the dataset as CSV, the text of one chunk of rows at a time
+    joined once; round-trips through load_dataset."""
+    names = d.schema.column_names(d.labeled)
+    discrete = [d.schema.attribute(name).is_discrete for name in names]
+    parts = [_csv_text([names])]
+    for chunk in d.chunks():
+        # a column built in memory may hold ints: repr writes them as floats
+        cells = [chunk.column(name).tolist() if disc
+                 else map(repr, np.asarray(chunk.column(name), dtype=float).tolist())
+                 for name, disc in zip(names, discrete)]
+        parts.append(_csv_text(zip(*cells)))
+    return "".join(parts)
+
+
+def _csv_text(rows) -> str:
+    """The CSV lines of rows, each cell quoted where CSV needs it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    columns = [(d.column(name), d.schema.attribute(name).is_discrete) for name in names]
-    for start in range(0, d.n, _ROW_CHUNK):
-        part = slice(start, start + _ROW_CHUNK)
-        cells = [col[part].tolist() if discrete
-                 else map(repr, np.asarray(col[part], dtype=float).tolist())
-                 for col, discrete in columns]
-        writer.writerows(zip(*cells))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 

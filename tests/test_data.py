@@ -225,9 +225,9 @@ _LOAD_PEAK_BYTES_PER_ROW = 400
 _STR_OVER_BYTES_PEAK = 1.3
 
 
-def test_load_memory_is_bounded_per_row(tmp_path):
+def _mixed_dataset(n: int) -> data.Dataset:
+    """n rows of four continuous, four discrete and a class column."""
     rng = np.random.default_rng(6)
-    n = 40_000
     schema = Schema(predictive=tuple(Attribute(f"C{i}", "continuous") for i in range(4))
                     + tuple(Attribute(f"D{i}", "discrete", ("lo", "mid", "hi"))
                             for i in range(4)),
@@ -236,6 +236,13 @@ def test_load_memory_is_bounded_per_row(tmp_path):
     columns |= {f"D{i}": np.array(["lo", "mid", "hi"], dtype=object)[rng.integers(3, size=n)]
                 for i in range(4)}
     columns["Y"] = np.array(["0", "1"], dtype=object)[rng.integers(2, size=n)]
+    return data.Dataset(schema, columns)
+
+
+def test_load_memory_is_bounded_per_row(tmp_path):
+    n = 40_000
+    d = _mixed_dataset(n)
+    schema = d.schema
 
     def traced_peak(source) -> int:
         tracemalloc.start()
@@ -248,7 +255,7 @@ def test_load_memory_is_bounded_per_row(tmp_path):
         return peak
 
     path = tmp_path / "mixed.csv"
-    text = serialize_dataset(data.Dataset(schema, columns))
+    text = serialize_dataset(d)
     path.write_text(text, encoding="utf-8")
     peak = traced_peak(path)
     assert peak < _LOAD_PEAK_BYTES_PER_ROW * n, f"{peak / n:.0f} bytes per row"
@@ -256,6 +263,26 @@ def test_load_memory_is_bounded_per_row(tmp_path):
     str_peak = traced_peak(text)
     assert str_peak <= _STR_OVER_BYTES_PEAK * bytes_peak, \
         f"str {str_peak / n:.0f}, bytes {bytes_peak / n:.0f} bytes per row"
+
+
+# Peak traced bytes per row of `serialize_dataset` on the same rows, whose
+# text takes about 45 bytes a row: the chunks' text and its join hold it
+# twice, and one chunk's cell lists add about 10 bytes a row at 40,000 rows.
+# The whole text in one buffer, then copied out of it, took about 235.
+_SERIALIZE_PEAK_BYTES_PER_ROW = 150
+
+
+def test_serialize_memory_is_bounded_per_row():
+    n = 40_000
+    d = _mixed_dataset(n)
+    tracemalloc.start()
+    try:
+        text = serialize_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == n + 1
+    assert peak < _SERIALIZE_PEAK_BYTES_PER_ROW * n, f"{peak / n:.0f} bytes per row"
 
 
 class TestRows:
