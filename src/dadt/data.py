@@ -454,7 +454,7 @@ def serialize_dataset(d: Dataset) -> str:
     discrete = [d.schema.attribute(name).is_discrete for name in names]
     parts = [_csv_text([names])]
     for chunk in d.chunks():
-        # a column built in memory may hold ints: repr writes them as floats
+        # a continuous column built in memory may hold ints: write them as floats
         cells = [chunk.column(name).tolist() if disc
                  else map(repr, np.asarray(chunk.column(name), dtype=float).tolist())
                  for name, disc in zip(names, discrete)]

@@ -389,8 +389,8 @@ class _Candidates:
         return self.mids.searchsorted(rows.column(self.attr.name))
 
     def lefts(self, keys: np.ndarray) -> list:
-        """The number of keys at most each key of a continuous attribute:
-        the left rows of each candidate."""
+        """For a continuous attribute, how many of `keys` lie at or below
+        each key: each candidate's left rows."""
         return _prefix(np.bincount(keys, minlength=self.n_keys))[1:].tolist()
 
     def masks(self, i: int):
