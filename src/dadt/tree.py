@@ -500,9 +500,12 @@ class _Splits:
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
-        # Children come from the tables when the node needs no pivot, or when
-        # the pivot is answered from target rows with the dynamic alpha.
-        self.tabled = pivot is None or (self.sample and node.config.alpha_override is None)
+        # Candidates come from the tables when p_left is counted, from no
+        # knowledge or from target rows, and their children are too: the node
+        # needs no pivot, or the pivot is answered from target rows with the
+        # dynamic alpha.
+        self.tabled = (node.ks.is_empty or self.sample) and (
+            pivot is None or node.config.alpha_override is None)
         self.best = -math.inf
         self.split_sub: dict = {}
         self.answers: dict = {}

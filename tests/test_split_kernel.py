@@ -212,3 +212,20 @@ def test_discrete_blocks_above_key_0_give_the_same_trees(monkeypatch):
         for source, ks, config, expected in cases:
             assert tree_to_json(grow(source, ks, config)) == expected, table_cells
     assert sum(a > 0 for a in starts) > len(starts) / 2
+
+
+def test_no_pivot_under_cross_tables_is_not_tabled():
+    """Without a pivot, a store of cross-tables and CDFs answers p_left by
+    a query per candidate, which no table counts: the node takes every
+    candidate's exact gain, and splits as the per-candidate oracle does."""
+    from test_split_oracle import _crosstab_store, _pair, _schema, oracle_best_split
+
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        schema = _schema("mixed", 4, 2, rng)
+        source, target = _pair(schema, 150, 150, rng)
+        ks = _crosstab_store(schema, target)
+        config = TreeConfig()
+        parent = estimate_class_dist(source, EMPTY_PATH, None, ks, config)
+        args = (source, EMPTY_PATH, ks, None, config, source.n)
+        assert best_split(*args, {}, parent) == oracle_best_split(*args, {}, parent), seed
