@@ -500,10 +500,10 @@ class _Splits:
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
-        # Candidates come from the tables when p_left is counted, from no
-        # knowledge or from target rows, and their children are too: the node
-        # needs no pivot, or the pivot is answered from target rows with the
-        # dynamic alpha.
+        # The tables answer a candidate when they count its p_left (the store
+        # is empty or holds a target sample) and its children (the node needs
+        # no pivot, or a target sample answers the pivot with the dynamic
+        # alpha).
         self.tabled = (node.ks.is_empty or self.sample) and (
             pivot is None or node.config.alpha_override is None)
         self.best = -math.inf
@@ -1054,7 +1054,7 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
     one get the exact gain, in schema-then-threshold order. Float and exact
     gains differ by far less than δ, so the exact maximum and its first
-    occurrence are among them. On a node whose children the tables cannot
+    occurrence are among them. On a node whose candidates the tables cannot
     answer, under a fixed alpha or a store of cross-tables or CDFs, every
     admissible candidate gets the exact gain, and each child is estimated
     by `_Node.estimate` on its own rows. All exact counts are integers, so
