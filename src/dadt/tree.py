@@ -163,9 +163,9 @@ class DecisionTree:
 
 
 def _continuous_bin_edges(values: np.ndarray) -> list[float]:
-    """Strictly increasing deciles of values: `_decile_edges` of one row."""
-    distinct, counts = np.unique(values, return_counts=True)
-    edges, kept = _decile_edges(distinct, counts.cumsum()[None])
+    """Strictly increasing deciles of values: `_decile_edges` of one row,
+    the values sorted and each counted once."""
+    edges, kept = _decile_edges(np.sort(values), np.arange(1, len(values) + 1)[None])
     return edges[0][kept[0]].tolist()
 
 
@@ -931,9 +931,10 @@ def _decile_edges(values: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, n
     (linear) interpolation, operation for operation, and which of them are
     kept: each that lies above every decile before it.
 
-    `values` are distinct and ascending; row i of `pooled` holds the number
-    of row i's values at or below each of them. The order statistics of all
-    rows come from one search of the rows' counts laid end to end.
+    `values` are ascending; row i of `pooled` holds, at each position, the
+    number of row i's values at that position or before it (for distinct
+    values, those at or below each). The order statistics of all rows come
+    from one search of the rows' counts laid end to end.
     """
     n_rows, n_values = pooled.shape
     sizes = pooled[:, -1]
