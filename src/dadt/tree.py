@@ -382,11 +382,12 @@ class _Candidates:
     n_lefts: list | None = None
     tcounts: list | None = None
 
-    def key(self, rows: Dataset) -> np.ndarray:
-        """Each row's key."""
+    def key(self, values: np.ndarray) -> np.ndarray:
+        """The keys of rows whose `_pivot_values` of the attribute are
+        `values`."""
         if self.mids is None:
-            return rows.codes(self.attr.name) + self.first
-        return self.mids.searchsorted(rows.column(self.attr.name))
+            return values + self.first
+        return self.mids.searchsorted(values)
 
     def lefts(self, keys: np.ndarray) -> list:
         """For a continuous attribute, how many of `keys` lie at or below
@@ -565,13 +566,14 @@ class _Splits:
                 attr, EQ, attr.domain, lo, int(self.offsets[-1]), None, self.codes[j],
                 None if self.tcodes is None else self.tcodes[j], self.n_lefts[part],
                 None if self.tcounts is None else self.tcounts[part])
-        vals = np.unique(rows.column(attr.name))
+        col = rows.column(attr.name)
+        vals = np.unique(col)
         mids = (vals[:-1] + vals[1:]) / 2.0
         cands = _Candidates(attr, LEQ, mids.tolist(), 0, len(mids) + 1, mids)
-        cands.keys = cands.key(rows)
+        cands.keys = cands.key(col)
         cands.n_lefts = cands.lefts(cands.keys)
         if self.node.target is not None:
-            cands.tkeys = cands.key(self.node.target)
+            cands.tkeys = cands.key(self.node.target.column(attr.name))
             cands.tcounts = cands.lefts(cands.tkeys)
         return cands
 
@@ -603,7 +605,7 @@ class _Splits:
             lo = self.start[attr.name]
             counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
         else:
-            counts = cands.lefts(cands.key(rows))
+            counts = cands.lefts(cands.key(rows.column(attr.name)))
         return sub, alpha, counts, rows.n
 
     def split_prob(self, rows: Dataset, cond: SplitCondition, i: int, knowledge):
@@ -866,8 +868,9 @@ class _Splits:
         the rows on sub minus the left's."""
         rows, index, cum = self.target_on(sub)
         a, b, picked = block
-        left = _block_counts(cands.key(rows), index, a, b, cands.n_keys,
-                             not cands.attr.is_discrete, (self.n_values,))[picked]
+        keys = cands.key(_pivot_values(rows, cands.attr))
+        left = _block_counts(keys, index, a, b, cands.n_keys, not cands.attr.is_discrete,
+                             (self.n_values,))[picked]
         return _children(left, cum, True)
 
 
