@@ -282,6 +282,16 @@ class Dataset:
             self._codes[name] = full
         return full
 
+    def mask(self, cond: SplitCondition) -> np.ndarray:
+        """The rows meeting cond, as a boolean mask: a discrete (in)equality
+        with a domain value compares codes, selecting the rows comparing the
+        values would; any other condition compares values (`matches`)."""
+        attr = self.schema.attribute(cond.attribute)
+        if cond.op in (EQ, NEQ) and attr.is_discrete and cond.threshold in attr.domain:
+            hit = self.codes(attr.name) == attr.domain.index(cond.threshold)
+            return hit if cond.op == EQ else ~hit
+        return cond.matches(self.column(cond.attribute))
+
     def value_codes(self, names: tuple[str, ...]) -> np.ndarray:
         """(attribute × row) codes of the named discrete columns that number
         all their values in one range, each attribute's after those of the
@@ -489,5 +499,5 @@ def filter_by_path(d: Dataset, path: Path) -> Dataset:
     """Rows satisfying every condition in the path; empty path keeps all rows."""
     mask = np.ones(d.n, dtype=bool)
     for cond in path.conditions:
-        mask &= cond.matches(d.column(cond.attribute))
+        mask &= d.mask(cond)
     return d.subset(mask)

@@ -115,11 +115,6 @@ class KnowledgeStore:
     # {name: {"marginal": {value: p}, "y_given_x": {value: Distribution}}};
     # pivot selection reads them when the store has no labeled sample
     class_conditionals: dict[str, dict] | None = None
-    # The cache of `sample_rows`: rows by path, and the conditions of the
-    # node path they serve. It takes no part in comparisons, and a store
-    # made from another's fields (`dataclasses.replace`) starts without it.
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _node: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -128,36 +123,6 @@ class KnowledgeStore:
     @staticmethod
     def empty(schema: Schema) -> "KnowledgeStore":
         return KnowledgeStore(schema=schema, arity_limit=0)
-
-    def sample_rows(self, path: Path) -> Dataset:
-        """Rows of the retained sample that satisfy the path.
-
-        The empty path's rows are the sample itself. Any other path's rows
-        are the cached rows of its longest cached prefix filtered by the
-        remaining conditions, so a tree node's rows come from its parent's
-        by one condition, and an ancestor's rows are a hit. A path that is
-        not a subset of the node path starts a new node: the rows of every
-        path that is not a prefix of it are dropped. Queried as `grow`
-        queries it, each node's path and then its `subpaths`, the cache holds
-        the node path's non-empty prefixes and its subpaths that are not
-        prefixes: at most len(path) + (number of predictive attributes)
-        entries, bounded by tree depth, never by the number of candidates.
-        """
-        key = path.conditions
-        if not key:
-            return self.sample
-        rows = self._rows.get(key)
-        if rows is not None:
-            return rows
-        if not self._node.issuperset(key):
-            self._node = frozenset(key)
-            self._rows = {k: v for k, v in self._rows.items() if key[:len(k)] == k}
-        j = len(key) - 1
-        while j and key[:j] not in self._rows:
-            j -= 1
-        base = self._rows[key[:j]] if j else self.sample
-        rows = self._rows[key] = filter_by_path(base, Path(key[j:]))
-        return rows
 
 
 def build_from_target_sample(target: Dataset, regime: KnowledgeRegime) -> KnowledgeStore:
@@ -197,7 +162,7 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
             table: dict[tuple, float] = {}
             for cell in spec["cells"]:
                 key = tuple(str(v) for v in cell["key"])
-                p = float(cell["p"])
+                p = _number(cell["p"])
                 if len(key) != len(names):
                     raise FormatError(f"cell key {key} has wrong length for {names}")
                 for v, attr in zip(key, attrs):
@@ -214,14 +179,14 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
         cdfs: list[CdfEntry] = []
         for spec in doc.get("cdfs", []):
             var = spec["var"]
-            knots = sorted((float(v), float(p)) for v, p in spec["knots"])
+            knots = sorted((_number(v), _number(p)) for v, p in spec["knots"])
             context = frozenset((a, str(v)) for a, v in spec.get("context", []))
             if schema.attribute(var).is_discrete:
                 raise FormatError(f"cdf variable {var!r} must be continuous")
             if not knots:
                 raise FormatError(f"cdf for {var!r} has no knots")
-            if any(math.isnan(v) for v, _ in knots):
-                raise FormatError(f"cdf for {var!r} has a NaN knot")
+            if not all(math.isfinite(v) for v, _ in knots):
+                raise FormatError(f"cdf for {var!r} has a knot that is not finite")
             ps = [p for _, p in knots]
             if not (ps[0] >= 0 and all(a <= b for a, b in zip(ps, ps[1:]))):
                 raise FormatError(f"cdf for {var!r} is not nondecreasing")
@@ -248,7 +213,7 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
                     str(x): _class_dist_from_dict(schema, dist)
                     for x, dist in spec["y_given_x"].items()
                 }
-                marginal = {str(x): float(p) for x, p in spec["marginal"].items()}
+                marginal = {str(x): _number(p) for x, p in spec["marginal"].items()}
                 if not all(p >= 0 for p in marginal.values()):
                     raise FormatError(f"negative or NaN marginal probability for {var!r}")
                 total = sum(marginal.values())
@@ -258,10 +223,10 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
 
         arity = doc.get("arity_limit")
         # unspecified: stored tables/CDFs already bound what is answerable
-        arity = math.inf if arity is None else float(arity)
-        if not arity >= 0:
-            raise FormatError(f"arity_limit must be a non-negative number, not {arity}")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        arity = math.inf if arity is None else _number(arity)
+        if not (arity >= 0 and (arity == math.inf or arity.is_integer())):
+            raise FormatError(f"arity_limit must be a whole number >= 0 or Infinity, not {arity}")
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"malformed cross-tab document: {exc!r}") from exc
     return KnowledgeStore(
         schema=schema,
@@ -272,9 +237,16 @@ def load_from_crosstabs(source, schema: Schema) -> KnowledgeStore:
     )
 
 
+def _number(v) -> float:
+    """A cross-tab document's number as a float; a bool or a string is none."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise FormatError(f"{v!r} is not a number")
+    return float(v)
+
+
 def _class_dist_from_dict(schema: Schema, d: dict) -> Distribution:
     support = schema.class_values
-    probs = [float(d.get(y, 0.0)) for y in support]
+    probs = [_number(d.get(y, 0.0)) for y in support]
     outside = sorted(map(str, set(d) - set(support)))
     if outside:
         raise FormatError(f"class distribution has values {outside} outside the class domain")
@@ -307,7 +279,7 @@ def query_target(ks: KnowledgeStore, cond: SplitCondition, path: Path):
         return None
 
     if ks.sample is not None:
-        sub = ks.sample_rows(path)
+        sub = filter_by_path(ks.sample, path)
         if sub.n == 0:
             return None
         return freq_fraction(sub, cond)

@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .data import EQ, NEQ, Dataset, SplitCondition
+from .data import Dataset, SplitCondition
 from .errors import DomainError, EmptyContext, IncomparableSupports
 
 _SUM_TOL = 1e-9
@@ -63,22 +63,11 @@ class Distribution:
 
 
 def freq_fraction(d: Dataset, cond: SplitCondition) -> Fraction:
-    """Exact frequency of rows satisfying cond, as a fraction of d's rows.
-
-    A discrete (in)equality with a value of the attribute's domain is
-    counted on the column's integer codes, which gives the same count as
-    comparing the values.
-    """
+    """Exact frequency of rows satisfying cond (`Dataset.mask`), as a
+    fraction of d's rows."""
     if d.n == 0:
         raise EmptyContext("cannot estimate a frequency over zero rows")
-    attr = d.schema.attribute(cond.attribute)
-    if cond.op in (EQ, NEQ) and attr.is_discrete and cond.threshold in attr.domain:
-        count = int(np.count_nonzero(d.codes(attr.name) == attr.domain.index(cond.threshold)))
-        if cond.op == NEQ:
-            count = d.n - count
-    else:
-        count = int(np.count_nonzero(cond.matches(d.column(cond.attribute))))
-    return Fraction(count, d.n)
+    return Fraction(int(np.count_nonzero(d.mask(cond))), d.n)
 
 
 def class_fractions(d: Dataset) -> dict[str, Fraction]:

@@ -173,14 +173,15 @@ class _Node:
     """Counts of one node that every class estimate at the node or at a
     child of one of its split candidates is taken from.
 
-    Source rows are the node's class codes and pivot values; with a
-    sample-backed store, target rows are the retained sample on the node
-    path. A child's rows are a selection of these, so estimating a child needs
-    no dataset subset and no target filter.
+    Source rows are the node's class codes and pivot values. With a
+    sample-backed store, entry j of `targets` holds the sample's rows on the
+    path's first j distinct attributes, the last the node's own (`target`).
+    A child's rows are a selection of these, so estimating a child needs no
+    dataset subset and no target filter.
     """
 
     def __init__(self, rows: Dataset, path: Path, x_w: str | None, ks: KnowledgeStore,
-                 config: TreeConfig, diagnostics: dict):
+                 config: TreeConfig, diagnostics: dict, targets: list | None = None):
         if rows.n == 0:
             raise EmptyDataset("cannot estimate a class distribution on an empty node")
         self.ks = ks
@@ -190,15 +191,19 @@ class _Node:
         self.support = rows.schema.class_values
         self.y = rows.class_codes()
         self.pivot = None if ks.is_empty or x_w is None else rows.schema.attribute(x_w)
-        self.target = None
+        self.targets = self.target = self.pool = None
+        if ks.sample is not None:
+            if targets is None:  # the sample, handed down the path
+                targets = [ks.sample]
+                for i, cond in enumerate(path.conditions):
+                    targets = _child_targets(targets, Path(path.conditions[:i]), cond)
+            self.targets, self.target = targets, targets[-1]
         if self.pivot is None:
             return
         self.piv = _pivot_values(rows, self.pivot)
-        # bin edges pool the node's pivot values with the whole target sample's
-        self.pool = None
-        if ks.sample is not None:
-            self.target = ks.sample_rows(path)
+        if self.target is not None:
             self.tpiv = _pivot_values(self.target, self.pivot)
+            # bin edges pool the node's pivot values with the whole target sample's
             self.pool = ks.sample.column(x_w)
 
     def count(self, key: str, k: int = 1) -> None:
@@ -215,9 +220,20 @@ class _Node:
             self.count("truncations", n)
         self.count("n_alphas", n)
 
-    def estimate(self, sel, path: Path, tsel) -> Distribution:
-        """Class distribution of the node rows `sel` at `path`, whose target
-        rows are the node's target rows `tsel`."""
+    def targets_on(self, sub: Path, path: Path) -> Dataset:
+        """The target rows on `sub`, one of the `subpaths` of `path`: the node
+        path, or a child's, the node path and one more condition. A child's
+        subpath that keeps that condition is the node subpath below it
+        masked by it."""
+        cond = path.conditions[-1] if len(path) > len(self.path) else None
+        if cond not in sub.conditions:
+            return self.targets[len(sub.attributes())]
+        rows = self.targets[len(Path(sub.conditions[:-1]).attributes())]
+        return rows.subset(rows.mask(cond))
+
+    def estimate(self, sel, path: Path) -> Distribution:
+        """Class distribution of the node rows `sel` at `path`, the node path
+        or a child's."""
         y = self.y[sel]
         n = len(y)
         k = len(self.support)
@@ -245,11 +261,9 @@ class _Node:
         if ks.sample is None:
             sub = maximal_subpath(ks, first, path)
         else:
-            full = self.tpiv[tsel]
             sub = None
             for cand in subpaths(ks, first, path):
-                tv = full if len(cand) == len(path) else _pivot_values(ks.sample_rows(cand),
-                                                                        self.pivot)
+                tv = _pivot_values(self.targets_on(cand, path), self.pivot)
                 if len(tv):
                     sub = cand
                     break
@@ -292,6 +306,17 @@ class _Node:
                 prev = cum
             weights.append(max(1 - prev, 0))
         return _mixed_weights(self.support, counts, src, class_counts, weights)
+
+
+def _child_targets(targets: list, path: Path, cond: SplitCondition) -> list:
+    """The `_Node.targets` of the child on cond of a node at `path`: the
+    entries before cond's attribute pass on, those from it on are masked by
+    cond, and a new attribute appends the last entry, masked."""
+    order = path.attributes() + (cond.attribute,)
+    j = order.index(cond.attribute) + 1
+    if j == len(order):  # a new attribute
+        targets = targets + targets[-1:]
+    return targets[:j] + [rows.subset(rows.mask(cond)) for rows in targets[j:]]
 
 
 def _pivot_values(rows: Dataset, pivot: Attribute) -> np.ndarray:
@@ -394,12 +419,10 @@ class _Candidates:
         each key: each candidate's left rows."""
         return _prefix(np.bincount(keys, minlength=self.n_keys))[1:].tolist()
 
-    def masks(self, i: int):
-        """Candidate i's left node rows and left target rows (None without
-        a target sample), as boolean masks."""
+    def mask(self, i: int) -> np.ndarray:
+        """Candidate i's left node rows, as a boolean mask."""
         compare = operator.le if self.op == LEQ else operator.eq
-        key = self.first + i
-        return compare(self.keys, key), None if self.tkeys is None else compare(self.tkeys, key)
+        return compare(self.keys, self.first + i)
 
 
 @dataclass
@@ -597,7 +620,7 @@ class _Splits:
             return sub, alpha, None, None
         if len(sub) == len(path):
             return sub, alpha, cands.tcounts, node.target.n
-        rows = ks.sample_rows(sub)
+        rows = node.targets[len(sub.attributes())]
         if attr.is_discrete:
             if sub not in self.sub_value_counts:
                 self.sub_value_counts[sub] = self.value_counts(
@@ -837,10 +860,9 @@ class _Splits:
         p_left = self.split_prob(rows, cond, i, cand.knowledge)
         if cand.left is None:
             # a node that is not tabled: each child from its own rows
-            mask, tmask = cands.masks(i)
-            left = node.estimate(mask, node.path.extend(cond), tmask)
-            right = node.estimate(~mask, node.path.extend(cond.negate()),
-                                  None if tmask is None else ~tmask)
+            mask = cands.mask(i)
+            left = node.estimate(mask, node.path.extend(cond))
+            right = node.estimate(~mask, node.path.extend(cond.negate()))
         else:
             left, right = cand.left(), cand.right()
         return cond, information_gain(parent, p_left, left, right), left, right
@@ -851,11 +873,8 @@ class _Splits:
         from 0."""
         if sub not in self.targets:
             node = self.node
-            if sub == node.path:
-                rows, index = node.target, self.tindex
-            else:
-                rows = node.ks.sample_rows(sub)
-                index = self.index(_pivot_values(rows, node.pivot))
+            rows = node.targets[len(sub.attributes())]
+            index = self.tindex if sub == node.path else self.index(_pivot_values(rows, node.pivot))
             self.targets[sub] = rows, index, _prefix(np.bincount(index,
                                                                  minlength=self.n_values))
         return self.targets[sub]
@@ -1023,16 +1042,17 @@ def estimate_class_dist(node_rows: Dataset, path: Path, x_w: str | None,
     pivot cells with no source rows fall back to the node's own distribution.
     """
     node = _Node(node_rows, path, x_w, ks, config, {} if diagnostics is None else diagnostics)
-    return node.estimate(slice(None), path, slice(None))
+    return node.estimate(slice(None), path)
 
 
 def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
                x_w: str | None, config: TreeConfig, n_train: int, diagnostics: dict,
-               parent: Distribution
+               parent: Distribution, targets: list | None = None
                ) -> tuple[SplitCondition, float, Distribution, Distribution] | None:
     """The maximum-gain candidate's condition and gain, and its left and
     right children's class distributions; None when no admissible split
-    improves. `parent` is the node's own distribution.
+    improves. `parent` is the node's own distribution, and `targets` its
+    `_Node.targets`, built from the store's sample when left out.
 
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
@@ -1072,7 +1092,8 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     least, most = _child_bounds(node_rows.n, min_rows)
     if most < least:
         return None
-    splits = _Splits(_Node(node_rows, path, x_w, ks, config, diagnostics), node_rows, min_rows)
+    splits = _Splits(_Node(node_rows, path, x_w, ks, config, diagnostics, targets), node_rows,
+                     min_rows)
     best = None
     for cand in splits.search(node_rows, entropy(parent)):
         found = splits.gain(node_rows, parent, cand)
@@ -1166,21 +1187,24 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
     diagnostics = {key: 0 for key in _DIAGNOSTIC_KEYS}
     n_train = train_source.n
 
-    def build(rows: Dataset, path: Path, depth: int, dist: Distribution):
+    def build(rows: Dataset, path: Path, depth: int, dist: Distribution, targets: list | None):
         found = None
         if (Fraction(int(np.bincount(rows.class_codes()).max()), rows.n) < config.purity_stop
                 and depth < config.max_depth):
-            found = best_split(rows, path, ks, x_w, config, n_train, diagnostics, dist)
+            found = best_split(rows, path, ks, x_w, config, n_train, diagnostics, dist, targets)
         if found is None:
             return Leaf(class_dist=dist, n_source_rows=rows.n, path=path)
         cond, ig, left_dist, right_dist = found
-        mask = cond.matches(rows.column(cond.attribute))
-        left = build(rows.subset(mask), path.extend(cond), depth + 1, left_dist)
-        right = build(rows.subset(~mask), path.extend(cond.negate()), depth + 1, right_dist)
+        mask = rows.mask(cond)
+        left = build(rows.subset(mask), path.extend(cond), depth + 1, left_dist,
+                     targets and _child_targets(targets, path, cond))
+        right = build(rows.subset(~mask), path.extend(cond.negate()), depth + 1, right_dist,
+                      targets and _child_targets(targets, path, cond.negate()))
         return Internal(condition=cond, left=left, right=right, ig_achieved=ig)
 
     root = build(train_source, EMPTY_PATH, 0,
-                 estimate_class_dist(train_source, EMPTY_PATH, x_w, ks, config, diagnostics))
+                 estimate_class_dist(train_source, EMPTY_PATH, x_w, ks, config, diagnostics),
+                 None if ks.sample is None else [ks.sample])
     # build refers to itself through its closure; breaking that cycle frees
     # the datasets and store the closure holds now, not at the next cyclic
     # garbage collection

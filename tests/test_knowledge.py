@@ -134,54 +134,6 @@ class TestSampleBackedStore:
         assert query_target(dataclasses.replace(ks, sample=only_a1), eq("A", "1"), path) == 1
 
 
-def _random_condition(rng: np.random.Generator, schema: Schema) -> SplitCondition:
-    attr = schema.predictive[int(rng.integers(len(schema.predictive)))]
-    if attr.is_discrete:
-        return SplitCondition(attr.name, EQ, attr.domain[int(rng.integers(len(attr.domain)))])
-    return SplitCondition(attr.name, LEQ, float(np.round(rng.normal(), 1)))
-
-
-class TestSampleRowsCache:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 80),
-           arity=st.sampled_from([math.inf, 1, 2, 3]), max_depth=st.integers(1, 5))
-    def test_depth_first_walk_matches_filtering_within_the_bound(self, seed, n_rows, arity,
-                                                                 max_depth):
-        """Node paths walked depth-first as `grow` walks them, each node's
-        path queried first and then the subpaths of random conditions, on a
-        random mixed schema. A continuous attribute recurs on a path under
-        other thresholds, so some subpaths are no ancestor's path. A path
-        holds no condition twice, nor one with its negation: such a node
-        has no source rows."""
-        rng = np.random.default_rng(seed)
-        schema = random_mixed_schema(rng)
-        regime = (KnowledgeRegime.full() if arity == math.inf
-                  else KnowledgeRegime.partial(arity))
-        ks = build_from_target_sample(random_dataset(rng, schema, n_rows), regime)
-        bound_extra = len(schema.predictive)
-
-        def check(path: Path, node_path: Path) -> None:
-            rows = ks.sample_rows(path)
-            assert np.array_equal(rows.index, filter_by_path(ks.sample, path).index)
-            assert len(ks._rows) <= len(node_path) + bound_extra
-
-        def visit(path: Path, depth: int) -> None:
-            check(path, path)
-            for _ in range(3):
-                cond = _random_condition(rng, schema)
-                for sub in subpaths(ks, cond, path):
-                    check(sub, path)
-            if depth == max_depth:
-                return
-            cond = _random_condition(rng, schema)
-            if cond in path.conditions or cond.negate() in path.conditions:
-                return
-            visit(path.extend(cond), depth + 1)
-            visit(path.extend(cond.negate()), depth + 1)
-
-        visit(EMPTY_PATH, 0)
-
-
 class TestPartialKnowledge:
     def test_arity_cap(self):
         ks = build_from_target_sample(abc_sample(), KnowledgeRegime.partial(2))
@@ -354,6 +306,43 @@ class TestCrosstabNaN:
             load_from_crosstabs(doc, binary_schema())
 
 
+class TestCrosstabNumbers:
+    """A probability or a knot is a JSON number: before the check, a bool
+    or a numeric string loaded as one, and so did a knot that overflows to
+    infinity."""
+
+    @staticmethod
+    def document(cell: str = "0.5", marginal: str = "0.5", knots: str = "[1, 0.5], [2, 1.0]",
+                 y: str = "0.5") -> str:
+        return ('{"tables": [{"vars": ["X1"], "cells": [{"key": ["0"], "p": %s},'
+                ' {"key": ["1"], "p": 0.5}]}],'
+                ' "cdfs": [{"var": "A", "knots": [%s]}],'
+                ' "class_conditionals": [{"var": "X1", "marginal": {"0": %s, "1": 0.5},'
+                ' "y_given_x": {"0": {"0": %s, "1": 0.5}}}]}' % (cell, knots, marginal, y))
+
+    @staticmethod
+    def schema() -> Schema:
+        return Schema(predictive=(Attribute("X1", "discrete", ("0", "1")),
+                                  Attribute("A", "continuous")),
+                      class_attr=Attribute("Y", "discrete", ("0", "1")))
+
+    def test_numbers_load(self):
+        ks = load_from_crosstabs(self.document(), self.schema())
+        assert ks.tables[("X1",)] == {("0",): 0.5, ("1",): 0.5}
+        assert ks.cdfs[0].knots == ((1.0, 0.5), (2.0, 1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("cell", '"0.5"'), ("cell", "true"), ("marginal", '"0.5"'), ("marginal", "false"),
+        ("knots", '["1", 0.5], [2, 1.0]'), ("knots", "[1, 0.5], [2, true]"),
+        ("knots", "[true, 0.5], [2, 1.0]"), ("knots", "[1, 0.5], [1e309, 1.0]"),
+        ("knots", "[-1e309, 0.5], [2, 1.0]"),
+        pytest.param("knots", "[1, 0.5], [1%s, 1.0]" % ("0" * 400), id="knots-huge-int"),
+        ("y", '"0.5"'), ("y", "true")])
+    def test_a_bool_a_string_or_an_infinite_knot(self, field, value):
+        with pytest.raises(FormatError):
+            load_from_crosstabs(self.document(**{field: value}), self.schema())
+
+
 class TestCrosstabClassConditionalMarginal:
     """A class conditional's marginal and the arity limit are checked on load."""
 
@@ -437,7 +426,14 @@ class TestCrosstabClassConditionalMarginal:
         with pytest.raises(FormatError):
             load_from_crosstabs(f'{{"arity_limit": {arity}}}', binary_schema())
 
-    @pytest.mark.parametrize("arity, limit", [("0", 0.0), ("2", 2.0), ("Infinity", math.inf)])
+    @pytest.mark.parametrize("arity", ['"2"', "true", "false", "1.5"])
+    def test_arity_limit_that_is_no_whole_number(self, arity):
+        # before the check each of these loaded as a number
+        with pytest.raises(FormatError):
+            load_from_crosstabs(f'{{"arity_limit": {arity}}}', binary_schema())
+
+    @pytest.mark.parametrize("arity, limit", [("0", 0.0), ("2", 2.0), ("Infinity", math.inf),
+                                              ("null", math.inf)])
     def test_arity_limit_loads(self, arity, limit):
         ks = load_from_crosstabs(f'{{"arity_limit": {arity}}}', binary_schema())
         assert ks.arity_limit == limit

@@ -229,3 +229,35 @@ def test_no_pivot_under_cross_tables_is_not_tabled():
         parent = estimate_class_dist(source, EMPTY_PATH, None, ks, config)
         args = (source, EMPTY_PATH, ks, None, config, source.n)
         assert best_split(*args, {}, parent) == oracle_best_split(*args, {}, parent), seed
+
+
+def test_no_pivot_under_a_target_sample_splits_as_the_oracle():
+    """Without a pivot, a target sample answers p_left from the node's
+    target rows, built from the sample when the caller hands none down: at
+    the root and at the paths below it, the split, its children and the
+    diagnostics are the per-candidate oracle's."""
+    from test_split_oracle import _pair, _schema, oracle_best_split
+
+    below_root = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        schema = _schema("mixed", 4, 2, rng)
+        source, target = _pair(schema, 150, 150, rng)
+        for regime in ("ftdk", "ptdk2"):
+            ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+            config = TreeConfig()
+            rows, path = source, EMPTY_PATH
+            for depth in range(4):
+                parent = estimate_class_dist(rows, path, None, ks, config)
+                args = (rows, path, ks, None, config, source.n)
+                got, want = {}, {}
+                found = best_split(*args, got, parent)
+                assert found == oracle_best_split(*args, want, parent), (seed, regime, path)
+                assert got == want, (seed, regime, path)
+                if found is None:
+                    break
+                below_root += depth > 0
+                # left at even depths, right at odd ones
+                cond = found[0] if depth % 2 == 0 else found[0].negate()
+                rows, path = rows.subset(rows.mask(cond)), path.extend(cond)
+    assert below_root >= 20

@@ -61,9 +61,10 @@ def oracle_split_prob(node_rows, cond, path, ks, config, diagnostics):
     return affine_estimate(source_p, target_p, alpha)
 
 
-def oracle_best_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent):
+def oracle_best_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent,
+                      targets=None):
     """Maximum-gain candidate and its children, every probability computed
-    per candidate."""
+    per candidate; the node's handed-down target rows are ignored."""
     min_rows = config.min_node_fraction * n_train
     best = None
     for attr in node_rows.schema.predictive:
@@ -374,7 +375,8 @@ def test_screen_gains_are_within_a_thousandth_of_the_tolerance(case):
     bound = dadt.tree._SCREEN_TOL / 1000
     checked = []
 
-    def check_then_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent):
+    def check_then_split(node_rows, path, ks, x_w, config, n_train, diagnostics, parent,
+                         targets=None):
         node = dadt.tree._Node(node_rows, path, x_w, ks, config, {})
         splits = dadt.tree._Splits(node, node_rows, config.min_node_fraction * n_train)
         assert splits.tabled

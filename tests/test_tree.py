@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadt import cli
+from dadt import tree as tree_module
 from dadt.baseline import grow_baseline, trees_equal
 from dadt.data import (
     EMPTY_PATH,
@@ -18,6 +23,7 @@ from dadt.data import (
     LEQ,
     NEQ,
     Attribute,
+    Dataset,
     Path,
     Schema,
     SplitCondition,
@@ -31,7 +37,13 @@ from dadt.errors import (
     UnlabeledData,
     ValueOutOfDomain,
 )
-from dadt.knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample, load_from_crosstabs
+from dadt.knowledge import (
+    KnowledgeRegime,
+    KnowledgeStore,
+    build_from_target_sample,
+    load_from_crosstabs,
+    subpaths,
+)
 from dadt.stats import Distribution
 from dadt.tree import (
     DecisionTree,
@@ -41,6 +53,7 @@ from dadt.tree import (
     best_split,
     estimate_class_dist,
     grow,
+    _child_targets,
     _continuous_bin_edges,
     predict,
     route,
@@ -466,18 +479,82 @@ class TestContinuousBinEdges:
                 assert _continuous_bin_edges(values) == expect, (n, scale)
 
 
-class TestKnowledgeRowsBounded:
+def _random_condition(rng: np.random.Generator, schema: Schema) -> SplitCondition:
+    attr = schema.predictive[int(rng.integers(len(schema.predictive)))]
+    if attr.is_discrete:
+        return SplitCondition(attr.name, EQ, attr.domain[int(rng.integers(len(attr.domain)))])
+    return SplitCondition(attr.name, LEQ, float(np.round(rng.normal(), 1)))
+
+
+def _assert_sample_on_each_prefix(ks: KnowledgeStore, path: Path, targets: list) -> None:
+    """targets holds the sample's rows on each prefix of the path's distinct
+    attributes, and the subpaths of the path read their rows from it."""
+    order = path.attributes()
+    assert len(targets) == len(order) + 1
+    for j, rows in enumerate(targets):
+        prefix = Path(tuple(c for c in path.conditions if c.attribute in order[:j]))
+        assert np.array_equal(rows.index, filter_by_path(ks.sample, prefix).index), (path, j)
+    for attr in ks.schema.predictive_names:
+        for sub in subpaths(ks, SplitCondition(attr, EQ, None), path):
+            rows = targets[len(sub.attributes())]
+            assert np.array_equal(rows.index, filter_by_path(ks.sample, sub).index), (path, sub)
+
+
+class TestHandedDownTargets:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 80),
+           arity=st.sampled_from([math.inf, 1, 2, 3]), max_depth=st.integers(1, 5))
+    def test_depth_first_walk_equals_filtering_the_sample(self, seed, n_rows, arity, max_depth):
+        """Node paths walked depth-first as `grow` walks them, each child's
+        list handed down from its parent's, on a random mixed schema. A
+        continuous attribute recurs on a path under other thresholds. A path
+        holds no condition twice, nor one with its negation: such a node has
+        no source rows."""
+        rng = np.random.default_rng(seed)
+        schema = random_mixed_schema(rng)
+        regime = (KnowledgeRegime.full() if arity == math.inf
+                  else KnowledgeRegime.partial(arity))
+        ks = build_from_target_sample(random_dataset(rng, schema, n_rows), regime)
+
+        def visit(path: Path, targets: list, depth: int) -> None:
+            _assert_sample_on_each_prefix(ks, path, targets)
+            if depth == max_depth:
+                return
+            cond = _random_condition(rng, schema)
+            if cond in path.conditions or cond.negate() in path.conditions:
+                return
+            for c in (cond, cond.negate()):
+                visit(path.extend(c), _child_targets(targets, path, c), depth + 1)
+
+        visit(EMPTY_PATH, [ks.sample], 0)
+
     @pytest.mark.parametrize("regime", ["full", "partial"])
-    def test_at_most_one_entry_per_node(self, regime):
+    def test_grow_hands_down_the_sample_and_leaves_the_store_as_it_was(self, regime):
         rng = np.random.default_rng(5)
         schema = random_mixed_schema(rng)
         source = random_dataset(rng, schema, 200)
         target = random_dataset(rng, schema, 200)
         kr = KnowledgeRegime.full() if regime == "full" else KnowledgeRegime.partial(2)
         ks = build_from_target_sample(target, kr)
-        tree = grow(source, ks, TreeConfig())
-        n_nodes = 2 * len(tree.leaves()) - 1
-        assert 0 < len(ks._rows) <= n_nodes
+
+        def state() -> dict:
+            # the datasets by identity, every other field by value
+            return {k: id(v) if isinstance(v, Dataset) else copy.deepcopy(v)
+                    for k, v in vars(ks).items()}
+
+        before = state()
+        handed = []
+
+        def spy(*args):
+            handed.append(args)
+            return best_split(*args)
+
+        with mock.patch.object(tree_module, "best_split", spy):
+            grow(source, ks, TreeConfig())
+        assert state() == before
+        assert max(len(args[1]) for args in handed) > 1
+        for args in handed:
+            _assert_sample_on_each_prefix(ks, args[1], args[-1])
 
 
 class TestSerialization:
