@@ -176,8 +176,8 @@ class _Node:
     Source rows are the node's class codes and pivot values. With a
     sample-backed store, entry j of `targets` holds the sample's rows on the
     path's first j distinct attributes, the last the node's own (`target`).
-    A child's rows are a selection of these, so estimating a child needs no
-    dataset subset and no target filter.
+    A child's source rows are a selection of the node's, and its target rows
+    an entry of `targets` masked by its condition (`targets_on`).
     """
 
     def __init__(self, rows: Dataset, path: Path, x_w: str | None, ks: KnowledgeStore,
