@@ -620,7 +620,7 @@ class _Splits:
             return sub, alpha, None, None
         if len(sub) == len(path):
             return sub, alpha, cands.tcounts, node.target.n
-        rows = node.targets[len(sub.attributes())]
+        rows = node.targets_on(sub, path)
         if attr.is_discrete:
             if sub not in self.sub_value_counts:
                 self.sub_value_counts[sub] = self.value_counts(
@@ -873,7 +873,7 @@ class _Splits:
         from 0."""
         if sub not in self.targets:
             node = self.node
-            rows = node.targets[len(sub.attributes())]
+            rows = node.targets_on(sub, node.path)
             index = self.tindex if sub == node.path else self.index(_pivot_values(rows, node.pivot))
             self.targets[sub] = rows, index, _prefix(np.bincount(index,
                                                                  minlength=self.n_values))
