@@ -557,6 +557,32 @@ class TestHandedDownTargets:
             _assert_sample_on_each_prefix(ks, args[1], args[-1])
 
 
+class TestKnowledgeRowsBounded:
+    @pytest.mark.parametrize("regime", ["full", "partial"])
+    def test_at_most_one_entry_per_node(self, regime):
+        """The target rows a grow keeps are bounded: one `best_split` call per
+        internal node or leaf, each handed a list with at most one entry per
+        node on the path from the root to it."""
+        rng = np.random.default_rng(5)
+        schema = random_mixed_schema(rng)
+        source = random_dataset(rng, schema, 200)
+        target = random_dataset(rng, schema, 200)
+        kr = KnowledgeRegime.full() if regime == "full" else KnowledgeRegime.partial(2)
+        ks = build_from_target_sample(target, kr)
+        handed = []
+
+        def spy(*args):
+            handed.append((args[1], args[-1]))
+            return best_split(*args)
+
+        with mock.patch.object(tree_module, "best_split", spy):
+            tree = grow(source, ks, TreeConfig())
+        n_nodes = 2 * len(tree.leaves()) - 1
+        assert 0 < len(handed) <= n_nodes
+        for path, targets in handed:
+            assert 0 < len(targets) <= len(path.conditions) + 1
+
+
 class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(7)
