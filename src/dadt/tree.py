@@ -484,9 +484,6 @@ class _Fallbacks:
         return [sub for sub in subpaths(self.ks, self.query, self.child)
                 if len(sub) < len(self.child)]
 
-    def keeps_condition(self, j: int) -> bool:
-        return self.child.conditions[-1] in self.subs[j].conditions
-
     def alpha(self, j: int) -> Fraction:
         """The dynamic alpha of a child answered on the j-th subpath."""
         if j not in self.alphas:
@@ -505,17 +502,24 @@ def _child_bounds(n: int, min_rows: float) -> tuple[float, float]:
 class _Splits:
     """What the split candidates of one node share.
 
-    Count tables over an attribute's keys and the pivot's value axis give
-    every candidate's left child and, as the node minus the left, its right
-    child. The value axis is the pivot's domain or, for a continuous pivot,
-    the distinct values of the node rows and the target sample, which every
+    A node's rows are counted into (candidate × value × class) tables, and
+    its target rows into (candidate × value) tables, over each key range:
+    one for all discrete attributes, and one per continuous attribute,
+    whose left rows are summed along its midpoints (exact prefix sums). The
+    value axis is the pivot's domain or, for a continuous pivot, the
+    distinct values of the node rows and the target sample, which every
     child's deciles pool; along it, a continuous pivot's tables are prefix
-    sums. The subpath and alpha of p_left are resolved once for all
-    attributes off the node path and once per attribute on it
-    (`split_knowledge`), and so are the children's pivot queries (`answer`),
-    whose fallbacks are counted only where a child uses them (`resolve`).
-    `search` screens every candidate's gain in float64 from the tables and
-    keeps those the exact gain must decide.
+    sums. The left children of all attributes are stacked, and each right
+    child is the node minus its left (histogram subtraction). The subpath
+    and alpha of p_left are resolved once for all attributes off the node
+    path and once per attribute on it (`split_knowledge`), and so are the
+    children's pivot queries (`answer`), whose fallbacks are counted only
+    where a child uses them (`resolve`); a child that falls back to a
+    subpath keeping its own condition counts that subpath's target rows in
+    a table of its own (`resplit`). `search` screens the gains of all
+    attributes' candidates in float64 in one pass (`screen`), in batches of
+    at most `_TABLE_CELLS` // 4 left (value × class) cells, and keeps those
+    the exact gain must decide.
     """
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
@@ -539,8 +543,6 @@ class _Splits:
         discrete = [a for a in rows.schema.predictive if a.is_discrete]
         self.discrete = tuple(a.name for a in discrete)
         self.offsets = np.cumsum([0] + [len(a.domain) for a in discrete])
-        self.start = dict(zip(self.discrete, self.offsets.tolist()))
-        self.row = {a: j for j, a in enumerate(self.discrete)}
         self.k = k = len(node.support)
         self.values = None
         if self.tabled:
@@ -582,8 +584,8 @@ class _Splits:
     def candidates(self, attr: Attribute, rows: Dataset) -> _Candidates:
         """attr's candidates at the node."""
         if attr.is_discrete:
-            j = self.row[attr.name]
-            lo = self.start[attr.name]
+            j = self.discrete.index(attr.name)
+            lo = int(self.offsets[j])
             part = slice(lo, lo + len(attr.domain))
             return _Candidates(
                 attr, EQ, attr.domain, lo, int(self.offsets[-1]), None, self.codes[j],
@@ -625,8 +627,7 @@ class _Splits:
             if sub not in self.sub_value_counts:
                 self.sub_value_counts[sub] = self.value_counts(
                     rows.value_codes(self.discrete))
-            lo = self.start[attr.name]
-            counts = self.sub_value_counts[sub][lo:lo + len(attr.domain)]
+            counts = self.sub_value_counts[sub][cands.first:cands.first + len(attr.domain)]
         else:
             counts = cands.lefts(cands.key(rows.column(attr.name)))
         return sub, alpha, counts, rows.n
@@ -668,7 +669,8 @@ class _Splits:
         gain (the parent's entropy being h_parent) lies within 2δ of the
         best one; on any other node, all of them."""
         found: list[_Screened] = []
-        discrete = []
+        # one key range per continuous attribute, and one for every discrete one
+        ranges, discrete = [], []
         for position, attr in enumerate(rows.schema.predictive):
             cands = self.candidates(attr, rows)
             admissible = self.admissible(cands.n_lefts)
@@ -686,60 +688,46 @@ class _Splits:
             elif attr.is_discrete:
                 discrete.append(entry)
             else:
-                self.screen([entry], h_parent, found)
+                ranges.append([entry])
         if discrete:
-            self.screen(discrete, h_parent, found)
+            ranges.append(discrete)
+        if ranges:
+            found = self.screen(ranges, h_parent)
         floor = self.best - 2 * _SCREEN_TOL
         return sorted((c for c in found if not c.gain < floor), key=lambda c: c[:2])
 
-    def screen(self, entries: list, h_parent: float, found: list) -> None:
-        """Float gains of the admissible candidates of `entries`, (position,
-        candidates, admissible, knowledge) of attributes that share one key
-        range: one continuous attribute, or every discrete one. Tables are
-        built for blocks of candidates of at most `_TABLE_CELLS` cells; the
-        candidates of a block whose gain is within 2δ of the best so far are
-        added to `found`. Counts the diagnostics of the children."""
+    def screen(self, ranges: list, h_parent: float) -> list[_Screened]:
+        """The candidates of a tabled node whose float gain is within 2δ of
+        the best so far. `ranges` holds, per key range, the (position,
+        candidates, admissible, knowledge) of its attributes. The stacked
+        children go through their cells, pivot answers and entropies in one
+        pass per batch (`batches`). Counts the children's diagnostics."""
         node = self.node
-        n_keys = entries[0][1].n_keys
-        cumulative = not entries[0][1].attr.is_discrete
-        if cumulative:
-            (_, cands, _, _), = entries
-            keys, tkeys = cands.keys, cands.tkeys
-        else:
-            keys, tkeys = self.codes, self.tcodes
-        owners = [cands for _, cands, _, _ in entries]
-        # the candidates' keys, ascending, and the entry each belongs to
+        entries = [entry for entries in ranges for entry in entries]
         codes = np.array([cands.first + i for _, cands, admissible, _ in entries
                           for i in admissible])
         owner = np.repeat(np.arange(len(entries)), [len(e[2]) for e in entries])
         p_left = np.array([p for _, cands, admissible, knowledge in entries
                            for p in self.split_probs(cands, admissible, knowledge)])
-        shape = (self.n_values, self.k)
+        if node.pivot is not None:
+            answers = [self.answer(cands) for _, cands, _, _ in entries]
         prefix = self.values is not None
-        step = max(1, _TABLE_CELLS // math.prod(shape))
+        found = []
         done = 0
-        while done < len(codes):
-            # blocks are aligned to multiples of step: a key range that fits
-            # one block is counted whole, with no filter on the keys
-            a = int(codes[done]) // step * step
-            b = min(a + step, n_keys)
-            end = int(codes.searchsorted(b))
-            picked = codes[done:end] - a
-            n = len(picked)
-            left = _block_counts(keys, self.cell_class, a, b, n_keys, cumulative, shape)[picked]
-            counts = _children(left, self.total, prefix)
+        for batch in self.batches(ranges, codes):
+            tables = list(zip(*batch))
+            counts = _children(tables[0], self.total, prefix)
+            n = len(counts) // 2
             if node.pivot is None:
                 classes = counts[:, 0]
                 h = _entropies(classes / _class_sum(classes)[:, None])
             else:
-                tleft = _block_counts(tkeys, self.tindex, a, b, n_keys, cumulative,
-                                      shape[:1])[picked]
-                cells = self.group(counts, _children(tleft, self.ttotal, prefix))
-                choice, alphas = self.resolve(owners, np.tile(owner[done:end], 2), cells,
-                                              (a, b, picked))
+                cells = self.group(counts, _children(tables[1], self.ttotal, prefix))
+                choice, alphas = self.resolve(answers, np.tile(owner[done:done + n], 2), cells,
+                                              codes[done:done + n])
                 h = _mixed_entropies(cells.counts, cells.tcounts,
                                      np.array(alphas, dtype=float)[choice])
-            p = p_left[done:end]
+            p = p_left[done:done + n]
             gains = h_parent - p * h[:n] - (1 - p) * h[n:]
             self.best = max(self.best, float(gains.max()))
             for j in np.flatnonzero(~(gains < self.best - 2 * _SCREEN_TOL)).tolist():
@@ -748,10 +736,50 @@ class _Splits:
                     left, right = (functools.partial(_frequencies, node.support,
                                                      classes[c].tolist()) for c in (j, n + j))
                 else:
-                    left, right = (self.exact(cells, choice, alphas, c) for c in (j, n + j))
+                    left, right = (functools.partial(_mix, node.support, *cells[c][:2],
+                                                     alphas[choice[c]]) for c in (j, n + j))
                 found.append(_Screened(position, int(codes[done + j]) - cands.first,
                                        float(gains[j]), cands, knowledge, left, right))
-            done = end
+            done += n
+        return found
+
+    def batches(self, ranges: list, codes: np.ndarray):
+        """The left children of the candidates of `ranges`, whose keys are
+        `codes`, in batches of `_TABLE_CELLS` // 4 (value × class) cells, the
+        last fewer: lists of pieces of a block's (value × class) counts and,
+        under a pivot, target value counts. A block's table holds at most
+        `_TABLE_CELLS` cells; blocks are aligned to multiples of its keys,
+        so a key range that fits one block is counted whole, unfiltered."""
+        shape = (self.n_values, self.k)
+        step = max(1, _TABLE_CELLS // math.prod(shape))
+        cap = max(1, step // 4)
+        batch, held = [], 0
+        start = 0
+        for entries in ranges:
+            cands = entries[0][1]
+            cumulative = not cands.attr.is_discrete
+            keys, tkeys = (cands.keys, cands.tkeys) if cumulative else (self.codes, self.tcodes)
+            end = start + sum(len(admissible) for _, _, admissible, _ in entries)
+            while start < end:
+                a = int(codes[start]) // step * step
+                b = min(a + step, cands.n_keys)
+                stop = start + int(codes[start:end].searchsorted(b))
+                picked = codes[start:stop] - a
+                piece = [_block_counts(keys, self.cell_class, a, b, cands.n_keys, cumulative,
+                                       shape)[picked]]
+                if self.node.pivot is not None:
+                    piece.append(_block_counts(tkeys, self.tindex, a, b, cands.n_keys,
+                                               cumulative, shape[:1])[picked])
+                while len(piece[0]):
+                    batch.append([p[:cap - held] for p in piece])
+                    piece = [p[cap - held:] for p in piece]
+                    held += len(batch[-1][0])
+                    if held == cap:
+                        yield batch
+                        batch, held = [], 0
+                start = stop
+        if batch:
+            yield batch
 
     def group(self, counts: np.ndarray, tcounts: np.ndarray) -> _Cells:
         """Children's cells, from their (value × class) and target value
@@ -765,20 +793,19 @@ class _Splits:
                           np.full(n, n_values))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
 
-    def resolve(self, owners: list, whose: np.ndarray, cells: _Cells,
-                block: tuple) -> tuple[np.ndarray, list]:
-        """How each child (child i of a candidate of owners[whose[i]], a
-        `_Candidates`, in the block (a, b, picked) of `screen`) answers its
-        pivot queries, as `_Node.estimate` resolves them: from its own
-        target rows with alpha 0 when it has any and the arity allows its
-        full path; else on the first of its fallback subpaths (`answer`)
-        with target rows, with its dynamic alpha; else from the source
-        alone, with alpha 1. Only the children that fall back walk their
-        fallbacks. Replaces the target counts of the children not answered
-        from their own rows with those they mix, counts the diagnostics,
-        and returns each child's position in the list of alphas, and the
-        list: alpha 0 first and alpha 1 second."""
-        answers = [self.answer(cands) for cands in owners]
+    def resolve(self, answers: list, whose: np.ndarray, cells: _Cells,
+                keys: np.ndarray) -> tuple[np.ndarray, list]:
+        """How each child (child i of the candidate whose key is keys[i %
+        len(keys)], of the attribute whose `answer` is answers[whose[i]])
+        answers its pivot queries, as `_Node.estimate` resolves them: from
+        its own target rows with alpha 0 when it has any and the arity
+        allows its full path; else on the first of its fallback subpaths
+        (`answer`) with target rows, with its dynamic alpha; else from the
+        source alone, with alpha 1. Only the children that fall back walk
+        their fallbacks. Replaces the target counts of the children not
+        answered from their own rows with those they mix, counts the
+        diagnostics, and returns each child's position in the list of
+        alphas, and the list: alpha 0 first and alpha 1 second."""
         own = np.array([full for full, _ in answers])[whose] & (cells.tcounts.sum(axis=1) > 0)
         alphas = [Fraction(0), Fraction(1)]
         choice = np.where(own, 0, 1)
@@ -790,8 +817,9 @@ class _Splits:
                 for j, sub in enumerate(chain.subs):
                     if not len(todo):
                         break
-                    if chain.keeps_condition(j):
-                        cum = self.resplit(chain.cands, Path(sub.conditions[:-1]), block)[todo]
+                    if chain.child.conditions[-1] in sub.conditions:
+                        cum = self.resplit(chain.cands, Path(sub.conditions[:-1]),
+                                           keys[todo % len(keys)], todo >= len(keys))
                         rows = cum[:, -1] > 0
                         cum = cum[rows]
                     else:
@@ -807,8 +835,12 @@ class _Splits:
                 # answered from the source alone, alpha 1: any target counts with rows do
                 tgt[todo] = _class_sum(cells.counts[todo])
             cells.tcounts = tgt
-        self.count_queries(*np.bincount(np.minimum(choice, 2), weights=cells.n_queries,
-                                        minlength=3).astype(int).tolist())
+        # queries answered on the full path, from the source alone and on a truncated subpath
+        full, forced, truncated = np.bincount(np.minimum(choice, 2), weights=cells.n_queries,
+                                              minlength=3).astype(int).tolist()
+        self.node.count("n_alphas", full + truncated)
+        self.node.count("truncations", truncated)
+        self.node.count("forced_source", forced)
         return choice, alphas
 
     def answer(self, cands: _Candidates) -> tuple[bool, _Fallbacks]:
@@ -837,21 +869,6 @@ class _Splits:
             self.answers[key] = full, chain
         return self.answers[key]
 
-    def count_queries(self, full: int, forced: int, truncated: int) -> None:
-        """The diagnostics of pivot queries answered on the full path,
-        from the source alone, and on a truncated subpath."""
-        node = self.node
-        node.count("n_alphas", full + truncated)
-        node.count("truncations", truncated)
-        node.count("forced_source", forced)
-
-    def exact(self, cells: _Cells, choice: np.ndarray, alphas: list,
-              i: int) -> Callable[[], Distribution]:
-        """Child i's exact class distribution, to compute, as `resolve`
-        answers it."""
-        counts, tgt, _ = cells[i]
-        return functools.partial(_mix, self.node.support, counts, tgt, alphas[choice[i]])
-
     def gain(self, rows: Dataset, parent: Distribution, cand: _Screened):
         """cand's condition, exact information gain and left and right
         children's distributions."""
@@ -879,18 +896,18 @@ class _Splits:
                                                                  minlength=self.n_values))
         return self.targets[sub]
 
-    def resplit(self, cands: _Candidates, sub: Path, block: tuple) -> np.ndarray:
+    def resplit(self, cands: _Candidates, sub: Path, keys: np.ndarray,
+                right: np.ndarray) -> np.ndarray:
         """Counts along the value axis, cumulative from 0, of the target rows
-        on `sub`, a subpath of the node path, that meet the condition of each
-        child of the block (a, b, picked) of cands's candidates: a (candidate
-        × value) table of the left children's, then the right children's as
-        the rows on sub minus the left's."""
+        on `sub`, a subpath of the node path, that meet the condition of
+        some children of cands's candidates: row i of the candidate whose key
+        is keys[i], its left child, or its right child where right[i]."""
         rows, index, cum = self.target_on(sub)
-        a, b, picked = block
-        keys = cands.key(_pivot_values(rows, cands.attr))
-        left = _block_counts(keys, index, a, b, cands.n_keys, not cands.attr.is_discrete,
-                             (self.n_values,))[picked]
-        return _children(left, cum, True)
+        a, b = int(keys.min()), int(keys.max()) + 1
+        left = _block_counts(cands.key(_pivot_values(rows, cands.attr)), index, a, b,
+                             cands.n_keys, not cands.attr.is_discrete,
+                             (self.n_values,))[keys - a]
+        return _children([left], cum, True)[np.arange(len(keys)) + len(keys) * right]
 
 
 def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: int,
@@ -1010,18 +1027,17 @@ def _prefix(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _children(left: np.ndarray, total: np.ndarray, prefix: bool) -> np.ndarray:
-    """Left children's (value × ...) counts, one row each, followed by their
-    right children's, the node's `total` minus the left's. With `prefix`,
-    both are summed along the values from a leading 0: the left's by one
-    cumsum, and `total` is given so."""
-    n = len(left)
-    out = np.empty((2 * n, len(total)) + left.shape[2:], dtype=np.int64)
+def _children(lefts: list, total: np.ndarray, prefix: bool) -> np.ndarray:
+    """Left children's (value × ...) counts, one row each, stacked from the
+    tables in `lefts`, followed by their right children's, the node's
+    `total` minus the left's. With `prefix`, both are summed along the
+    values from a leading 0, `total` as it is given."""
+    n = sum(map(len, lefts))
+    out = np.empty((2 * n, len(total)) + lefts[0].shape[2:], dtype=np.int64)
+    np.concatenate(lefts, out=out[:n, int(prefix):])
     if prefix:
         out[:n, 0] = 0
-        np.cumsum(left, axis=1, out=out[:n, 1:])
-    else:
-        out[:n] = left
+        np.cumsum(out[:n], axis=1, out=out[:n])
     np.subtract(total, out[:n], out=out[n:])
     return out
 
@@ -1057,24 +1073,8 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     First strict maximum wins, so ties resolve to schema attribute order and
     then ascending threshold — induction is deterministic without randomness.
 
-    A node's rows are counted into (candidate × pivot value × class)
-    tables, for blocks of admissible candidates: one over the values of all
-    discrete attributes, and one per continuous attribute whose left rows
-    are summed along its midpoints (exact prefix sums). A candidate's right
-    child is the node minus its left (histogram subtraction), and target
-    rows get the same (candidate × value) tables. A discrete pivot's values
-    are its cells; a continuous pivot's values are the distinct ones of the
-    node and the target sample, its tables are prefix sums along them (the
-    left children's from one cumsum, the right children's as the node's
-    minus the left's), and every child's decile cells and their counts are
-    read from them at once (`_decile_cells`). The subpath and alpha that
-    answer p_left, and the pivot queries when the full path cannot, are
-    resolved once per node (see `_Splits`); a child that falls back to a
-    subpath keeping its own condition, on an attribute already on the
-    path, counts the node subpath's target rows that meet the condition
-    in a (candidate × value) table of its own (`_Splits.resplit`).
-
-    Every candidate's gain is first screened in float64 from the tables;
+    Every admissible candidate of every attribute is screened in one pass
+    (`_Splits`): its gain is computed in float64 from count tables, and
     only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
     one get the exact gain, in schema-then-threshold order. Float and exact
     gains differ by far less than δ, so the exact maximum and its first

@@ -5,13 +5,16 @@ deciles of the child's pivot values pooled with the target sample. The split
 search takes those deciles, and the cells' counts, for all candidates at
 once from prefix sums along the pivot's distinct values; here they are
 checked against `np.quantile` and `searchsorted` on each child's own values. The tables are built in blocks, so their memory does not grow
-with the number of candidates. With a target sample and the dynamic alpha
-every child comes from the tables, those re-split on an attribute already
-on the node path included.
+with the number of candidates. The children of all attributes are screened
+in one pass, in batches that may hold several attributes' children and cut
+one attribute's. With a target sample and the dynamic alpha every child
+comes from the tables, those re-split on an attribute already on the node
+path included.
 """
 
 from __future__ import annotations
 
+import collections
 import tracemalloc
 from unittest import mock
 
@@ -212,6 +215,103 @@ def test_discrete_blocks_above_key_0_give_the_same_trees(monkeypatch):
         for source, ks, config, expected in cases:
             assert tree_to_json(grow(source, ks, config)) == expected, table_cells
     assert sum(a > 0 for a in starts) > len(starts) / 2
+
+
+def _mixed_pair(rng, n_continuous: int, n_discrete: int, n_rows: int):
+    """A source and a target sample on n_continuous continuous attributes
+    C0, ... followed by n_discrete discrete ones D0, ... of arity 2 to 4."""
+    attrs = [Attribute(f"C{i}", "continuous") for i in range(n_continuous)]
+    attrs += [Attribute(f"D{i}", "discrete", tuple(f"v{j}" for j in range(arity)))
+              for i, arity in enumerate(rng.integers(2, 5, size=n_discrete))]
+    schema = Schema(predictive=tuple(attrs),
+                    class_attr=Attribute("Y", "discrete", ("no", "yes")))
+    return random_dataset(rng, schema, n_rows), random_dataset(rng, schema, n_rows)
+
+
+def test_one_screen_per_node():
+    """Under a continuous pivot, the candidates of all attributes, three
+    continuous and two discrete, are mixed and scored in one pass when they
+    fit one batch: one call of the mixed-entropy kernel for the node."""
+    from dadt import tree as tree_module
+
+    calls = []
+    original = tree_module._mixed_entropies
+
+    def mixed_entropies(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    rng = np.random.default_rng(3)
+    source, target = _mixed_pair(rng, 3, 2, 30)
+    ks = build_from_target_sample(target, NAMED_REGIMES["ftdk"])
+    config = TreeConfig(x_w_override="C0")
+    parent = estimate_class_dist(source, EMPTY_PATH, "C0", ks, config)
+    with mock.patch.object(tree_module, "_mixed_entropies", mixed_entropies):
+        found = best_split(source, EMPTY_PATH, ks, "C0", config, source.n, {}, parent)
+    assert found is not None
+    splits = tree_module._Splits(_Node(source, EMPTY_PATH, "C0", ks, config, {}), source,
+                                 config.min_node_fraction * source.n)
+    admissible = [len(splits.admissible(splits.candidates(attr, source).n_lefts))
+                  for attr in source.schema.predictive]
+    # every attribute has admissible candidates, and they fit one batch
+    assert all(admissible), admissible
+    assert sum(admissible) * splits.n_values * splits.k <= tree_module._TABLE_CELLS // 4
+    assert calls == [2 * sum(admissible)], calls
+
+
+def test_batches_across_attributes_give_the_same_trees(monkeypatch):
+    """Tables small enough to cut the stacked children into batches of a
+    few give every tree the default tables give, under full and partial
+    knowledge and a continuous pivot. Checked to occur: a batch that
+    re-splits children on an attribute of the node path and holds children
+    of attributes of two key ranges, and an attribute whose children are
+    cut across batches."""
+    from dadt import tree as tree_module
+
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        source, target = _mixed_pair(rng, 2, 3, 150)
+        for regime in ("ftdk", "ptdk2", "ptdk3"):
+            ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+            config = TreeConfig(x_w_override="C0")
+            cases.append((source, ks, config, tree_to_json(grow(source, ks, config))))
+
+    # per batch: its node's `_Splits`, the key ranges of its children's
+    # attributes (a continuous attribute's name, or "discrete") and whether
+    # it re-split; the spies keep every node's `_Splits` alive
+    batches = []
+    stacked = {}
+    screen, resolve = tree_module._Splits.screen, tree_module._Splits.resolve
+    resplit = tree_module._Splits.resplit
+
+    def spy_screen(splits, ranges, h_parent):
+        stacked[splits] = [entry for entries in ranges for entry in entries]
+        return screen(splits, ranges, h_parent)
+
+    def spy_resolve(splits, answers, whose, cells, keys):
+        attrs = {stacked[splits][w][1].attr for w in whose.tolist()}
+        batches.append([splits, {"discrete" if a.is_discrete else a.name for a in attrs},
+                        attrs, False])
+        return resolve(splits, answers, whose, cells, keys)
+
+    def spy_resplit(splits, *args):
+        batches[-1][3] = True
+        return resplit(splits, *args)
+
+    monkeypatch.setattr(tree_module._Splits, "screen", spy_screen)
+    monkeypatch.setattr(tree_module._Splits, "resolve", spy_resolve)
+    monkeypatch.setattr(tree_module._Splits, "resplit", spy_resplit)
+    for table_cells in (2_000, 6_000, 20_000):
+        monkeypatch.setattr(tree_module, "_TABLE_CELLS", table_cells)
+        for source, ks, config, expected in cases:
+            assert tree_to_json(grow(source, ks, config)) == expected, table_cells
+    assert any(len(ranges) > 1 and resplit for _, ranges, _, resplit in batches)
+    batches_of = collections.defaultdict(set)
+    for i, (splits, _, attrs, _) in enumerate(batches):
+        for attr in attrs:
+            batches_of[splits, attr.name].add(i)
+    assert any(len(seen) > 1 for seen in batches_of.values())
 
 
 def test_no_pivot_under_cross_tables_is_not_tabled():
