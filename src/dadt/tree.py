@@ -505,21 +505,20 @@ class _Splits:
     A node's rows are counted into (candidate × value × class) tables, and
     its target rows into (candidate × value) tables, over each key range:
     one for all discrete attributes, and one per continuous attribute,
-    whose left rows are summed along its midpoints (exact prefix sums). The
-    value axis is the pivot's domain or, for a continuous pivot, the
-    distinct values of the node rows and the target sample, which every
-    child's deciles pool; along it, a continuous pivot's tables are prefix
-    sums. The left children of all attributes are stacked, and each right
-    child is the node minus its left (histogram subtraction). The subpath
-    and alpha of p_left are resolved once for all attributes off the node
-    path and once per attribute on it (`split_knowledge`), and so are the
-    children's pivot queries (`answer`), whose fallbacks are counted only
-    where a child uses them (`resolve`); a child that falls back to a
-    subpath keeping its own condition counts that subpath's target rows in
-    a table of its own (`resplit`). `search` screens the gains of all
-    attributes' candidates in float64 in one pass (`screen`), in batches of
-    at most `_TABLE_CELLS` // 4 left (value × class) cells, and keeps those
-    the exact gain must decide.
+    whose left rows are summed along its midpoints. The value axis is the
+    pivot's domain or, for a continuous pivot, the distinct values of the
+    node rows and the target sample, which every child's deciles pool;
+    along it, a continuous pivot's tables are prefix sums. The left
+    children of all attributes are stacked, then their right children, the
+    node minus the left (histogram subtraction). The subpath and alpha of
+    p_left are resolved once for all attributes off the node path and once
+    per attribute on it (`split_knowledge`), and so are the children's
+    pivot queries (`answer`), whose fallbacks are counted only where a
+    child uses them (`resolve`); a child that falls back to a subpath
+    keeping its own condition counts that subpath's target rows in a table
+    of its own (`resplit`). `search` screens all candidates' gains in
+    float64 in one pass (`screen`), a batch (`batches`) at a time, and
+    keeps those the exact gain must decide.
     """
 
     def __init__(self, node: _Node, rows: Dataset, min_rows: float):
@@ -709,21 +708,17 @@ class _Splits:
         owner = np.repeat(np.arange(len(entries)), [len(e[2]) for e in entries])
         p_left = np.array([p for _, cands, admissible, knowledge in entries
                            for p in self.split_probs(cands, admissible, knowledge)])
-        if node.pivot is not None:
-            answers = [self.answer(cands) for _, cands, _, _ in entries]
-        prefix = self.values is not None
         found = []
         done = 0
         for batch in self.batches(ranges, codes):
-            tables = list(zip(*batch))
-            counts = _children(tables[0], self.total, prefix)
+            counts = batch[0]
             n = len(counts) // 2
             if node.pivot is None:
                 classes = counts[:, 0]
                 h = _entropies(classes / _class_sum(classes)[:, None])
             else:
-                cells = self.group(counts, _children(tables[1], self.ttotal, prefix))
-                choice, alphas = self.resolve(answers, np.tile(owner[done:done + n], 2), cells,
+                cells = self.group(counts, batch[1])
+                choice, alphas = self.resolve(entries, np.tile(owner[done:done + n], 2), cells,
                                               codes[done:done + n])
                 h = _mixed_entropies(cells.counts, cells.tcounts,
                                      np.array(alphas, dtype=float)[choice])
@@ -744,42 +739,52 @@ class _Splits:
         return found
 
     def batches(self, ranges: list, codes: np.ndarray):
-        """The left children of the candidates of `ranges`, whose keys are
-        `codes`, in batches of `_TABLE_CELLS` // 4 (value × class) cells, the
-        last fewer: lists of pieces of a block's (value × class) counts and,
-        under a pivot, target value counts. A block's table holds at most
-        `_TABLE_CELLS` cells; blocks are aligned to multiples of its keys,
+        """The children of the candidates of `ranges`, whose keys are
+        `codes`, in batches of at most `_TABLE_CELLS` // 4 left (value ×
+        class) cells: the (value × class) counts and, under a pivot, target
+        value counts of the left children, then of the right ones (the node
+        minus the left), in arrays the next batch overwrites. Left children
+        are counted a block of their key range at a time, a table of at most
+        `_TABLE_CELLS` cells; blocks are aligned to multiples of their keys,
         so a key range that fits one block is counted whole, unfiltered."""
         shape = (self.n_values, self.k)
         step = max(1, _TABLE_CELLS // math.prod(shape))
         cap = max(1, step // 4)
-        batch, held = [], 0
+        prefix = int(self.values is not None)
+        sides = [(self.cell_class, shape, self.total)]
+        if self.node.pivot is not None:
+            sides.append((self.tindex, shape[:1], self.ttotal))
+        # left rows are written from column `prefix` on: a prefix sum's leading 0 stays
+        stacks = [np.zeros((2 * min(cap, len(codes)),) + total.shape, dtype=np.int64)
+                  for *_, total in sides]
         start = 0
         for entries in ranges:
             cands = entries[0][1]
             cumulative = not cands.attr.is_discrete
-            keys, tkeys = (cands.keys, cands.tkeys) if cumulative else (self.codes, self.tcodes)
+            keys = (cands.keys, cands.tkeys) if cumulative else (self.codes, self.tcodes)
             end = start + sum(len(admissible) for _, _, admissible, _ in entries)
             while start < end:
                 a = int(codes[start]) // step * step
                 b = min(a + step, cands.n_keys)
                 stop = start + int(codes[start:end].searchsorted(b))
                 picked = codes[start:stop] - a
-                piece = [_block_counts(keys, self.cell_class, a, b, cands.n_keys, cumulative,
-                                       shape)[picked]]
-                if self.node.pivot is not None:
-                    piece.append(_block_counts(tkeys, self.tindex, a, b, cands.n_keys,
-                                               cumulative, shape[:1])[picked])
-                while len(piece[0]):
-                    batch.append([p[:cap - held] for p in piece])
-                    piece = [p[cap - held:] for p in piece]
-                    held += len(batch[-1][0])
-                    if held == cap:
-                        yield batch
-                        batch, held = [], 0
-                start = stop
-        if batch:
-            yield batch
+                lefts = [_block_counts(rows, cells, a, b, cands.n_keys, cumulative, s)[picked]
+                         for rows, (cells, s, _) in zip(keys, sides)]
+                first = start
+                while start < stop:
+                    # batches are runs of cap candidates; lo of this one's n are written
+                    lo = start % cap
+                    n = min(cap, len(codes) - start + lo)
+                    m = min(stop - start, n - lo)
+                    for stack, left in zip(stacks, lefts):
+                        stack[lo:lo + m, prefix:] = left[start - first:start - first + m]
+                    start += m
+                    if lo + m == n:
+                        for stack, (*_, total) in zip(stacks, sides):
+                            if prefix:
+                                np.cumsum(stack[:n], axis=1, out=stack[:n])
+                            np.subtract(total, stack[:n], out=stack[n:2 * n])
+                        yield [stack[:2 * n] for stack in stacks]
 
     def group(self, counts: np.ndarray, tcounts: np.ndarray) -> _Cells:
         """Children's cells, from their (value × class) and target value
@@ -793,12 +798,12 @@ class _Splits:
                           np.full(n, n_values))
         return _decile_cells(self.values, self.pooled, counts, tcounts)
 
-    def resolve(self, answers: list, whose: np.ndarray, cells: _Cells,
+    def resolve(self, entries: list, whose: np.ndarray, cells: _Cells,
                 keys: np.ndarray) -> tuple[np.ndarray, list]:
         """How each child (child i of the candidate whose key is keys[i %
-        len(keys)], of the attribute whose `answer` is answers[whose[i]])
-        answers its pivot queries, as `_Node.estimate` resolves them: from
-        its own target rows with alpha 0 when it has any and the arity
+        len(keys)], of the attribute of entries[whose[i]], as `screen`
+        stacks them) answers its pivot queries, as `_Node.estimate` does:
+        from its own target rows with alpha 0 when it has any and the arity
         allows its full path; else on the first of its fallback subpaths
         (`answer`) with target rows, with its dynamic alpha; else from the
         source alone, with alpha 1. Only the children that fall back walk
@@ -806,6 +811,7 @@ class _Splits:
         answered from their own rows with those they mix, counts the
         diagnostics, and returns each child's position in the list of
         alphas, and the list: alpha 0 first and alpha 1 second."""
+        answers = [self.answer(cands) for _, cands, _, _ in entries]
         own = np.array([full for full, _ in answers])[whose] & (cells.tcounts.sum(axis=1) > 0)
         alphas = [Fraction(0), Fraction(1)]
         choice = np.where(own, 0, 1)
@@ -907,7 +913,10 @@ class _Splits:
         left = _block_counts(cands.key(_pivot_values(rows, cands.attr)), index, a, b,
                              cands.n_keys, not cands.attr.is_discrete,
                              (self.n_values,))[keys - a]
-        return _children([left], cum, True)[np.arange(len(keys)) + len(keys) * right]
+        out = np.zeros((len(keys), self.n_values + 1), dtype=np.int64)
+        np.cumsum(left, axis=1, out=out[:, 1:])
+        out[right] = cum - out[right]
+        return out
 
 
 def _block_counts(keys: np.ndarray, cells: np.ndarray, a: int, b: int, n_keys: int,
@@ -1024,21 +1033,6 @@ def _prefix(counts: np.ndarray) -> np.ndarray:
     """counts summed along their first axis, from a leading row of zeros."""
     out = np.zeros((len(counts) + 1,) + counts.shape[1:], dtype=np.int64)
     np.cumsum(counts, axis=0, out=out[1:])
-    return out
-
-
-def _children(lefts: list, total: np.ndarray, prefix: bool) -> np.ndarray:
-    """Left children's (value × ...) counts, one row each, stacked from the
-    tables in `lefts`, followed by their right children's, the node's
-    `total` minus the left's. With `prefix`, both are summed along the
-    values from a leading 0, `total` as it is given."""
-    n = sum(map(len, lefts))
-    out = np.empty((2 * n, len(total)) + lefts[0].shape[2:], dtype=np.int64)
-    np.concatenate(lefts, out=out[:n, int(prefix):])
-    if prefix:
-        out[:n, 0] = 0
-        np.cumsum(out[:n], axis=1, out=out[:n])
-    np.subtract(total, out[:n], out=out[n:])
     return out
 
 

@@ -279,27 +279,20 @@ def test_batches_across_attributes_give_the_same_trees(monkeypatch):
 
     # per batch: its node's `_Splits`, the key ranges of its children's
     # attributes (a continuous attribute's name, or "discrete") and whether
-    # it re-split; the spies keep every node's `_Splits` alive
+    # it re-split; the spy keeps every node's `_Splits` alive
     batches = []
-    stacked = {}
-    screen, resolve = tree_module._Splits.screen, tree_module._Splits.resolve
-    resplit = tree_module._Splits.resplit
+    resolve, resplit = tree_module._Splits.resolve, tree_module._Splits.resplit
 
-    def spy_screen(splits, ranges, h_parent):
-        stacked[splits] = [entry for entries in ranges for entry in entries]
-        return screen(splits, ranges, h_parent)
-
-    def spy_resolve(splits, answers, whose, cells, keys):
-        attrs = {stacked[splits][w][1].attr for w in whose.tolist()}
+    def spy_resolve(splits, entries, whose, cells, keys):
+        attrs = {entries[w][1].attr for w in whose.tolist()}
         batches.append([splits, {"discrete" if a.is_discrete else a.name for a in attrs},
                         attrs, False])
-        return resolve(splits, answers, whose, cells, keys)
+        return resolve(splits, entries, whose, cells, keys)
 
     def spy_resplit(splits, *args):
         batches[-1][3] = True
         return resplit(splits, *args)
 
-    monkeypatch.setattr(tree_module._Splits, "screen", spy_screen)
     monkeypatch.setattr(tree_module._Splits, "resolve", spy_resolve)
     monkeypatch.setattr(tree_module._Splits, "resplit", spy_resplit)
     for table_cells in (2_000, 6_000, 20_000):
