@@ -15,6 +15,7 @@ path included.
 from __future__ import annotations
 
 import collections
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -262,19 +263,19 @@ def test_one_screen_per_node():
 def test_batches_across_attributes_give_the_same_trees(monkeypatch):
     """Tables small enough to cut the stacked children into batches of a
     few give every tree the default tables give, under full and partial
-    knowledge and a continuous pivot. Checked to occur: a batch that
-    re-splits children on an attribute of the node path and holds children
-    of attributes of two key ranges, and an attribute whose children are
-    cut across batches."""
+    knowledge and a continuous or a discrete pivot. Checked to occur: a
+    batch that re-splits children on an attribute of the node path and
+    holds children of attributes of two key ranges, and an attribute whose
+    children are cut across batches."""
     from dadt import tree as tree_module
 
     cases = []
     for seed in range(3):
         rng = np.random.default_rng(seed)
         source, target = _mixed_pair(rng, 2, 3, 150)
-        for regime in ("ftdk", "ptdk2", "ptdk3"):
+        for regime, pivot in itertools.product(("ftdk", "ptdk2", "ptdk3"), ("C0", "D0")):
             ks = build_from_target_sample(target, NAMED_REGIMES[regime])
-            config = TreeConfig(x_w_override="C0")
+            config = TreeConfig(x_w_override=pivot)
             cases.append((source, ks, config, tree_to_json(grow(source, ks, config))))
 
     # per batch: its node's `_Splits`, the key ranges of its children's
