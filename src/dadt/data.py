@@ -236,71 +236,52 @@ EMPTY_PATH = Path()
 
 
 class Dataset:
-    """Immutable typed table; `index` selects the rows visible in this view."""
+    """Immutable typed table; `index` selects the rows visible in this view.
+    A column is stored once, a discrete one as its `codes`; the constructor
+    takes values, and raises ValueOutOfDomain on an undeclared one."""
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
-                 index: np.ndarray | None = None, labeled: bool = True,
-                 codes: dict[str, np.ndarray] | None = None):
-        self.schema = schema
-        self._columns = columns
-        # integer codes of discrete columns (by name) and their stacked
-        # matrices (by tuple of names), computed on first use and shared by
-        # every view of the same storage
-        self._codes = {} if codes is None else codes
+                 index: np.ndarray | None = None, labeled: bool = True):
+        columns = {name: _encode(a, values, name) if (a := schema.attribute(name)).is_discrete
+                   else values for name, values in columns.items()}
         if index is None:
             lengths = {len(v) for v in columns.values()}
-            n = lengths.pop() if lengths else 0
-            index = np.arange(n)
-        self.index = index
-        self.labeled = labeled
+            index = np.arange(lengths.pop() if lengths else 0)
+        self.schema, self._columns, self.index, self.labeled = schema, columns, index, labeled
+        self._stacked = {}  # `value_codes` matrices, shared by the storage's views
 
     @property
     def n(self) -> int:
         return len(self.index)
 
     def column(self, name: str) -> np.ndarray:
+        """The column's values; a discrete column's are the domain's own
+        string objects, in an object array."""
+        stored = self.codes(name)
+        attr = self.schema.attribute(name)
+        return np.array(attr.domain, dtype=object)[stored] if attr.is_discrete else stored
+
+    def codes(self, name: str) -> np.ndarray:
+        """The column as stored: a discrete column's positions of its values
+        in the attribute's domain, a continuous column's values."""
         if name not in self._columns:
             raise UnknownAttribute(f"no column named {name!r}")
         return self._columns[name][self.index]
 
-    def codes(self, name: str) -> np.ndarray:
-        """Positions of a discrete column's values in the attribute's domain."""
-        return self._stored_codes(name)[self.index]
-
-    def _stored_codes(self, name: str) -> np.ndarray:
-        full = self._codes.get(name)
-        if full is None:
-            values = self._columns.get(name)
-            if values is None:
-                raise UnknownAttribute(f"no column named {name!r}")
-            domain = self.schema.attribute(name).domain
-            full = np.full(len(values), -1, dtype=np.intp)
-            for j, v in enumerate(domain):
-                full[values == v] = j
-            if (full < 0).any():
-                raise ValueOutOfDomain(f"column {name!r} has values outside {list(domain)}")
-            self._codes[name] = full
-        return full
-
     def mask(self, cond: SplitCondition) -> np.ndarray:
-        """The rows meeting cond, as a boolean mask: a discrete (in)equality
-        with a domain value compares codes, selecting the rows comparing the
-        values would; any other condition compares values (`matches`)."""
-        attr = self.schema.attribute(cond.attribute)
-        if cond.op in (EQ, NEQ) and attr.is_discrete and cond.threshold in attr.domain:
-            hit = self.codes(attr.name) == attr.domain.index(cond.threshold)
-            return hit if cond.op == EQ else ~hit
-        return cond.matches(self.column(cond.attribute))
+        """The rows meeting cond, as a boolean mask (`stored_mask`)."""
+        return stored_mask(self.schema.attribute(cond.attribute), cond,
+                           self.codes(cond.attribute))
 
     def value_codes(self, names: tuple[str, ...]) -> np.ndarray:
         """(attribute × row) codes of the named discrete columns that number
         all their values in one range, each attribute's after those of the
-        attributes before it; stacked once per storage, like `codes`."""
-        full = self._codes.get(names)
+        attributes before it; stacked once per storage."""
+        full = self._stacked.get(names)
         if full is None:
             offsets = np.cumsum([0] + [len(self.schema.attribute(a).domain) for a in names])
-            full = np.stack([self._stored_codes(a) for a in names]) + offsets[:-1, None]
-            self._codes[names] = full
+            full = np.stack([self._columns[a] for a in names]) + offsets[:-1, None]
+            self._stacked[names] = full
         return full[:, self.index]
 
     def class_codes(self) -> np.ndarray:
@@ -314,18 +295,16 @@ class Dataset:
         return self.column(self.schema.class_attr.name)
 
     def subset(self, mask_or_index: np.ndarray) -> "Dataset":
-        return Dataset(self.schema, self._columns, self.index[mask_or_index],
-                       self.labeled, self._codes)
+        return _stored(self.schema, self._columns, self.index[mask_or_index], self.labeled,
+                       self._stacked)
 
     def without_labels(self) -> "Dataset":
         cols = {k: v for k, v in self._columns.items() if k != self.schema.class_attr.name}
-        codes = {k: v for k, v in self._codes.items() if k in cols}
-        return Dataset(self.schema, cols, self.index, labeled=False, codes=codes)
+        return _stored(self.schema, cols, self.index, False, {})
 
     def row(self, i: int) -> dict:
-        ridx = self.index[i]
-        return {name: self._columns[name][ridx]
-                for name in self.schema.column_names(self.labeled)}
+        one = self.subset([i])
+        return {name: one.column(name)[0] for name in self.schema.column_names(self.labeled)}
 
     def chunks(self):
         """Views of consecutive rows, a bounded chunk of them at a time."""
@@ -341,27 +320,48 @@ class Dataset:
                 yield dict(zip(names, values))
 
 
+def _stored(schema: Schema, columns: dict[str, np.ndarray], index: np.ndarray,
+            labeled: bool, stacked: dict) -> Dataset:
+    """A dataset over columns as `Dataset` stores them, not encoded again."""
+    d = object.__new__(Dataset)
+    d.schema, d._columns, d.index, d.labeled, d._stacked = schema, columns, index, labeled, stacked
+    return d
+
+
+def stored_mask(attr: Attribute, cond: SplitCondition, stored: np.ndarray) -> np.ndarray:
+    """Which cells of attr's column as stored (`Dataset.codes`) meet cond:
+    continuous values are compared, and discrete codes look up cond's
+    outcome on each domain value, so a row meets cond when its value would."""
+    if attr.is_discrete:
+        return cond.matches(np.array(attr.domain, dtype=object))[stored]
+    return cond.matches(stored)
+
+
 def dataset_from_rows(schema: Schema, rows: list[dict], labeled: bool = True) -> Dataset:
     """Build a validated dataset from row dicts (values already typed); each
     column is typed and checked in schema order."""
     columns = {name: _typed_column(schema.attribute(name), [r[name] for r in rows], col=name)
                for name in schema.column_names(labeled)}
-    return Dataset(schema, columns, labeled=labeled)
+    return _stored(schema, columns, np.arange(len(rows)), labeled, {})
+
+
+def _encode(attr: Attribute, cells, col: str, start: int = 0) -> np.ndarray:
+    """Positions of a sequence of cells in attr's domain; the first
+    undeclared cell in row order raises, numbering the rows from `start`."""
+    code = {v: j for j, v in enumerate(attr.domain)}
+    try:
+        return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
+    except KeyError:
+        i, s = next((i, s) for i, s in enumerate(cells, start) if s not in code)
+        raise ValueOutOfDomain(
+            f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}") from None
 
 
 def _typed_column(attr: Attribute, raw, col: str, start: int = 0) -> np.ndarray:
-    """The column as an array; the first bad value in row order raises,
-    numbering `raw`'s rows from `start`."""
+    """The column as stored: codes of the cells as strings, or float64 values;
+    the first bad value in row order raises, numbering `raw`'s rows from `start`."""
     if attr.is_discrete:
-        # every cell becomes the domain's own string, so a column holds no
-        # more distinct strings than its domain has values
-        canonical = {v: v for v in attr.domain}
-        try:
-            return np.array([canonical[s] for s in map(str, raw)], dtype=object)
-        except KeyError:
-            i, s = next((i, s) for i, s in enumerate(map(str, raw), start) if s not in canonical)
-            raise ValueOutOfDomain(
-                f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}") from None
+        return _encode(attr, [*map(str, raw)], col, start)
     try:
         out = np.array(list(map(float, raw)), dtype=np.float64)
         if np.isfinite(out).all():
@@ -432,7 +432,7 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     for name, p in zip(names, parts):  # at most one column is held twice
         columns[name] = np.concatenate(p)
         p.clear()
-    return Dataset(schema, columns, labeled=labeled)
+    return _stored(schema, columns, np.arange(start), labeled, {})
 
 
 def _text_stream(source):

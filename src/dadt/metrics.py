@@ -83,10 +83,10 @@ def _group_masks(test: Dataset, protected: str) -> dict[str, np.ndarray]:
     attr = test.schema.attribute(protected)
     if not attr.is_discrete:
         raise DomainError(f"protected attribute {protected!r} must be discrete")
-    col = test.column(protected)
+    codes = test.codes(protected)
     masks = {}
-    for g in attr.domain:
-        mask = col == g
+    for j, g in enumerate(attr.domain):
+        mask = codes == j
         if not mask.any():
             raise GroupMissing(f"group {g!r} of {protected!r} has no rows")
         masks[g] = mask
@@ -294,11 +294,9 @@ def tree_shift_distance(tree: DecisionTree, target_test: Dataset) -> float:
     support = tree.schema.class_values
     leaves = tree.leaves()
     ids = route_dataset(tree, target_test)
-    truth = target_test.class_column()
-    # (leaf × class) counts; class by class, as `class_codes` would keep a
-    # code array for the dataset's lifetime
-    counts = np.stack([np.bincount(ids[truth == y], minlength=len(leaves)) for y in support],
-                      axis=1).astype(np.float64)
+    k = len(support)
+    counts = np.bincount(ids * k + target_test.class_codes(),
+                         minlength=len(leaves) * k).reshape(len(leaves), k).astype(np.float64)
     # the sum below adds the reached leaves in the order rows first reach them
     reached = np.flatnonzero(counts.sum(axis=1)).tolist()
     total = 0.0

@@ -74,10 +74,9 @@ def class_fractions(d: Dataset) -> dict[str, Fraction]:
     """Exact class frequencies over the schema's class support."""
     if d.n == 0:
         raise EmptyContext("cannot estimate class frequencies over zero rows")
-    col = d.class_column()
-    n = d.n
-    return {y: Fraction(int(np.count_nonzero(col == y)), n)
-            for y in d.schema.class_values}
+    support = d.schema.class_values
+    counts = np.bincount(d.class_codes(), minlength=len(support)).tolist()
+    return {y: Fraction(c, d.n) for y, c in zip(support, counts)}
 
 
 def class_distribution(d: Dataset) -> Distribution:

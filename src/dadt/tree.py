@@ -36,6 +36,7 @@ from .data import (
     SplitCondition,
     read_json,
     schema_from_json,
+    stored_mask,
 )
 from .errors import (
     ConfigError,
@@ -200,11 +201,11 @@ class _Node:
             self.targets, self.target = targets, targets[-1]
         if self.pivot is None:
             return
-        self.piv = _pivot_values(rows, self.pivot)
+        self.piv = rows.codes(x_w)
         if self.target is not None:
-            self.tpiv = _pivot_values(self.target, self.pivot)
+            self.tpiv = self.target.codes(x_w)
             # bin edges pool the node's pivot values with the whole target sample's
-            self.pool = ks.sample.column(x_w)
+            self.pool = ks.sample.codes(x_w)
 
     def count(self, key: str, k: int = 1) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + k
@@ -263,7 +264,7 @@ class _Node:
         else:
             sub = None
             for cand in subpaths(ks, first, path):
-                tv = _pivot_values(self.targets_on(cand, path), self.pivot)
+                tv = self.targets_on(cand, path).codes(self.pivot.name)
                 if len(tv):
                     sub = cand
                     break
@@ -319,16 +320,12 @@ def _child_targets(targets: list, path: Path, cond: SplitCondition) -> list:
     return targets[:j] + [rows.subset(rows.mask(cond)) for rows in targets[j:]]
 
 
-def _pivot_values(rows: Dataset, pivot: Attribute) -> np.ndarray:
-    return rows.codes(pivot.name) if pivot.is_discrete else rows.column(pivot.name)
-
-
 def _cell_class_counts(attr: Attribute, values: np.ndarray, edges: list | None,
                        y: np.ndarray, k: int) -> list:
-    """Integer (cell × class) counts of rows by their `_pivot_values` of attr
-    and their class codes y. A discrete attribute's cells are its domain
-    codes; a continuous one's are the (lo, e] bins between consecutive
-    edges, open below the first edge and above the last."""
+    """Integer (cell × class) counts of rows by their `Dataset.codes` of
+    attr and their class codes y. A discrete attribute's cells are its
+    domain codes; a continuous one's are the (lo, e] bins between
+    consecutive edges, open below the first edge and above the last."""
     if edges is None:
         cells, n_cells = values, len(attr.domain)
     else:
@@ -408,7 +405,7 @@ class _Candidates:
     tcounts: list | None = None
 
     def key(self, values: np.ndarray) -> np.ndarray:
-        """The keys of rows whose `_pivot_values` of the attribute are
+        """The keys of rows whose `Dataset.codes` of the attribute are
         `values`."""
         if self.mids is None:
             return values + self.first
@@ -624,8 +621,7 @@ class _Splits:
         rows = node.targets_on(sub, path)
         if attr.is_discrete:
             if sub not in self.sub_value_counts:
-                self.sub_value_counts[sub] = self.value_counts(
-                    rows.value_codes(self.discrete))
+                self.sub_value_counts[sub] = self.value_counts(rows.value_codes(self.discrete))
             counts = self.sub_value_counts[sub][cands.first:cands.first + len(attr.domain)]
         else:
             counts = cands.lefts(cands.key(rows.column(attr.name)))
@@ -897,7 +893,7 @@ class _Splits:
         if sub not in self.targets:
             node = self.node
             rows = node.targets_on(sub, node.path)
-            index = self.tindex if sub == node.path else self.index(_pivot_values(rows, node.pivot))
+            index = self.tindex if sub == node.path else self.index(rows.codes(node.pivot.name))
             self.targets[sub] = rows, index, _prefix(np.bincount(index,
                                                                  minlength=self.n_values))
         return self.targets[sub]
@@ -910,7 +906,7 @@ class _Splits:
         is keys[i], its left child, or its right child where right[i]."""
         rows, index, cum = self.target_on(sub)
         a, b = int(keys.min()), int(keys.max()) + 1
-        left = _block_counts(cands.key(_pivot_values(rows, cands.attr)), index, a, b,
+        left = _block_counts(cands.key(rows.codes(cands.attr.name)), index, a, b,
                              cands.n_keys, not cands.attr.is_discrete,
                              (self.n_values,))[keys - a]
         out = np.zeros((len(keys), self.n_values + 1), dtype=np.int64)
@@ -1138,7 +1134,7 @@ def pivot_score(source: Dataset, ks: KnowledgeStore, attr: Attribute,
     """
     support = source.schema.class_values
     labeled = ks.labeled_sample
-    values = _pivot_values(source, attr)
+    values = source.codes(attr.name)
     edges = None
     if labeled is None:
         info = (ks.class_conditionals or {}).get(attr.name) if attr.is_discrete else None
@@ -1147,7 +1143,7 @@ def pivot_score(source: Dataset, ks: KnowledgeStore, attr: Attribute,
         targets = [(info["marginal"].get(v, 0.0), info["y_given_x"].get(v))
                    for v in attr.domain]
     else:
-        t_values = _pivot_values(labeled, attr)
+        t_values = labeled.codes(attr.name)
         if not attr.is_discrete:
             edges = _continuous_bin_edges(np.concatenate([values, t_values]))
         counts = _cell_class_counts(attr, t_values, edges, labeled.class_codes(), len(support))
@@ -1230,9 +1226,9 @@ def route(tree: DecisionTree, row: dict) -> Leaf:
 
 def route_dataset(tree: DecisionTree, d: Dataset) -> np.ndarray:
     """Each row's leaf, as its position in `tree.leaves()`. Row-index arrays
-    go down the tree a chunk of rows at a time, split by
-    `SplitCondition.matches` as in `grow`; dataset columns hold declared
-    values only, so no unseen-value rule applies."""
+    go down the tree a chunk of rows at a time, split as `Dataset.mask`
+    splits in `grow`; dataset columns hold declared values only, so no
+    unseen-value rule applies."""
     ids = np.empty(d.n, dtype=np.intp)
     start = 0
     for chunk in d.chunks():
@@ -1245,15 +1241,15 @@ def _descend(node, chunk: Dataset, columns: dict, rows: np.ndarray, out: np.ndar
              leaf: int) -> int:
     """Write into `out` the leaf of each of the chunk's `rows` under node,
     whose leaves are numbered from `leaf`; returns the number after them.
-    `columns` keeps the chunk's columns read so far."""
+    `columns` keeps the chunk's columns read so far, as stored."""
     if isinstance(node, Leaf):
         out[rows] = leaf
         return leaf + 1
     cond = node.condition
     col = columns.get(cond.attribute)
     if col is None:
-        col = columns[cond.attribute] = chunk.column(cond.attribute)
-    mask = cond.matches(col[rows])
+        col = columns[cond.attribute] = chunk.codes(cond.attribute)
+    mask = stored_mask(chunk.schema.attribute(cond.attribute), cond, col[rows])
     leaf = _descend(node.left, chunk, columns, rows[mask], out, leaf)
     return _descend(node.right, chunk, columns, rows[~mask], out, leaf)
 
@@ -1300,6 +1296,8 @@ def _node_from_dict(d: dict, schema: Schema):
         path = Path(tuple(SplitCondition(a, op, t) for a, op, t in d.get("path", [])))
         return Leaf(class_dist=dist, n_source_rows=int(d["n_source_rows"]), path=path)
     c = d["condition"]
+    if c["attr"] not in schema.predictive_names:
+        raise ParseError(f"split {c!r} is not on a predictive attribute")
     attr = schema.attribute(c["attr"])
     threshold = c["threshold"] if attr.is_discrete else float(c["threshold"])
     ops = (EQ, NEQ) if attr.is_discrete else (LEQ, GT)
@@ -1334,7 +1332,10 @@ def tree_from_json(source) -> DecisionTree:
         c = doc["config"]
         config = TreeConfig(**{f.name: c[f.name] for f in fields(TreeConfig)})
         root = _node_from_dict(doc["root"], schema)
+        x_w = doc.get("x_w")
+        if x_w is not None and x_w not in schema.predictive_names:
+            raise ParseError(f"pivot {x_w!r} is not a predictive attribute")
         return DecisionTree(root=root, config=config, schema=schema,
-                            x_w=doc.get("x_w"), diagnostics=dict(doc.get("diagnostics", {})))
+                            x_w=x_w, diagnostics=dict(doc.get("diagnostics", {})))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed tree document: {exc!r}") from exc

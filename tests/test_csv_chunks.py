@@ -201,8 +201,9 @@ def outcome(load, content: bytes, schema: Schema):
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
     assert d.n == len(d.index)
+    columns = [(name, d.column(name)) for name in d.schema.column_names(d.labeled)]
     return d.labeled, d.n, sorted((name, col.dtype.str, [repr(v) for v in col.tolist()])
-                                  for name, col in d._columns.items())
+                                  for name, col in columns)
 
 
 @DIFF
@@ -263,6 +264,8 @@ def test_serialize_dataset_equals_whole_column_reference(seed, n_rows, labeled):
         for view in views:
             assert serialize_dataset(view).encode() == ref_serialize(view).encode()
             again = load_dataset(serialize_dataset(view), schema)
-            for name, col in again._columns.items():
+            for name in schema.column_names(labeled):
+                col = again.column(name)
+                assert col.dtype == view.column(name).dtype
                 assert [repr(v) for v in col.tolist()] == \
                     [repr(v) for v in view.column(name).tolist()]

@@ -309,7 +309,37 @@ class TestRows:
         assert list(d.without_labels().iter_rows()) == [{}, {}, {}]
 
 
+def test_discrete_columns_are_stored_as_domain_codes():
+    schema = schema_from_json(SCHEMA_DOC)
+    values = {"SEX": np.array(["male", "female", "male"]), "AGEP": np.array([3.0, 1.5, 2.0]),
+              "COV": np.array(["0", "1", "1"], dtype=object)}
+    with pytest.raises(ValueOutOfDomain, match="row 1, column 'SEX'"):
+        data.Dataset(schema, {**values, "SEX": np.array(["male", "other", "x"], dtype=object)})
+    built = data.Dataset(schema, values)
+    assert list(built.column("SEX")) == ["male", "female", "male"]
+    for d in (load_dataset(CSV, schema), built):
+        for view in (d, d.subset([2, 0]), d.subset(slice(1, None)), d.without_labels()):
+            for name in view.schema.column_names(view.labeled):
+                attr = schema.attribute(name)
+                if attr.is_discrete:
+                    col, codes = view.column(name), view.codes(name)
+                    assert col.dtype == object and codes.dtype == np.intp
+                    assert len(col) == view.n
+                    assert all(v is attr.domain[c] for v, c in zip(col, codes))
+
+
 class TestConditionsAndPaths:
+    def test_mask_compares_as_the_values_would(self):
+        d = load_dataset(CSV, schema_from_json(SCHEMA_DOC)).subset([2, 1, 0])
+        conds = [SplitCondition(name, op, t) for op in (EQ, NEQ, LEQ, GT)
+                 for name, t in (("SEX", "female"), ("SEX", "male"), ("SEX", "other"),
+                                 ("COV", "1"), ("AGEP", 31.5))]
+        conds += [SplitCondition("SEX", op, 1) for op in (EQ, NEQ)]
+        for cond in conds:
+            assert list(d.mask(cond)) == list(cond.matches(d.column(cond.attribute))), cond
+        assert not d.mask(SplitCondition("SEX", EQ, "other")).any()
+        assert d.mask(SplitCondition("SEX", NEQ, "other")).all()
+
     def test_negate(self):
         assert SplitCondition("A", EQ, "x").negate().op == NEQ
         assert SplitCondition("A", LEQ, 3.0).negate().op == GT

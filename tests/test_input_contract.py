@@ -140,6 +140,9 @@ BAD_INPUTS = {
                                    lambda c: with_value(c, "tree", "x_w_override", 3)),
     "tree-row-count-infinite": ("predict", "tree.json",
                                 lambda c: with_value(c, "root", "left", "n_source_rows", math.inf)),
+    "tree-split-on-class": ("predict", "tree.json",
+                            lambda c: with_value(c, "root", "condition", "attr", "Y")),
+    "tree-pivot-unknown": ("predict", "tree.json", lambda c: with_value(c, "x_w", "nope")),
 }
 
 
