@@ -30,7 +30,8 @@ def _add_tree_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-node-fraction", type=float, default=0.05)
     p.add_argument("--purity-stop", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=None,
-                   help="fixed source weight in [0,1]; omit for the dynamic rule")
+                   help="fixed source weight in [0,1], taken exactly over a target sample; "
+                        "omit for the dynamic rule")
     p.add_argument("--pivot", default=None,
                    help="attribute used to reconstruct class probabilities")
 

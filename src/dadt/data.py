@@ -339,9 +339,11 @@ def stored_mask(attr: Attribute, cond: SplitCondition, stored: np.ndarray) -> np
 
 def dataset_from_rows(schema: Schema, rows: list[dict], labeled: bool = True) -> Dataset:
     """Build a validated dataset from row dicts (values already typed); each
-    column is typed and checked in schema order."""
-    columns = {name: _typed_column(schema.attribute(name), [r[name] for r in rows], col=name)
-               for name in schema.column_names(labeled)}
+    column is typed and checked in schema order, a discrete one's values as
+    strings."""
+    columns = {a.name: _typed_column(a, [str(r[a.name]) if a.is_discrete else r[a.name]
+                                         for r in rows], a.name)
+               for a in map(schema.attribute, schema.column_names(labeled))}
     return _stored(schema, columns, np.arange(len(rows)), labeled, {})
 
 
@@ -358,10 +360,11 @@ def _encode(attr: Attribute, cells, col: str, start: int = 0) -> np.ndarray:
 
 
 def _typed_column(attr: Attribute, raw, col: str, start: int = 0) -> np.ndarray:
-    """The column as stored: codes of the cells as strings, or float64 values;
-    the first bad value in row order raises, numbering `raw`'s rows from `start`."""
+    """The column as stored: codes of the cells, which are strings, or float64
+    values; the first bad value in row order raises, numbering `raw`'s rows
+    from `start`."""
     if attr.is_discrete:
-        return _encode(attr, [*map(str, raw)], col, start)
+        return _encode(attr, raw, col, start)
     try:
         out = np.array(list(map(float, raw)), dtype=np.float64)
         if np.isfinite(out).all():

@@ -383,11 +383,14 @@ def dynamic_alpha(path: Path, subpath: Path) -> Fraction:
 def affine_estimate(source_p, target_p, alpha):
     """alpha * source + (1 - alpha) * target; alpha=1 is source-only.
 
-    Rational inputs give the exact Fraction, computed in integers.
+    Rational source and target give the exact Fraction, computed in
+    integers, with a float alpha taken at its exact value.
     """
+    exact = isinstance(source_p, Rational) and isinstance(target_p, Rational)
+    if exact and isinstance(alpha, float) and math.isfinite(alpha):
+        alpha = Fraction(alpha)
     values = (("source_p", source_p), ("target_p", target_p), ("alpha", alpha))
-    if (isinstance(source_p, Rational) and isinstance(target_p, Rational)
-            and isinstance(alpha, Rational)):
+    if exact and isinstance(alpha, Rational):
         for name, v in values:
             if not 0 <= v.numerator <= v.denominator:
                 raise DomainError(f"{name}={v} outside [0, 1]")

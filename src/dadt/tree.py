@@ -6,8 +6,9 @@ split probabilities P(X=t|path) and class distributions P(Y|path) are affine
 mixtures of source frequency counts and target-domain knowledge. With an empty
 knowledge store every estimate collapses to plain source counting.
 
-Sample-backed estimates are carried as exact fractions, so the collapse to the
-source-only tree is bit-for-bit, not merely approximate.
+Sample-backed estimates are carried as exact fractions, a fixed float alpha
+at its exact value, so the collapse to the source-only tree (alpha 1, or
+knowledge of the source itself) is bit-for-bit, not merely approximate.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from numbers import Rational
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -207,6 +207,12 @@ class _Node:
             # bin edges pool the node's pivot values with the whole target sample's
             self.pool = ks.sample.codes(x_w)
 
+    def alpha(self, path: Path, sub: Path):
+        """The source weight at `path`, the node path or a child's, answered
+        on its subpath `sub`: the fixed alpha if set, else the dynamic one."""
+        alpha = self.config.alpha_override
+        return dynamic_alpha(path, sub) if alpha is None else alpha
+
     def count(self, key: str, k: int = 1) -> None:
         self.diagnostics[key] = self.diagnostics.get(key, 0) + k
 
@@ -234,7 +240,8 @@ class _Node:
 
     def estimate(self, sel, path: Path) -> Distribution:
         """Class distribution of the node rows `sel` at `path`, the node path
-        or a child's."""
+        or a child's. A target sample's pivot cell counts mix exactly
+        (`_mix`), under any alpha."""
         y = self.y[sel]
         n = len(y)
         k = len(self.support)
@@ -271,28 +278,19 @@ class _Node:
         self.count_answer(sub, path, n_queries)
         if sub is None:
             return _mix(self.support, counts, src, 1)
-        alpha = self.config.alpha_override
-        if alpha is None:
-            alpha = dynamic_alpha(path, sub)
-
+        alpha = self.alpha(path, sub)
         if tv is not None:
-            m = len(tv)
-            if edges is None:
-                tgt = target_ps = np.bincount(tv, minlength=len(counts)).tolist()
-            else:
-                target_ps = np.searchsorted(np.sort(tv), edges, side="right").tolist()
-                tgt = [t - prev for t, prev in zip(target_ps + [m], [0] + target_ps)]
-            if isinstance(alpha, Rational):
-                return _mix(self.support, counts, tgt, alpha)
-            target_ps = [Fraction(t, m) for t in target_ps]
-        elif edges is None:
+            cells = tv if edges is None else np.array(edges).searchsorted(tv)
+            return _mix(self.support, counts, np.bincount(cells, minlength=len(counts)).tolist(),
+                        alpha)
+        if edges is None:
             target_ps = [query_target(ks, SplitCondition(name, EQ, v), sub)
                          for v in self.pivot.domain]
         else:
             target_ps = [query_target(ks, SplitCondition(name, LEQ, e), sub) for e in edges]
 
-        # Cross-tables, CDFs and a float alpha give float weights; they keep
-        # the arithmetic, and its order, of one query per cell.
+        # Cross-tables and CDFs give float answers; they keep the arithmetic,
+        # and its order, of one query per cell.
         if edges is None:
             weights = [affine_estimate(Fraction(s, n), tp, alpha)
                        for s, tp in zip(src, target_ps)]
@@ -333,21 +331,21 @@ def _cell_class_counts(attr: Attribute, values: np.ndarray, edges: list | None,
     return np.bincount(cells * k + y, minlength=n_cells * k).reshape(n_cells, k).tolist()
 
 
-def _mix(support: tuple, counts: list, tgt: list, alpha: Rational) -> Distribution:
+def _mix(support: tuple, counts: list, tgt: list, alpha) -> Distribution:
     """sum over cells of P(cell) * P(Y | cell), in integers until one division.
 
     `counts` holds each pivot cell's class counts over n source rows and
     `tgt` each cell's count over m target rows; P(cell) = alpha * s/n +
-    (1 - alpha) * t/m. A cell with no source rows takes the rows' class
-    distribution; its weight is then a multiple of n. The cell weights share
-    one denominator, so the mixture has mass exactly 1 and each probability is
-    one correctly rounded int/int division, equal to that of the exact
-    fraction.
+    (1 - alpha) * t/m, a float alpha at its exact value. A cell with no
+    source rows takes the rows' class distribution; its weight is then a
+    multiple of n. The cell weights share one denominator, so the mixture has
+    mass exactly 1 and each probability is one correctly rounded int/int
+    division, equal to that of the exact fraction.
     """
     src = [sum(row) for row in counts]
     n = sum(src)
     m = sum(tgt)
-    a, b = alpha.numerator, alpha.denominator
+    a, b = alpha.as_integer_ratio()
     lcm = math.lcm(*(s for s in src if s))
     num = [0] * len(support)
     for row, s, t in zip(counts, src, tgt):
@@ -473,19 +471,12 @@ class _Fallbacks:
     query: SplitCondition
     child: Path
     cands: _Candidates | None
-    alphas: dict = field(default_factory=dict)
 
     @functools.cached_property
     def subs(self) -> list:
         """The subpaths, walked when a child first falls back."""
         return [sub for sub in subpaths(self.ks, self.query, self.child)
                 if len(sub) < len(self.child)]
-
-    def alpha(self, j: int) -> Fraction:
-        """The dynamic alpha of a child answered on the j-th subpath."""
-        if j not in self.alphas:
-            self.alphas[j] = dynamic_alpha(self.child, self.subs[j])
-        return self.alphas[j]
 
 
 def _child_bounds(n: int, min_rows: float) -> tuple[float, float]:
@@ -524,12 +515,9 @@ class _Splits:
         self.order = node.path.attributes()
         self.sample = node.ks.sample is not None
         pivot = node.pivot
-        # The tables answer a candidate when they count its p_left (the store
-        # is empty or holds a target sample) and its children (the node needs
-        # no pivot, or a target sample answers the pivot with the dynamic
-        # alpha).
-        self.tabled = (node.ks.is_empty or self.sample) and (
-            pivot is None or node.config.alpha_override is None)
+        # The tables answer a candidate, its p_left and its children, when the
+        # store is empty or holds a target sample: they count every answer.
+        self.tabled = node.ks.is_empty or self.sample
         self.best = -math.inf
         self.split_sub: dict = {}
         self.answers: dict = {}
@@ -609,10 +597,7 @@ class _Splits:
         key = attr.name if not self.sample or attr.name in self.order else None
         if key not in self.split_sub:
             sub = maximal_subpath(ks, cond, path)
-            alpha = node.config.alpha_override
-            if sub is not None and alpha is None:
-                alpha = dynamic_alpha(path, sub)
-            self.split_sub[key] = sub, alpha
+            self.split_sub[key] = sub, None if sub is None else node.alpha(path, sub)
         sub, alpha = self.split_sub[key]
         if sub is None or not self.sample:
             return sub, alpha, None, None
@@ -799,24 +784,26 @@ class _Splits:
         """How each child (child i of the candidate whose key is keys[i %
         len(keys)], of the attribute of entries[whose[i]], as `screen`
         stacks them) answers its pivot queries, as `_Node.estimate` does:
-        from its own target rows with alpha 0 when it has any and the arity
-        allows its full path; else on the first of its fallback subpaths
-        (`answer`) with target rows, with its dynamic alpha; else from the
-        source alone, with alpha 1. Only the children that fall back walk
-        their fallbacks. Replaces the target counts of the children not
-        answered from their own rows with those they mix, counts the
-        diagnostics, and returns each child's position in the list of
-        alphas, and the list: alpha 0 first and alpha 1 second."""
+        from its own target rows when it has any and the arity allows its
+        full path; else on the first of its fallback subpaths (`answer`) with
+        target rows; else from the source alone, with alpha 1. The first two
+        take their `_Node.alpha`, 0 on a full path unless alpha is fixed.
+        Only the children that fall back walk their fallbacks. Replaces the
+        target counts of the children not answered from their own rows with
+        those they mix, counts the diagnostics, and returns each child's
+        position in the list of alphas, and the list: a full path's alpha
+        first and alpha 1 second."""
+        node = self.node
         answers = [self.answer(cands) for _, cands, _, _ in entries]
         own = np.array([full for full, _ in answers])[whose] & (cells.tcounts.sum(axis=1) > 0)
-        alphas = [Fraction(0), Fraction(1)]
+        alphas = [node.alpha(node.path, node.path), Fraction(1)]
         choice = np.where(own, 0, 1)
         if not own.all():
             tgt = cells.tcounts.copy()
             for chain in {id(c): c for _, c in answers}.values():
                 mine = np.array([c is chain for _, c in answers])[whose]
                 todo = np.flatnonzero(mine & ~own)
-                for j, sub in enumerate(chain.subs):
+                for sub in chain.subs:
                     if not len(todo):
                         break
                     if chain.child.conditions[-1] in sub.conditions:
@@ -830,7 +817,7 @@ class _Splits:
                         rows = np.full(len(todo), cum[-1] > 0)
                     if rows.any():
                         use = todo[rows]
-                        alphas.append(chain.alpha(j))
+                        alphas.append(node.alpha(chain.child, sub))
                         choice[use] = len(alphas) - 1
                         tgt[use] = _between(cum, cells.bounds[use])
                         todo = todo[~rows]
@@ -840,9 +827,9 @@ class _Splits:
         # queries answered on the full path, from the source alone and on a truncated subpath
         full, forced, truncated = np.bincount(np.minimum(choice, 2), weights=cells.n_queries,
                                               minlength=3).astype(int).tolist()
-        self.node.count("n_alphas", full + truncated)
-        self.node.count("truncations", truncated)
-        self.node.count("forced_source", forced)
+        node.count("n_alphas", full + truncated)
+        node.count("truncations", truncated)
+        node.count("forced_source", forced)
         return choice, alphas
 
     def answer(self, cands: _Candidates) -> tuple[bool, _Fallbacks]:
@@ -1068,10 +1055,10 @@ def best_split(node_rows: Dataset, path: Path, ks: KnowledgeStore,
     only those whose float gain lies within 2δ (`_SCREEN_TOL`) of the best
     one get the exact gain, in schema-then-threshold order. Float and exact
     gains differ by far less than δ, so the exact maximum and its first
-    occurrence are among them. On a node whose candidates the tables cannot
-    answer, under a fixed alpha or a store of cross-tables or CDFs, every
-    admissible candidate gets the exact gain, and each child is estimated
-    by `_Node.estimate` on its own rows. All exact counts are integers, so
+    occurrence are among them. On a node over a store of cross-tables or
+    CDFs, whose float answers the tables do not count, every admissible
+    candidate gets the exact gain, and each child is estimated by
+    `_Node.estimate` on its own rows. All exact counts are integers, so
     every probability, and each child's distribution that is returned,
     equals that of `estimate_class_dist` on the child's own rows.
 
@@ -1289,11 +1276,15 @@ def _node_to_dict(node) -> dict:
     }
 
 
-def _node_from_dict(d: dict, schema: Schema):
+def _node_from_dict(d: dict, schema: Schema, path: Path = EMPTY_PATH):
+    """The node of a tree document at `path`, from the root through each
+    split's condition (left) or its negation (right); a leaf's stored path
+    must be that path."""
     if d["leaf"]:
         support = schema.class_values
         dist = Distribution(support, tuple(float(d["dist"][y]) for y in support))
-        path = Path(tuple(SplitCondition(a, op, t) for a, op, t in d.get("path", [])))
+        if "path" in d and Path(tuple(SplitCondition(a, op, t) for a, op, t in d["path"])) != path:
+            raise ParseError(f"leaf path {d['path']!r} is not the path of the splits above it")
         return Leaf(class_dist=dist, n_source_rows=int(d["n_source_rows"]), path=path)
     c = d["condition"]
     if c["attr"] not in schema.predictive_names:
@@ -1305,8 +1296,8 @@ def _node_from_dict(d: dict, schema: Schema):
         raise ParseError(f"split {c!r} does not fit attribute {attr.name!r}")
     cond = SplitCondition(attr.name, c["op"], threshold)
     return Internal(condition=cond,
-                    left=_node_from_dict(d["left"], schema),
-                    right=_node_from_dict(d["right"], schema),
+                    left=_node_from_dict(d["left"], schema, path.extend(cond)),
+                    right=_node_from_dict(d["right"], schema, path.extend(cond.negate())),
                     ig_achieved=float(d["ig"]))
 
 

@@ -7,6 +7,7 @@ stated runtime budgets.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import time
@@ -166,9 +167,38 @@ def test_self_adaptation_identity():
     for d in _fifty_datasets():
         ntdk = grow(d, KnowledgeStore.empty(d.schema), TreeConfig())
         ks = build_from_target_sample(d, KnowledgeRegime.full())
-        adapted = grow(d, ks, TreeConfig())
-        ok = ok and trees_equal(ntdk, adapted)
-    _report("knowledge built from the source itself reproduces the plain tree exactly", ok)
+        for alpha in (None, 0.3, 0.5, 1.0):
+            adapted = grow(d, ks, TreeConfig(alpha_override=alpha))
+            ok = ok and trees_equal(ntdk, adapted)
+    _report("knowledge built from the source itself reproduces the plain tree exactly, "
+            "with the dynamic alpha and fixed ones", ok)
+
+
+def test_source_weight_one_identity():
+    """alpha = 1 weighs the source alone: over a target sample drawn from
+    another labelling rule, under full and partial knowledge and under the
+    schema's first discrete and first continuous attribute as pivot, the
+    tree is the no-knowledge tree; on the first ten datasets the int 1 also
+    grows what the float 1.0 grows."""
+    ok = True
+    grows = 0
+    cfg = TreeConfig(max_depth=3)
+    for seed, d in enumerate(_fifty_datasets()):
+        target = random_dataset(np.random.default_rng(seed + 500), d.schema, 150)
+        ntdk = grow(d, KnowledgeStore.empty(d.schema), cfg)
+        pivots = {a.is_discrete: a.name for a in reversed(d.schema.predictive)}
+        for regime in ("ftdk", "ptdk2", "ptdk3"):
+            ks = build_from_target_sample(target, NAMED_REGIMES[regime])
+            for pivot in pivots.values():
+                config = dataclasses.replace(cfg, alpha_override=1.0, x_w_override=pivot)
+                one = grow(d, ks, config)
+                ok = ok and trees_equal(ntdk, one)
+                if seed < 10:
+                    as_int = grow(d, ks, dataclasses.replace(config, alpha_override=1))
+                    ok = ok and trees_equal(as_int, one) and as_int.diagnostics == one.diagnostics
+                grows += 1
+    _report("a source weight of 1 reproduces the no-knowledge tree exactly", ok,
+            f"{grows} grows")
 
 
 # A path holds at most max_depth distinct attributes and a query adds one, so

@@ -250,8 +250,8 @@ GOLDEN = {
     "mixed0-self": "f5e0a2456cd30312",
     "synth0-self": "bf6d61c7e670dda9",
     "random0-self": "a2d2a894adfa1b82",
-    "mixed0-ftdk-alpha": "8ee237c8724a021a",
-    "mixed1-ptdk2-alpha": "615f7489fe08b5a9",
+    "mixed0-ftdk-alpha": "48d83f9db2616ef3",
+    "mixed1-ptdk2-alpha": "d7916e85ae423c60",
     "mixed0-crosstab-alpha": "c5d87acc2915b1f1",
     "mixed0-ftdk-pivot-D1": "fd07d05acc950640",
     "mixed1-ptdk2-pivot-D1": "909fc06cc0fdd9eb",
@@ -296,8 +296,8 @@ STRUCTURE = {
     "mixed0-self": "22e2a92c84b28aa8",
     "synth0-self": "4bdea4287ed65cbd",
     "random0-self": "8d52d7f4237127f4",
-    "mixed0-ftdk-alpha": "39ed481c84601f5c",
-    "mixed1-ptdk2-alpha": "c97b0f3a4c94f6a1",
+    "mixed0-ftdk-alpha": "46497d442d95ab9f",
+    "mixed1-ptdk2-alpha": "b92b5ad27fcda1f5",
     "mixed0-crosstab-alpha": "0e6ee59af1869298",
     "mixed0-ftdk-pivot-D1": "7f3a90aef14f0dca",
     "mixed1-ptdk2-pivot-D1": "fd8c8975ed180792",

@@ -143,6 +143,9 @@ BAD_INPUTS = {
     "tree-split-on-class": ("predict", "tree.json",
                             lambda c: with_value(c, "root", "condition", "attr", "Y")),
     "tree-pivot-unknown": ("predict", "tree.json", lambda c: with_value(c, "x_w", "nope")),
+    "tree-leaf-path-not-its-splits": ("predict", "tree.json",
+                                      lambda c: with_value(c, "root", "left", "path",
+                                                           [["nope", "eq", 7]])),
 }
 
 

@@ -153,9 +153,9 @@ def _resplits_continuous(tree) -> bool:
 
 def test_sample_store_children_come_from_the_tables():
     """Under full and partial knowledge of a target sample, with the
-    dynamic alpha, `grow` estimates the root alone from its own rows;
-    every other node's distribution, re-split children's included, comes
-    from its parent's count tables."""
+    dynamic alpha or a fixed one, `grow` estimates the root alone from its
+    own rows; every other node's distribution, re-split children's
+    included, comes from its parent's count tables."""
     calls = []
     original = _Node.estimate
 
@@ -169,11 +169,11 @@ def test_sample_store_children_come_from_the_tables():
             rng = np.random.default_rng(seed)
             schema = random_mixed_schema(rng)
             source, target = random_dataset(rng, schema, 300), random_dataset(rng, schema, 300)
-            for regime in ("ftdk", "ptdk2", "ptdk3"):
+            for regime, alpha in itertools.product(("ftdk", "ptdk2", "ptdk3"), (None, 0.3)):
                 calls.clear()
                 tree = grow(source, build_from_target_sample(target, NAMED_REGIMES[regime]),
-                            TreeConfig())
-                assert calls == [EMPTY_PATH], (seed, regime)
+                            TreeConfig(alpha_override=alpha))
+                assert calls == [EMPTY_PATH], (seed, regime, alpha)
                 resplit |= _resplits_continuous(tree)
     assert resplit
 

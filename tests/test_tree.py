@@ -303,6 +303,8 @@ class TestGrow:
             assert trees_equal(grow(d, empty_ks(schema), cfg), grow_baseline(d, cfg))
 
     def test_self_knowledge_is_identity(self):
+        """Knowledge of the source itself changes no tree, under the dynamic
+        alpha and under fixed ones, which mix exactly."""
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             schema = random_mixed_schema(rng)
@@ -310,8 +312,9 @@ class TestGrow:
             cfg = TreeConfig(max_depth=4)
             ntdk = grow(d, empty_ks(schema), cfg)
             ks = build_from_target_sample(d, KnowledgeRegime.full())
-            adapted = grow(d, ks, TreeConfig(max_depth=4))
-            assert trees_equal(ntdk, adapted)
+            for alpha in (None, 0.3, 0.5, 1.0):
+                adapted = grow(d, ks, TreeConfig(max_depth=4, alpha_override=alpha))
+                assert trees_equal(ntdk, adapted), (seed, alpha)
 
 
 class TestSelectPivot:
