@@ -18,6 +18,16 @@ def rows_dataset(schema: Schema, rows: list[dict], labeled: bool = True) -> Data
     return dataset_from_rows(schema, rows, labeled=labeled)
 
 
+def row_dicts(d: Dataset):
+    """The dataset's rows as dicts of Python scalars, keyed by its column
+    names in order; built from `Dataset.column` a chunk of rows at a time."""
+    names = d.schema.column_names(d.labeled)
+    for chunk in d.chunks():
+        columns = [chunk.column(name).tolist() for name in names]
+        for values in zip(*columns) if names else [()] * chunk.n:
+            yield dict(zip(names, values))
+
+
 def xor_rows(n_attrs: int, counts: dict[tuple, int]) -> list[dict]:
     """Rows from (x1, ..., xn, y) -> count mappings."""
     out = []

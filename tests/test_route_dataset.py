@@ -1,11 +1,17 @@
-"""Whole-dataset routing against per-row routing."""
+"""Whole-dataset routing and scoring against per-row routing."""
 
 from __future__ import annotations
+
+import csv
+import io
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dadt import data
+from dadt.cli import main
 from dadt.data import (
     EMPTY_PATH,
     EQ,
@@ -16,19 +22,41 @@ from dadt.data import (
     Schema,
     SplitCondition,
     dataset_from_rows,
+    load_dataset,
+    serialize_dataset,
 )
+from dadt.errors import EmptyDataset, UnlabeledData
 from dadt.knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample
-from dadt.metrics import PostprocessedModel, positive_scores, postprocess_thresholds
+from dadt.metrics import (
+    EvalReport,
+    PostprocessedModel,
+    evaluate_model,
+    positive_scores,
+    postprocess_thresholds,
+    tree_shift_distance,
+)
 from dadt.stats import Distribution
-from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route, route_dataset
+from dadt.tree import (
+    DecisionTree,
+    Internal,
+    Leaf,
+    TreeConfig,
+    grow,
+    predict,
+    predict_dataset,
+    route,
+    route_dataset,
+    tree_from_json,
+    tree_to_json,
+)
 
-from conftest import random_dataset, random_mixed_schema
+from conftest import random_dataset, random_mixed_schema, row_dicts
 
 
 def per_row_ids(tree, d):
     """Each row's leaf position in `tree.leaves()`, routed one row at a time."""
     position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
-    return np.array([position[id(route(tree, row))] for row in d.iter_rows()], dtype=np.intp)
+    return np.array([position[id(route(tree, row))] for row in row_dicts(d)], dtype=np.intp)
 
 
 def assert_routes_like_route(tree, d):
@@ -90,7 +118,7 @@ class TestRouteDataset:
             assert_routes_like_route(tree, source)
             # rows exactly on every continuous split's threshold
             on_split = []
-            for cond, row in zip(split_conditions(tree.root), rows.iter_rows()):
+            for cond, row in zip(split_conditions(tree.root), row_dicts(rows)):
                 if not schema.attribute(cond.attribute).is_discrete:
                     on_split.append({**row, cond.attribute: cond.threshold})
             if on_split:
@@ -152,3 +180,171 @@ class TestPostprocessedPrediction:
                 taus = np.array([model.thresholds[g] for g in groups], dtype=float)
                 expect = np.where(scores >= taus, "1", "0").astype(object)
                 assert np.array_equal(model.predict_dataset(d), expect)
+
+
+# Per-row references: scoring as `predict(tree, row)` gives it, one row dict
+# at a time, and the evaluation report counted row by row from those labels.
+
+def labels_per_row(tree, d):
+    return np.array([predict(tree, row)[0] for row in row_dicts(d)], dtype=object)
+
+
+def scores_per_row(tree, d, positive_label):
+    return np.array([predict(tree, row)[1].prob(positive_label) for row in row_dicts(d)],
+                    dtype=float)
+
+
+def postprocessed_per_row(model, d):
+    return np.array([model.positive_label
+                     if predict(model.tree, row)[1].prob(model.positive_label)
+                     >= model.thresholds[row[model.protected]] else model.negative_label
+                     for row in row_dicts(d)], dtype=object)
+
+
+def report_per_row(pred, d, protected, positive_label):
+    rows = list(row_dicts(d))
+    truth = [row[d.schema.class_attr.name] for row in rows]
+    acc = float(sum(p == t for p, t in zip(pred, truth))) / len(rows)
+    if protected is None:
+        return EvalReport(acc=acc, dp=None, eop=None, confusion={}, n_test=len(rows))
+    cells = {g: {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+             for g in d.schema.attribute(protected).domain}
+    for p, t, row in zip(pred, truth, rows):
+        key = {(True, True): "tp", (False, True): "fp",
+               (True, False): "fn", (False, False): "tn"}[t == positive_label, p == positive_label]
+        cells[row[protected]][key] += 1
+    missing = next((g for g, c in cells.items() if sum(c.values()) == 0), None)
+    if missing is not None:
+        note = f"group {missing!r} of {protected!r} has no rows"
+        return EvalReport(acc=acc, dp=None, eop=None, confusion={}, n_test=len(rows),
+                          notes=(note, note))
+    rates = [float(c["tp"] + c["fp"]) / sum(c.values()) for c in cells.values()]
+    eop, notes = None, ()
+    no_positives = next((g for g, c in cells.items() if c["tp"] + c["fn"] == 0), None)
+    if no_positives is None:
+        tprs = [float(c["tp"]) / (c["tp"] + c["fn"]) for c in cells.values()]
+        eop = abs(tprs[0] - tprs[1])
+    else:
+        notes = (f"group {no_positives!r} has no positive ground-truth rows",)
+    return EvalReport(acc=acc, dp=abs(rates[0] - rates[1]), eop=eop, confusion=cells,
+                      n_test=len(rows), notes=notes)
+
+
+def preds_csv_per_row(tree, d) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"predicted_{tree.schema.class_attr.name}"]
+                    + [f"p_{y}" for y in tree.schema.class_values])
+    for row in row_dicts(d):
+        label, dist = predict(tree, row)
+        writer.writerow([label] + [repr(p) for p in dist.probs])
+    return buf.getvalue().encode("utf-8")
+
+
+def tree_document(tree) -> str:
+    """The tree's document without leaf paths, which hand-built leaves lack."""
+    doc = json.loads(tree_to_json(tree))
+    stack = [doc["root"]]
+    while stack:
+        node = stack.pop()
+        node.pop("path", None)
+        if not node["leaf"]:
+            stack += [node["left"], node["right"]]
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def scoring_cases():
+    """(tree, rows, protected attribute or None): grown trees on random mixed
+    schemas and the hand-built tree, each over 0 rows, 1 row and more rows
+    than one chunk; and a dataset with no positive rows in one group."""
+    rng = np.random.default_rng(11)
+    sizes = (0, 1, data._ROW_CHUNK + 17)
+    cases = []
+    for i in range(4):
+        schema = random_mixed_schema(rng)
+        ks = (KnowledgeStore.empty(schema) if i % 2 else
+              build_from_target_sample(random_dataset(rng, schema, 150), KnowledgeRegime.full()))
+        tree = grow(random_dataset(rng, schema, 200), ks, TreeConfig())
+        assert len(tree.leaves()) > 1
+        protected = next((a.name for a in schema.predictive
+                          if a.is_discrete and len(a.domain) == 2), None)
+        cases += [(tree, random_dataset(rng, schema, n), protected) for n in sizes]
+    tree = hand_tree()
+    cases += [(tree, hand_rows(n, rng), "G") for n in sizes]
+    d = hand_rows(300, rng)
+    cases.append((tree, d.subset(~((d.column("G") == "a") & (d.column("Y") == "1"))), "G"))
+    grown = {p for _, _, p in cases[:12]}
+    assert None in grown and len(grown) > 1  # grown trees with and without groups
+    return cases
+
+
+class TestScoringEqualsPerRowPredict:
+    def test_labels_and_positive_scores(self, scoring_cases):
+        for tree, d, _ in scoring_cases:
+            for view in (d, d.without_labels()):
+                labels = predict_dataset(tree, view)
+                assert labels.dtype == object and labels.shape == (view.n,)
+                assert all(type(y) is str for y in labels.tolist())
+                assert labels.tolist() == labels_per_row(tree, view).tolist()
+                for y in tree.schema.class_values:
+                    scores = positive_scores(tree, view, y)
+                    assert scores.dtype == np.float64 and scores.shape == (view.n,)
+                    assert scores.tobytes() == scores_per_row(tree, view, y).tobytes()
+
+    def test_evaluate_model_report(self, scoring_cases):
+        rng = np.random.default_rng(12)
+        n_postprocessed = 0
+        for tree, d, protected in scoring_cases:
+            negative, positive = tree.schema.class_values
+            models = [(tree, labels_per_row(tree, d))]
+            if protected is not None:
+                grid = sorted({lf.class_dist.prob(positive) for lf in tree.leaves()} | {0.0, 1.0})
+                for _ in range(3):
+                    model = PostprocessedModel(
+                        tree, protected, positive, negative,
+                        {g: float(rng.choice(grid))
+                         for g in tree.schema.attribute(protected).domain})
+                    models.append((model, postprocessed_per_row(model, d)))
+            for model, labels in models:
+                if d.n == 0:
+                    with pytest.raises(EmptyDataset):
+                        evaluate_model(model, d, protected)
+                    continue
+                got = evaluate_model(model, d, protected)
+                expect = report_per_row(labels, d, protected, positive)
+                assert json.dumps(asdict(got)) == json.dumps(asdict(expect))
+                with pytest.raises(UnlabeledData):
+                    evaluate_model(model, d.without_labels(), protected)
+                n_postprocessed += isinstance(model, PostprocessedModel)
+        assert n_postprocessed > 0
+
+    def test_dadt_predict_and_evaluate(self, scoring_cases, tmp_path, capsys):
+        for k, (tree, d, protected) in enumerate(scoring_cases):
+            tree_path = tmp_path / f"tree{k}.json"
+            tree_path.write_text(tree_document(tree), encoding="utf-8")
+            loaded = tree_from_json(tree_path)
+            for view in (d, d.without_labels()):
+                data_path = tmp_path / f"rows{k}-{view.labeled}.csv"
+                data_path.write_text(serialize_dataset(view), encoding="utf-8")
+                rows = load_dataset(data_path, loaded.schema)
+                preds = tmp_path / "preds.csv"
+                assert main(["predict", "--tree", str(tree_path), "--data", str(data_path),
+                             "--out", str(preds)]) == 0
+                assert preds.read_bytes() == preds_csv_per_row(loaded, rows)
+                report = tmp_path / f"report{k}.json"
+                capsys.readouterr()
+                code = main(["evaluate", "--tree", str(tree_path), "--data", str(data_path),
+                             "--out", str(report)]
+                            + (["--protected", protected] if protected else []))
+                if view.labeled and d.n:
+                    assert code == 0
+                    expect = report_per_row(labels_per_row(loaded, rows), rows, protected,
+                                            loaded.schema.class_values[-1])
+                    doc = {**asdict(expect), "w_tree": tree_shift_distance(loaded, rows)}
+                    assert report.read_bytes() == json.dumps(doc, indent=2).encode("utf-8")
+                else:
+                    assert code == 1
+                    message = ("cannot evaluate on an empty dataset" if d.n == 0
+                               else "dataset has no class labels")
+                    assert capsys.readouterr().err == f"error: {message}\n"
