@@ -22,7 +22,7 @@ from .harness import (
 )
 from .knowledge import NAMED_REGIMES, KnowledgeRegime, KnowledgeStore, build_from_target_sample
 from .metrics import evaluate_model, tree_shift_distance, attribute_shift_report
-from .tree import TreeConfig, grow, predict, tree_from_json, tree_to_json
+from .tree import TreeConfig, grow, route_dataset, tree_from_json, tree_to_json
 
 
 def _add_tree_args(p: argparse.ArgumentParser) -> None:
@@ -91,15 +91,14 @@ def _cmd_predict(args) -> int:
     tree = tree_from_json(args.tree)
     data = load_dataset(args.data, tree.schema)
     class_name = tree.schema.class_attr.name
-    # a row's line is its leaf's: one line per leaf distribution, formatted once
-    lines = {leaf.class_dist: _csv_line([leaf.class_dist.argmax()]
-                                        + [repr(p) for p in leaf.class_dist.probs])
-             for leaf in tree.leaves()}
+    # a row's line is its leaf's, each formatted once and indexed by leaf id
+    lines = [_csv_line([leaf.class_dist.argmax()] + [repr(p) for p in leaf.class_dist.probs])
+             for leaf in tree.leaves()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([f"predicted_{class_name}"]
                            + [f"p_{y}" for y in tree.schema.class_values]))
         for chunk in data.chunks():
-            fh.write("".join([lines[predict(tree, row)[1]] for row in chunk.iter_rows()]))
+            fh.write("".join([lines[i] for i in route_dataset(tree, chunk).tolist()]))
     print(f"wrote predictions to {args.out}")
     return 0
 

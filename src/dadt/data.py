@@ -40,7 +40,7 @@ _NEGATE = {EQ: NEQ, NEQ: EQ, LEQ: GT, GT: LEQ}
 
 # rows per chunk wherever rows are taken a bounded number at a time: reading
 # CSV, and every pass over a dataset's rows through `Dataset.chunks` (writing
-# CSV, row dicts, routing); bounds the Python objects alive for rows at once
+# CSV, routing); bounds the Python objects alive for rows at once
 _ROW_CHUNK = 4096
 
 
@@ -302,22 +302,10 @@ class Dataset:
         cols = {k: v for k, v in self._columns.items() if k != self.schema.class_attr.name}
         return _stored(self.schema, cols, self.index, False, {})
 
-    def row(self, i: int) -> dict:
-        one = self.subset([i])
-        return {name: one.column(name)[0] for name in self.schema.column_names(self.labeled)}
-
     def chunks(self):
         """Views of consecutive rows, a bounded chunk of them at a time."""
         for start in range(0, self.n, _ROW_CHUNK):
             yield self.subset(slice(start, start + _ROW_CHUNK))
-
-    def iter_rows(self):
-        """Row dicts of Python scalars, built a chunk of rows at a time."""
-        names = self.schema.column_names(self.labeled)
-        for chunk in self.chunks():
-            columns = [chunk.column(name).tolist() for name in names]
-            for values in zip(*columns) if names else [()] * chunk.n:
-                yield dict(zip(names, values))
 
 
 def _stored(schema: Schema, columns: dict[str, np.ndarray], index: np.ndarray,

@@ -74,9 +74,7 @@ def _predicted_labels(model, d: Dataset) -> np.ndarray:
 def accuracy(model, test: Dataset) -> float:
     if test.n == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    truth = test.class_column()
-    pred = _predicted_labels(model, test)
-    return float(np.count_nonzero(pred == truth)) / test.n
+    return float(np.count_nonzero(test.class_column() == _predicted_labels(model, test))) / test.n
 
 
 def _group_masks(test: Dataset, protected: str) -> dict[str, np.ndarray]:
@@ -99,11 +97,12 @@ def demographic_parity(model, test: Dataset, protected: str, positive_label: str
     """Absolute gap in predicted positive rates between the two groups."""
     if test.n == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    pred = _predicted_labels(model, test)
-    rates = []
-    for g, mask in _group_masks(test, protected).items():
-        rates.append(float(np.count_nonzero(pred[mask] == positive_label))
-                     / int(np.count_nonzero(mask)))
+    return _dp_gap(_predicted_labels(model, test), _group_masks(test, protected), positive_label)
+
+
+def _dp_gap(pred: np.ndarray, masks: dict, positive_label: str) -> float:
+    rates = [float(np.count_nonzero(pred[mask] == positive_label)) / int(np.count_nonzero(mask))
+             for mask in masks.values()]
     return abs(rates[0] - rates[1])
 
 
@@ -111,10 +110,13 @@ def equal_opportunity(model, test: Dataset, protected: str, positive_label: str)
     """Absolute gap in true positive rates between the two groups."""
     if test.n == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    truth = test.class_column()
-    pred = _predicted_labels(model, test)
+    return _eop_gap(test.class_column(), _predicted_labels(model, test),
+                    _group_masks(test, protected), positive_label)
+
+
+def _eop_gap(truth: np.ndarray, pred: np.ndarray, masks: dict, positive_label: str) -> float:
     tprs = []
-    for g, mask in _group_masks(test, protected).items():
+    for g, mask in masks.items():
         pos = mask & (truth == positive_label)
         n_pos = int(np.count_nonzero(pos))
         if n_pos == 0:
@@ -124,10 +126,13 @@ def equal_opportunity(model, test: Dataset, protected: str, positive_label: str)
 
 
 def confusion_by_group(model, test: Dataset, protected: str, positive_label: str) -> dict:
-    truth = test.class_column()
-    pred = _predicted_labels(model, test)
+    return _confusion(test.class_column(), _predicted_labels(model, test),
+                      _group_masks(test, protected), positive_label)
+
+
+def _confusion(truth: np.ndarray, pred: np.ndarray, masks: dict, positive_label: str) -> dict:
     out = {}
-    for g, mask in _group_masks(test, protected).items():
+    for g, mask in masks.items():
         t = truth[mask] == positive_label
         p = pred[mask] == positive_label
         out[g] = {
@@ -141,25 +146,29 @@ def confusion_by_group(model, test: Dataset, protected: str, positive_label: str
 
 def evaluate_model(model, test: Dataset, protected: str | None,
                    positive_label: str | None = None) -> EvalReport:
-    """Accuracy plus fairness gaps; unavailable fairness metrics become notes."""
+    """Accuracy plus fairness gaps from one prediction; unavailable gaps become notes."""
     if positive_label is None:
         positive_label = default_positive_label(test.schema)
-    acc = accuracy(model, test)
+    if test.n == 0:
+        raise EmptyDataset("cannot evaluate on an empty dataset")
+    truth = test.class_column()
+    pred = _predicted_labels(model, test)
     dp = eop = None
     confusion: dict = {}
     notes: list[str] = []
     if protected is not None:
         try:
-            dp = demographic_parity(model, test, protected, positive_label)
-            confusion = confusion_by_group(model, test, protected, positive_label)
+            masks = _group_masks(test, protected)
+            dp = _dp_gap(pred, masks, positive_label)
+            confusion = _confusion(truth, pred, masks, positive_label)
         except GroupMissing as exc:
             notes.append(str(exc))
         try:
-            eop = equal_opportunity(model, test, protected, positive_label)
+            eop = _eop_gap(truth, pred, _group_masks(test, protected), positive_label)
         except (GroupMissing, NoPositives) as exc:
             notes.append(str(exc))
-    return EvalReport(acc=acc, dp=dp, eop=eop, confusion=confusion,
-                      n_test=test.n, notes=tuple(notes))
+    return EvalReport(acc=float(np.count_nonzero(pred == truth)) / test.n, dp=dp, eop=eop,
+                      confusion=confusion, n_test=test.n, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,10 @@ class PostprocessedModel:
     def predict_dataset(self, d: Dataset) -> np.ndarray:
         """A row is positive when its leaf's positive probability is at least
         its group's threshold; leaf ids and group codes index both."""
-        scores = np.array([leaf.class_dist.prob(self.positive_label)
-                           for leaf in self.tree.leaves()], dtype=float)
         domain = self.tree.schema.attribute(self.protected).domain
         taus = np.array([self.thresholds[g] for g in domain], dtype=float)
-        positive = scores[route_dataset(self.tree, d)] >= taus[d.codes(self.protected)]
+        scores = positive_scores(self.tree, d, self.positive_label)
+        positive = scores >= taus[d.codes(self.protected)]
         return np.where(positive,
                         np.array(self.positive_label, dtype=object),
                         np.array(self.negative_label, dtype=object))

@@ -1248,14 +1248,15 @@ def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:
 
 
 def predict_dataset(tree: DecisionTree, d: Dataset) -> np.ndarray:
-    """Predicted labels for every row, as an object array."""
-    return np.array([predict(tree, row)[0] for row in d.iter_rows()], dtype=object)
+    """Predicted labels for every row, as an object array, read off its leaf id."""
+    labels = np.array([leaf.class_dist.argmax() for leaf in tree.leaves()], dtype=object)
+    return labels[route_dataset(tree, d)]
 
 
 def positive_scores(tree: DecisionTree, d: Dataset, positive_label: str) -> np.ndarray:
-    """Leaf probability of the positive class for every row."""
-    return np.array([predict(tree, row)[1].prob(positive_label)
-                     for row in d.iter_rows()], dtype=float)
+    """Leaf probability of the positive class for every row, read off its leaf id."""
+    scores = np.array([leaf.class_dist.prob(positive_label) for leaf in tree.leaves()], float)
+    return scores[route_dataset(tree, d)]
 
 
 def _node_to_dict(node) -> dict:

@@ -37,7 +37,7 @@ from dadt.errors import (
     ValueOutOfDomain,
 )
 
-from conftest import binary_schema, rows_dataset
+from conftest import binary_schema, row_dicts, rows_dataset
 
 SCHEMA_DOC = {
     "predictive": [
@@ -295,18 +295,18 @@ class TestRows:
         d = dataset_from_rows(schema_from_json(SCHEMA_DOC), rows)
         view = d.subset(rng.permutation(n)[: n - 3])
         assert view.n > data._ROW_CHUNK
-        got = list(view.iter_rows())
+        got = list(row_dicts(view))
         assert len(got) == view.n
         for i, row in enumerate(got):
-            assert row == view.row(i)
+            assert row == next(row_dicts(view.subset([i])))
             assert type(row["AGEP"]) is float and type(row["SEX"]) is str
-        unlabeled = list(view.without_labels().iter_rows())
+        unlabeled = list(row_dicts(view.without_labels()))
         assert unlabeled == [{k: v for k, v in r.items() if k != "COV"} for r in got]
 
     def test_iter_rows_without_columns(self):
         schema = Schema(predictive=(), class_attr=Attribute("Y", "discrete", ("0", "1")))
         d = dataset_from_rows(schema, [{"Y": "0"}] * 3)
-        assert list(d.without_labels().iter_rows()) == [{}, {}, {}]
+        assert list(row_dicts(d.without_labels())) == [{}, {}, {}]
 
 
 def test_discrete_columns_are_stored_as_domain_codes():
@@ -368,7 +368,7 @@ class TestConditionsAndPaths:
             SplitCondition("X2", EQ, "1"))
         sub = filter_by_path(d, path)
         assert sub.n == 1
-        assert sub.row(0)["X2"] == "1"
+        assert next(row_dicts(sub))["X2"] == "1"
 
     def test_describe(self):
         assert EMPTY_PATH.describe() == "(root)"

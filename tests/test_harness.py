@@ -33,6 +33,8 @@ from dadt.harness import (
     scatter_csv,
 )
 
+from conftest import row_dicts
+
 
 class TestSynthConfig:
     def test_validation(self):
@@ -295,8 +297,8 @@ class TestCli:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["predicted_Y", "p_no,way", 'p_say "yes"'])
-        for i in range(n):
-            label, dist = predict(tree, d.row(i))
+        for row in row_dicts(d):
+            label, dist = predict(tree, row)
             writer.writerow([label] + [repr(p) for p in dist.probs])
         assert (tmp_path / "preds.csv").read_bytes() == expected.getvalue().encode("utf-8")
 

@@ -19,7 +19,7 @@ from dadt.data import (
     dataset_from_rows,
     serialize_dataset,
 )
-from dadt.errors import DomainError, GroupMissing, NoPositives, UnlabeledData
+from dadt.errors import DomainError, EmptyDataset, GroupMissing, NoPositives, UnlabeledData
 from dadt.knowledge import KnowledgeRegime, KnowledgeStore, build_from_target_sample
 from dadt.metrics import (
     accuracy,
@@ -36,7 +36,7 @@ from dadt.metrics import (
 from dadt.stats import Distribution, wasserstein
 from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route, tree_to_json
 
-from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
+from conftest import binary_schema, random_dataset, random_mixed_schema, row_dicts, rows_dataset
 
 
 class ConstantModel:
@@ -154,6 +154,25 @@ class TestFairnessGaps:
         report = evaluate_model(EchoModel(), d, "X1")
         total = sum(sum(c.values()) for c in report.confusion.values())
         assert total == report.n_test
+
+    def test_evaluate_model_predicts_once(self):
+        class CountingModel(EchoModel):
+            calls = 0
+
+            def predict_dataset(self, d):
+                self.calls += 1
+                return super().predict_dataset(d)
+
+        d = labeled_rows([("0", "1", "1"), ("0", "0", "0"), ("1", "1", "0"), ("1", "0", "1")])
+        model = CountingModel()
+        report = evaluate_model(model, d, "X1")
+        assert model.calls == 1 and report.dp is not None and report.eop is not None
+        model = CountingModel()
+        with pytest.raises(EmptyDataset):
+            evaluate_model(model, d.subset(np.zeros(d.n, dtype=bool)), "X1")
+        assert model.calls == 0
+        with pytest.raises(UnlabeledData):
+            evaluate_model(model, d.without_labels(), "X1")
 
 
 class TestPostprocess:
@@ -362,7 +381,7 @@ class TestShiftDiagnostics:
             support = tree.schema.class_values
             truth = d.class_column()
             counts, leaves = {}, {}
-            for i, row in enumerate(d.iter_rows()):
+            for i, row in enumerate(row_dicts(d)):
                 leaf = route(tree, row)
                 if id(leaf) not in counts:
                     counts[id(leaf)] = np.zeros(len(support))

@@ -62,7 +62,7 @@ from dadt.tree import (
     tree_to_json,
 )
 
-from conftest import binary_schema, random_dataset, random_mixed_schema, rows_dataset
+from conftest import binary_schema, random_dataset, random_mixed_schema, row_dicts, rows_dataset
 
 
 def eq(attr, v):
@@ -454,7 +454,7 @@ class TestPredict:
             source = random_dataset(rng, schema, 150)
             tree = grow(source, KnowledgeStore.empty(schema),
                         TreeConfig(route_unseen_right=unseen_right))
-            rows = list(random_dataset(rng, schema, 60).iter_rows())
+            rows = list(row_dicts(random_dataset(rng, schema, 60)))
             for row in rows[:20]:  # unseen discrete values, numbers as strings
                 for a in schema.predictive:
                     if a.is_discrete and rng.random() < 0.5:
@@ -597,7 +597,7 @@ class TestSerialization:
             tree = grow(d, ks, TreeConfig(max_depth=3))
             text = tree_to_json(tree)
             again = tree_from_json(text)
-            for row in d.iter_rows():
+            for row in row_dicts(d):
                 assert predict(again, row) == predict(tree, row)
             assert tree_to_json(again) == text
         assert json.loads(text)["diagnostics"]["n_alphas"] > 0
@@ -614,7 +614,7 @@ class TestSerialization:
         old = tree_from_json(json.dumps(doc))
         assert old.config == tree.config
         assert old.schema == tree.schema
-        for row in d.iter_rows():
+        for row in row_dicts(d):
             assert predict(old, row) == predict(tree, row)
 
     def test_malformed_documents(self):
