@@ -163,7 +163,7 @@ def evaluate_model(model, test: Dataset, protected: str | None,
             confusion = _confusion(truth, pred, masks, positive_label)
         except GroupMissing as exc:
             notes.append(str(exc))
-        try:
+        try:  # a missing group raises again here: it is noted for eop too
             eop = _eop_gap(truth, pred, _group_masks(test, protected), positive_label)
         except (GroupMissing, NoPositives) as exc:
             notes.append(str(exc))
