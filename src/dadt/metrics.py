@@ -74,7 +74,9 @@ def _predicted_labels(model, d: Dataset) -> np.ndarray:
 def accuracy(model, test: Dataset) -> float:
     if test.n == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    return float(np.count_nonzero(test.class_column() == _predicted_labels(model, test))) / test.n
+    truth = test.class_column()
+    pred = _predicted_labels(model, test)
+    return float(np.count_nonzero(pred == truth)) / test.n
 
 
 def _group_masks(test: Dataset, protected: str) -> dict[str, np.ndarray]:
@@ -159,14 +161,15 @@ def evaluate_model(model, test: Dataset, protected: str | None,
     if protected is not None:
         try:
             masks = _group_masks(test, protected)
+        except GroupMissing as exc:  # noted once for dp and once for eop
+            notes += [str(exc), str(exc)]
+        else:
             dp = _dp_gap(pred, masks, positive_label)
             confusion = _confusion(truth, pred, masks, positive_label)
-        except GroupMissing as exc:
-            notes.append(str(exc))
-        try:  # a missing group raises again here: it is noted for eop too
-            eop = _eop_gap(truth, pred, _group_masks(test, protected), positive_label)
-        except (GroupMissing, NoPositives) as exc:
-            notes.append(str(exc))
+            try:
+                eop = _eop_gap(truth, pred, masks, positive_label)
+            except NoPositives as exc:
+                notes.append(str(exc))
     return EvalReport(acc=float(np.count_nonzero(pred == truth)) / test.n, dp=dp, eop=eop,
                       confusion=confusion, n_test=test.n, notes=tuple(notes))
 
