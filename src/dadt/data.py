@@ -250,6 +250,19 @@ class Dataset:
         self.schema, self._columns, self.index, self.labeled = schema, columns, index, labeled
         self._stacked = {}  # `value_codes` matrices, shared by the storage's views
 
+    @classmethod
+    def from_codes(cls, schema: Schema, columns: dict[str, np.ndarray],
+                   labeled: bool = True) -> "Dataset":
+        """A dataset over columns given as `codes` gives them: a discrete
+        column's positions in its attribute's domain, a continuous column's
+        values. The first code that is not an integer in the domain's range
+        raises ValueOutOfDomain, and the first value that is not a finite
+        number raises ParseError."""
+        stored = {name: _checked_codes(schema.attribute(name), np.asarray(values), name)
+                  for name, values in columns.items()}
+        lengths = {len(v) for v in stored.values()}
+        return _stored(schema, stored, np.arange(lengths.pop() if lengths else 0), labeled, {})
+
     @property
     def n(self) -> int:
         return len(self.index)
@@ -347,6 +360,25 @@ def _encode(attr: Attribute, cells, col: str, start: int = 0) -> np.ndarray:
             f"row {i}, column {col!r}: value {s!r} not in domain {list(attr.domain)}") from None
 
 
+def _checked_codes(attr: Attribute, values: np.ndarray, col: str) -> np.ndarray:
+    """A copy of a column of codes (see `Dataset.from_codes`) as stored:
+    intp positions or float64 values."""
+    if values.dtype.kind not in "biuf":
+        ok = np.zeros(len(values), dtype=bool)
+    elif attr.is_discrete:
+        ok = (values >= 0) & (values < len(attr.domain)) & (np.floor(values) == values)
+    else:
+        ok = np.isfinite(values)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        v = values[i:i + 1].tolist()[0]
+        if attr.is_discrete:
+            raise ValueOutOfDomain(f"row {i}, column {col!r}: code {v!r} is not a position "
+                                   f"in domain {list(attr.domain)}")
+        raise ParseError(f"row {i}, column {col!r}: {v!r} is not a finite number")
+    return values.astype(np.intp if attr.is_discrete else np.float64)
+
+
 def _typed_column(attr: Attribute, raw, col: str, start: int = 0) -> np.ndarray:
     """The column as stored: codes of the cells, which are strings, or float64
     values; the first bad value in row order raises, numbering `raw`'s rows
@@ -354,7 +386,7 @@ def _typed_column(attr: Attribute, raw, col: str, start: int = 0) -> np.ndarray:
     if attr.is_discrete:
         return _encode(attr, raw, col, start)
     try:
-        out = np.array(list(map(float, raw)), dtype=np.float64)
+        out = np.fromiter(map(float, raw), np.float64, len(raw))
         if np.isfinite(out).all():
             return out
     except (TypeError, ValueError, OverflowError):
@@ -379,7 +411,8 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     structural error (cell count, missing value, malformed CSV) in row order;
     then the first bad value by schema column, then by row."""
     schema = schema_source if isinstance(schema_source, Schema) else schema_from_json(schema_source)
-    reader = _csv_rows(_text_stream(csv_source))
+    stream, plain = _text_stream(csv_source)
+    reader = _csv_rows(stream)
     header = next(reader, None)
     if header is None:
         raise ParseError("CSV has no header row")
@@ -400,14 +433,8 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     parts = [[_typed_column(a, (), name)] for a, name in zip(attrs, names)]
     bad = None  # (schema position, error) of the first bad value found so far
     start = 0
-    while rows := list(itertools.islice(reader, _ROW_CHUNK)):
-        for lineno, cells in enumerate(rows, start):
-            if len(cells) != len(header):
-                raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
-            if "" in cells:
-                col = header[cells.index("")]
-                raise ParseError(f"row {lineno}, column {col!r}: missing value")
-        by_name = dict(zip(header, zip(*rows)))
+    for n, cells in _cell_chunks(stream if plain else reader, header, plain):
+        by_name = dict(zip(header, cells))
         # after a bad value, later rows are typed only in the columns before
         # it, where a bad value still comes first
         for k in range(len(names) if bad is None else bad[0]):
@@ -416,7 +443,7 @@ def load_dataset(csv_source, schema_source) -> Dataset:
             except (ParseError, ValueOutOfDomain) as exc:
                 bad = (k, exc)
                 break
-        start += len(rows)
+        start += n
     if bad is not None:
         raise bad[1]
     columns = {}
@@ -426,10 +453,53 @@ def load_dataset(csv_source, schema_source) -> Dataset:
     return _stored(schema, columns, np.arange(start), labeled, {})
 
 
+def _cell_chunks(source, header: list[str], plain: bool):
+    """The data rows, `_ROW_CHUNK` at a time, as each chunk's row count and
+    its columns of cells in header order. `source` is the text stream after
+    the header when the input is plain, else the header's CSV reader. The
+    first structural error raises ParseError, in row order over chunks.
+
+    A chunk of plain input is split on commas when each line has as many
+    cells as the header, none empty or longer than `csv.field_size_limit()`;
+    `csv.reader` splits such lines alike. Any other chunk is read by
+    `csv.reader`, and only that path words an error."""
+    width, limit = len(header), csv.field_size_limit()
+    start = 0
+    while chunk := list(itertools.islice(source, _ROW_CHUNK)):
+        n = len(chunk)
+        if plain:
+            if (set(map(str.count, chunk, itertools.repeat(","))) == {width - 1}
+                    and max(map(len, chunk)) <= limit):
+                text = "".join(chunk)
+                del chunk  # its lines, before the cells are made
+                cells = text.replace("\n", ",").split(",")
+                if text.endswith("\n"):
+                    cells.pop()
+                if "" not in cells:
+                    del text
+                    columns = [cells[j::width] for j in range(width)]
+                    del cells
+                    yield n, columns
+                    start += n
+                    continue
+                chunk = io.StringIO(text)  # the same lines again
+            chunk = list(_csv_rows(chunk))
+        for lineno, row in enumerate(chunk, start):
+            if len(row) != width:
+                raise ParseError(f"row {lineno}: expected {width} cells, got {len(row)}")
+            if "" in row:
+                col = header[row.index("")]
+                raise ParseError(f"row {lineno}, column {col!r}: missing value")
+        yield n, list(zip(*chunk))
+        start += n
+
+
 def _text_stream(source):
     """The text an input argument holds or names (see `source_path`), as a
     stream with universal newlines: CRLF and CR end lines as in a file opened
-    in text mode. Unreadable or non-UTF-8 input raises ParseError."""
+    in text mode; and whether the input is plain: it holds no `"`, so no
+    cell is quoted, and no NUL, which `csv.reader` refuses in Python 3.10
+    and reads in 3.11. Unreadable or non-UTF-8 input raises ParseError."""
     data = _read(source, _inline_csv)
     try:
         # inline text as UTF-8: 1 byte a character where a str may take 4
@@ -438,7 +508,8 @@ def _text_stream(source):
         data.decode("utf-8")  # the whole input, before any row is read
     except UnicodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    plain = b'"' not in data and b"\0" not in data
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None), plain
 
 
 def _csv_rows(stream):

@@ -103,9 +103,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict]:
                 for c, f in zip(cells, flips)}
 
     # a row's cell is the binary number its attributes spell, X1 first: its
-    # position in `cells`
+    # position in `cells`; a bit is also its value's code in ("0", "1")
     place = 1 << np.arange(n_attrs - 1, -1, -1)
-    binary = np.array(("0", "1"), dtype=object)
 
     def draw(n: int, correlated: bool, p_table: dict) -> Dataset:
         x = (rng.random((n, n_attrs)) < 0.5).astype(int)
@@ -114,9 +113,9 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict]:
             x[copy, 1] = x[copy, 0]
         u = rng.random(n)
         p_y1 = np.array([p_table[c] for c in cells])[x @ place]
-        columns = {f"X{j+1}": binary[x[:, j]] for j in range(n_attrs)}
-        columns["Y"] = binary[(u < p_y1).astype(int)]
-        return Dataset(schema, columns)
+        columns = {f"X{j+1}": x[:, j] for j in range(n_attrs)}
+        columns["Y"] = u < p_y1
+        return Dataset.from_codes(schema, columns)
 
     source = draw(cfg.n_source, False, p_source)
     target = draw(cfg.n_target, True, p_target)

@@ -6,7 +6,10 @@ a list of strings, and types each column at once; it writes whole columns.
 exception type with the same message, and `serialize_dataset` the same
 bytes. Row counts cross chunk ends (the chunk is 3 rows here); files end
 lines with LF, CRLF or CR; fields hold `,`, `"`, newlines and spaces; and a
-file may carry up to three faults, each in its own chunk.
+file may carry up to three faults, each in its own chunk. Half the files are
+drawn plain (no label needs quoting, and none is quoted), the input
+`load_dataset` splits on commas; a fault may still make one quoted or put a
+NUL in it, and either sends it through `csv.reader`.
 """
 
 from __future__ import annotations
@@ -115,17 +118,19 @@ def ref_serialize(d: Dataset) -> str:
 # -- inputs -------------------------------------------------------------------
 # domain labels a CSV must quote, or that carry spaces or non-ASCII text
 LABELS = ("v0", "a,b", 'q"t', "l\nm", " s", "t ", "x y", "é", ",", '"', "\n", "ü,\"\n")
+# those no cell of a plain file may hold: none of them is quoted
+PLAIN_LABELS = tuple(v for v in LABELS if not any(c in v for c in ',"\n'))
 
 
-def tricky_schema(rng: np.random.Generator) -> Schema:
+def tricky_schema(rng: np.random.Generator, labels: tuple[str, ...] = LABELS) -> Schema:
     """A random mixed schema whose discrete attributes take awkward labels."""
     base = random_mixed_schema(rng)
 
     def relabel(a: Attribute) -> Attribute:
         if not a.is_discrete:
             return a
-        picks = rng.choice(len(LABELS), size=len(a.domain), replace=False)
-        return Attribute(a.name, a.kind, tuple(LABELS[i] for i in picks))
+        picks = rng.choice(len(labels), size=len(a.domain), replace=False)
+        return Attribute(a.name, a.kind, tuple(labels[i] for i in picks))
 
     return Schema(predictive=tuple(relabel(a) for a in base.predictive),
                   class_attr=relabel(base.class_attr))
@@ -147,11 +152,15 @@ def number_text(rng: np.random.Generator) -> str:
 
 
 BAD_BYTE = "~badbyte~"
-FAULTS = ("cells", "empty", "number", "domain", "utf8", "long", "blank")
+# a NUL in a cell: Python 3.10's csv.reader refuses the line, 3.11's reads it
+NUL = "~nul~"
+FAULTS = ("cells", "empty", "number", "domain", "utf8", "long", "blank", "nul")
 
 
 def faulty_csv(rng: np.random.Generator, schema: Schema, n_rows: int, labeled: bool,
-               ending: str, faults: list[str]) -> bytes:
+               ending: str, faults: list[str], plain: bool = False) -> bytes:
+    """The rows as CSV, with the faults; a plain file quotes no cell that
+    need not be quoted."""
     names = list(schema.predictive_names) + ([schema.class_attr.name] if labeled else [])
     header = [names[i] for i in rng.permutation(len(names))]
     attrs = [schema.attribute(name) for name in header]
@@ -180,8 +189,10 @@ def faulty_csv(rng: np.random.Generator, schema: Schema, n_rows: int, labeled: b
             rows[r][j] = "9" * (csv.field_size_limit() + 1)
         elif kind == "blank":
             blank.append(r)
+        elif kind == "nul":
+            rows[r][j] += NUL
     buf = io.StringIO()
-    quoting = csv.QUOTE_ALL if rng.random() < 0.25 else csv.QUOTE_MINIMAL
+    quoting = csv.QUOTE_ALL if not plain and rng.random() < 0.25 else csv.QUOTE_MINIMAL
     writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(header)
     for r, row in enumerate(rows):
@@ -191,7 +202,8 @@ def faulty_csv(rng: np.random.Generator, schema: Schema, n_rows: int, labeled: b
     text = buf.getvalue()
     if rng.random() < 0.3:
         text = text[:-1]  # no newline after the last row
-    return text.replace("\n", ending).encode("utf-8").replace(BAD_BYTE.encode(), b"\xff")
+    return text.replace("\n", ending).encode("utf-8").replace(BAD_BYTE.encode(), b"\xff") \
+        .replace(NUL.encode(), b"\0")
 
 
 def outcome(load, content: bytes, schema: Schema):
@@ -209,11 +221,11 @@ def outcome(load, content: bytes, schema: Schema):
 @DIFF
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 14), labeled=st.booleans(),
        ending=st.sampled_from(("\n", "\r\n", "\r")),
-       faults=st.lists(st.sampled_from(FAULTS), max_size=3))
-def test_load_dataset_equals_whole_file_reference(seed, n_rows, labeled, ending, faults):
+       faults=st.lists(st.sampled_from(FAULTS), max_size=3), plain=st.booleans())
+def test_load_dataset_equals_whole_file_reference(seed, n_rows, labeled, ending, faults, plain):
     rng = np.random.default_rng(seed)
-    schema = tricky_schema(rng)
-    content = faulty_csv(rng, schema, n_rows, labeled, ending, faults)
+    schema = tricky_schema(rng, PLAIN_LABELS if plain else LABELS)
+    content = faulty_csv(rng, schema, n_rows, labeled, ending, faults, plain)
     expected = outcome(ref_load, content, schema)
     with mock.patch.object(data, "_ROW_CHUNK", CHUNK):
         assert outcome(load_dataset, content, schema) == expected
@@ -226,6 +238,49 @@ def test_header_only_and_empty_inputs():
                     b"", b"\n", b"\xef\xbb\xbf" + header.encode(), b"\xff" + header.encode()):
         with mock.patch.object(data, "_ROW_CHUNK", CHUNK):
             assert outcome(load_dataset, content, schema) == outcome(ref_load, content, schema)
+
+
+def test_blank_line_in_one_column_file_is_a_row_of_no_cells():
+    # a blank line has the one column's count of commas, none, but no cell
+    schema = Schema(predictive=(Attribute("A0", "continuous"),),
+                    class_attr=Attribute("Y", "discrete", ("no", "yes")))
+    for content, row in ((b"A0\n1.5\n\n2.5\n", 1), (b"A0\n1.5\n2.5\n\n", 2),
+                         (b"A0\r\n1.5\r\n2.5\r\n\r\n", 2)):
+        expected = (ParseError, f"row {row}: expected 1 cells, got 0")
+        assert outcome(ref_load, content, schema) == expected
+        assert outcome(load_dataset, content, schema) == expected
+        with mock.patch.object(data, "_ROW_CHUNK", CHUNK):
+            assert outcome(load_dataset, content, schema) == expected
+
+
+def test_only_chunks_that_fail_a_check_are_read_by_csv_reader():
+    schema = Schema(predictive=(Attribute("A0", "continuous"), Attribute("A1", "discrete", ("x", "y"))),
+                    class_attr=Attribute("Y", "discrete", ("no", "yes")))
+    lines = ["A0,A1,Y"] + [f"{i}.5,x,no" for i in range(10)]
+    real_reader = csv.reader
+
+    def rows_read(lines: list[str]) -> int:
+        read = []
+
+        def reader(*args):
+            for row in real_reader(*args):
+                read.append(row)
+                yield row
+
+        with mock.patch.object(data, "_ROW_CHUNK", CHUNK), \
+                mock.patch.object(data.csv, "reader", reader):
+            try:
+                load_dataset("\n".join(lines) + "\n", schema)
+            except (ParseError, ValueOutOfDomain):
+                pass
+        return len(read)
+
+    assert rows_read(lines) == 1  # the header
+    # a blank line in the third chunk (rows 6-8): that chunk, after the header
+    assert rows_read(lines[:8] + [""] + lines[9:]) == 1 + CHUNK
+    assert rows_read([",".join(f'"{c}"' for c in line.split(",")) for line in lines]) == 11
+    # a NUL, which Python 3.10's csv.reader refuses at its line
+    assert rows_read(lines[:-1] + [lines[-1] + "\0"]) >= 10
 
 
 def test_path_input_equals_bytes_input(tmp_path):

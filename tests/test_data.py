@@ -328,6 +328,43 @@ def test_discrete_columns_are_stored_as_domain_codes():
                     assert all(v is attr.domain[c] for v, c in zip(col, codes))
 
 
+def test_from_codes_builds_what_the_values_build():
+    schema = schema_from_json(SCHEMA_DOC)
+    codes = {"SEX": np.array([1, 0, 1]), "AGEP": np.array([3, 1.5, 2]),
+             "COV": np.array([False, True, True])}
+    values = {"SEX": np.array(["male", "female", "male"], dtype=object),
+              "AGEP": np.array([3.0, 1.5, 2.0]), "COV": np.array(["0", "1", "1"], dtype=object)}
+    for labeled in (True, False):
+        cols = {k: v for k, v in codes.items() if labeled or k != "COV"}
+        d = data.Dataset.from_codes(schema, cols, labeled=labeled)
+        assert d.labeled == labeled and d.n == 3
+        expected = data.Dataset(schema, values)
+        for name in schema.column_names(labeled):
+            assert d.codes(name).dtype == expected.codes(name).dtype
+            assert d.codes(name).tolist() == expected.codes(name).tolist()
+    # the codes are copied: the caller's array is not the dataset's storage
+    d = data.Dataset.from_codes(schema, codes)
+    codes["SEX"][0] = 0
+    assert d.column("SEX")[0] == "male"
+
+
+@pytest.mark.parametrize("name, cells, error, message", [
+    ("SEX", [0, 2], ValueOutOfDomain, "row 1, column 'SEX': code 2 is not a position"),
+    ("SEX", [-1, 0], ValueOutOfDomain, "row 0, column 'SEX': code -1"),
+    ("SEX", [0, 0.5], ValueOutOfDomain, "row 1, column 'SEX': code 0.5"),
+    ("SEX", [0, np.nan], ValueOutOfDomain, "row 1, column 'SEX': code nan"),
+    ("SEX", ["male", "female"], ValueOutOfDomain, "row 0, column 'SEX': code 'male'"),
+    ("AGEP", [1.0, np.inf], ParseError, "row 1, column 'AGEP': inf is not a finite number"),
+    ("AGEP", [np.nan, 1.0], ParseError, "row 0, column 'AGEP': nan is not a finite number"),
+    ("AGEP", ["1.5", "2"], ParseError, "row 0, column 'AGEP': '1.5' is not a finite number"),
+    ("AGE", [1.0, 2.0], UnknownAttribute, "no attribute named 'AGE'"),
+])
+def test_from_codes_refuses_what_is_not_a_code(name, cells, error, message):
+    columns = {"SEX": np.array([0, 1]), "AGEP": np.array([1.0, 2.0]), "COV": np.array([0, 1])}
+    with pytest.raises(error, match=message):
+        data.Dataset.from_codes(schema_from_json(SCHEMA_DOC), {**columns, name: np.array(cells)})
+
+
 class TestConditionsAndPaths:
     def test_mask_compares_as_the_values_would(self):
         d = load_dataset(CSV, schema_from_json(SCHEMA_DOC)).subset([2, 1, 0])
