@@ -238,15 +238,12 @@ EMPTY_PATH = Path()
 class Dataset:
     """Immutable typed table; `index` selects the rows visible in this view.
     A column is stored once, a discrete one as its `codes`; the constructor
-    takes values, and raises ValueOutOfDomain on an undeclared one."""
+    takes equal-length columns of values; an undeclared one raises ValueOutOfDomain."""
 
-    def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
-                 index: np.ndarray | None = None, labeled: bool = True):
+    def __init__(self, schema: Schema, columns: dict[str, np.ndarray], labeled: bool = True):
+        index = np.arange(_row_count(columns))
         columns = {name: _encode(a, values, name) if (a := schema.attribute(name)).is_discrete
                    else values for name, values in columns.items()}
-        if index is None:
-            lengths = {len(v) for v in columns.values()}
-            index = np.arange(lengths.pop() if lengths else 0)
         self.schema, self._columns, self.index, self.labeled = schema, columns, index, labeled
         self._stacked = {}  # `value_codes` matrices, shared by the storage's views
 
@@ -258,10 +255,10 @@ class Dataset:
         values. The first code that is not an integer in the domain's range
         raises ValueOutOfDomain, and the first value that is not a finite
         number raises ParseError."""
+        n = _row_count(columns)
         stored = {name: _checked_codes(schema.attribute(name), np.asarray(values), name)
                   for name, values in columns.items()}
-        lengths = {len(v) for v in stored.values()}
-        return _stored(schema, stored, np.arange(lengths.pop() if lengths else 0), labeled, {})
+        return _stored(schema, stored, np.arange(n), labeled, {})
 
     @property
     def n(self) -> int:
@@ -319,6 +316,14 @@ class Dataset:
         """Views of consecutive rows, a bounded chunk of them at a time."""
         for start in range(0, self.n, _ROW_CHUNK):
             yield self.subset(slice(start, start + _ROW_CHUNK))
+
+
+def _row_count(columns: dict) -> int:
+    """The columns' common length; unequal lengths raise ParseError."""
+    lengths = {name: len(values) for name, values in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ParseError(f"columns of unequal length: {lengths}")
+    return max(lengths.values(), default=0)
 
 
 def _stored(schema: Schema, columns: dict[str, np.ndarray], index: np.ndarray,
@@ -464,6 +469,8 @@ def _cell_chunks(source, header: list[str], plain: bool):
     `csv.reader` splits such lines alike. Any other chunk is read by
     `csv.reader`, and only that path words an error."""
     width, limit = len(header), csv.field_size_limit()
+    if not plain:
+        source = _checked_rows(source, header, 0)
     start = 0
     while chunk := list(itertools.islice(source, _ROW_CHUNK)):
         n = len(chunk)
@@ -483,15 +490,19 @@ def _cell_chunks(source, header: list[str], plain: bool):
                     start += n
                     continue
                 chunk = io.StringIO(text)  # the same lines again
-            chunk = list(_csv_rows(chunk))
-        for lineno, row in enumerate(chunk, start):
-            if len(row) != width:
-                raise ParseError(f"row {lineno}: expected {width} cells, got {len(row)}")
-            if "" in row:
-                col = header[row.index("")]
-                raise ParseError(f"row {lineno}, column {col!r}: missing value")
+            chunk = list(_checked_rows(_csv_rows(chunk), header, start))
         yield n, list(zip(*chunk))
         start += n
+
+
+def _checked_rows(rows, header: list[str], start: int):
+    """The rows, each checked before the next is read; `start` numbers the first."""
+    for lineno, row in enumerate(rows, start):
+        if len(row) != len(header):
+            raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
+        if "" in row:
+            raise ParseError(f"row {lineno}, column {header[row.index('')]!r}: missing value")
+        yield row
 
 
 def _text_stream(source):

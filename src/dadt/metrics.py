@@ -127,11 +127,6 @@ def _eop_gap(truth: np.ndarray, pred: np.ndarray, masks: dict, positive_label: s
     return abs(tprs[0] - tprs[1])
 
 
-def confusion_by_group(model, test: Dataset, protected: str, positive_label: str) -> dict:
-    return _confusion(test.class_column(), _predicted_labels(model, test),
-                      _group_masks(test, protected), positive_label)
-
-
 def _confusion(truth: np.ndarray, pred: np.ndarray, masks: dict, positive_label: str) -> dict:
     out = {}
     for g, mask in masks.items():

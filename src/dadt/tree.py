@@ -34,6 +34,7 @@ from .data import (
     Path,
     Schema,
     SplitCondition,
+    dataset_from_rows,
     read_json,
     schema_from_json,
     stored_mask,
@@ -45,7 +46,6 @@ from .errors import (
     InternalError,
     ParseError,
     UnlabeledData,
-    ValueOutOfDomain,
 )
 from .knowledge import (
     KnowledgeStore,
@@ -81,7 +81,6 @@ _TABLE_CELLS = 1 << 16
 # largest difference seen on the benchmark's training workloads (4.4e-16).
 _SCREEN_TOL = 1e-9
 _DIAGNOSTIC_KEYS = ("n_alphas", "truncations", "forced_source")
-_COMPARE = {LEQ: operator.le, EQ: operator.eq, GT: operator.gt, NEQ: operator.ne}
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class TreeConfig:
     purity_stop: float = 1.0
     alpha_override: float | None = None
     x_w_override: str | None = None
-    route_unseen_right: bool = False
 
     def __post_init__(self):
         if type(self.max_depth) is not int or self.max_depth < 1:
@@ -108,8 +106,6 @@ class TreeConfig:
             raise ConfigError("alpha_override must be in [0, 1]")
         if self.x_w_override is not None and not isinstance(self.x_w_override, str):
             raise ConfigError("x_w_override must be an attribute name or null")
-        if type(self.route_unseen_right) is not bool:
-            raise ConfigError("route_unseen_right must be true or false")
 
 
 @dataclass
@@ -134,22 +130,6 @@ class DecisionTree:
     schema: Schema
     x_w: str | None
     diagnostics: dict
-
-    @functools.cached_property
-    def _router(self):
-        """The tree as nested tuples for `route`: a split is (attribute name,
-        comparison, threshold, frozenset domain or None if continuous, left,
-        right) and a leaf is the `Leaf` itself. Built on first use; trees
-        are not changed after construction."""
-        def compile_node(node):
-            if isinstance(node, Leaf):
-                return node
-            cond = node.condition
-            attr = self.schema.attribute(cond.attribute)
-            domain = frozenset(attr.domain) if attr.is_discrete else None
-            return (cond.attribute, _COMPARE[cond.op], cond.threshold, domain,
-                    compile_node(node.left), compile_node(node.right))
-        return compile_node(self.root)
 
     def leaves(self) -> list[Leaf]:
         out: list[Leaf] = []
@@ -1190,32 +1170,9 @@ def grow(train_source: Dataset, ks: KnowledgeStore, config: TreeConfig) -> Decis
                         x_w=x_w, diagnostics=diagnostics)
 
 
-def route(tree: DecisionTree, row: dict) -> Leaf:
-    """The leaf a record reaches, comparing as each split's op says (as
-    `SplitCondition.matches` does); undeclared discrete values raise unless
-    the tree routes them right."""
-    node = tree._router
-    while type(node) is tuple:
-        name, compare, threshold, domain, left, right = node
-        value = row[name]
-        if domain is None:
-            value = float(value)
-        else:
-            value = str(value)
-            if value not in domain:
-                if tree.config.route_unseen_right:
-                    node = right
-                    continue
-                raise ValueOutOfDomain(f"value {value!r} of {name!r} was never declared")
-        node = left if compare(value, threshold) else right
-    return node
-
-
 def route_dataset(tree: DecisionTree, d: Dataset) -> np.ndarray:
     """Each row's leaf, as its position in `tree.leaves()`. Row-index arrays
-    go down the tree a chunk of rows at a time, split as `Dataset.mask`
-    splits in `grow`; dataset columns hold declared values only, so no
-    unseen-value rule applies."""
+    go down the tree a chunk of rows at a time, split as `Dataset.mask` splits in `grow`."""
     ids = np.empty(d.n, dtype=np.intp)
     start = 0
     for chunk in d.chunks():
@@ -1242,8 +1199,10 @@ def _descend(node, chunk: Dataset, columns: dict, rows: np.ndarray, out: np.ndar
 
 
 def predict(tree: DecisionTree, row: dict) -> tuple[str, Distribution]:
-    """Route a record to its leaf; returns (majority class, class distribution)."""
-    dist = route(tree, row).class_dist
+    """Route a record to its leaf as a one-row dataset (`dataset_from_rows`);
+    returns (majority class, class distribution)."""
+    leaf = route_dataset(tree, dataset_from_rows(tree.schema, [row], labeled=False))[0]
+    dist = tree.leaves()[leaf].class_dist
     return dist.argmax(), dist
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from dadt.data import Attribute, Dataset, Schema, dataset_from_rows
+from dadt.errors import ValueOutOfDomain
+from dadt.tree import Internal
 
 
 def binary_schema(n_attrs: int = 2, protected: str | None = "X1") -> Schema:
@@ -26,6 +28,28 @@ def row_dicts(d: Dataset):
         columns = [chunk.column(name).tolist() for name in names]
         for values in zip(*columns) if names else [()] * chunk.n:
             yield dict(zip(names, values))
+
+
+def route_reference(tree, row: dict):
+    """The leaf a row dict reaches, walking the tree one node at a time: each
+    split looks its attribute up in the schema and compares the row's value,
+    a discrete one as a string and a continuous one as a float, as
+    `SplitCondition.matches` does. An undeclared discrete value on the path
+    raises ValueOutOfDomain. The reference for `route_dataset`, which moves
+    row-index arrays over stored codes instead."""
+    node = tree.root
+    while isinstance(node, Internal):
+        cond = node.condition
+        attr = tree.schema.attribute(cond.attribute)
+        value = row[cond.attribute]
+        if attr.is_discrete:
+            value = str(value)
+            if value not in attr.domain:
+                raise ValueOutOfDomain(f"value {value!r} of {cond.attribute!r} was never declared")
+        else:
+            value = float(value)
+        node = node.left if cond.matches(np.array([value], dtype=object))[0] else node.right
+    return node
 
 
 def xor_rows(n_attrs: int, counts: dict[tuple, int]) -> list[dict]:

@@ -6,7 +6,8 @@ a list of strings, and types each column at once; it writes whole columns.
 exception type with the same message, and `serialize_dataset` the same
 bytes. Row counts cross chunk ends (the chunk is 3 rows here); files end
 lines with LF, CRLF or CR; fields hold `,`, `"`, newlines and spaces; and a
-file may carry up to three faults, each in its own chunk. Half the files are
+file may carry up to three faults, in consecutive rows, so that two often
+share a chunk, where the first in row order must win. Half the files are
 drawn plain (no label needs quoting, and none is quoted), the input
 `load_dataset` splits on commas; a fault may still make one quoted or put a
 NUL in it, and either sends it through `csv.reader`.
@@ -166,11 +167,9 @@ def faulty_csv(rng: np.random.Generator, schema: Schema, n_rows: int, labeled: b
     attrs = [schema.attribute(name) for name in header]
     rows = [[a.domain[int(rng.integers(len(a.domain)))] if a.is_discrete else number_text(rng)
              for a in attrs] for _ in range(n_rows)]
-    n_chunks = -(-n_rows // CHUNK)
-    chunks = rng.permutation(n_chunks)[:len(faults)]
     blank = []
-    for kind, chunk in zip(faults, chunks):
-        r = int(chunk) * CHUNK + int(rng.integers(min(CHUNK, n_rows - chunk * CHUNK)))
+    first = int(rng.integers(max(n_rows, 1)))
+    for kind, r in zip(faults, range(first, n_rows)):
         numeric = [j for j, a in enumerate(attrs) if not a.is_discrete]
         discrete = [j for j, a in enumerate(attrs) if a.is_discrete]
         j = int(rng.integers(len(header)))
@@ -231,6 +230,19 @@ def test_load_dataset_equals_whole_file_reference(seed, n_rows, labeled, ending,
         assert outcome(load_dataset, content, schema) == expected
 
 
+def test_a_row_error_comes_before_a_later_malformed_row_in_its_chunk():
+    # row 1 holds a field over csv.field_size_limit(): csv.reader refuses it,
+    # but only after row 0's cell count has been checked
+    schema = Schema(predictive=(Attribute("A0", "continuous"), Attribute("A1", "continuous")),
+                    class_attr=Attribute("Y", "discrete", ("no", "yes")))
+    long = "9" * (csv.field_size_limit() + 1)
+    expected = (ParseError, "row 0: expected 3 cells, got 2")
+    for content in (f"A0,A1,Y\n1,2\n1,{long},no\n",
+                    f'"A0","A1","Y"\n"1","2"\n"1","{long}","no"\n'):
+        assert outcome(ref_load, content.encode(), schema) == expected
+        assert outcome(load_dataset, content.encode(), schema) == expected
+
+
 def test_header_only_and_empty_inputs():
     schema = tricky_schema(np.random.default_rng(1))
     header = ",".join(schema.predictive_names)
@@ -276,8 +288,9 @@ def test_only_chunks_that_fail_a_check_are_read_by_csv_reader():
         return len(read)
 
     assert rows_read(lines) == 1  # the header
-    # a blank line in the third chunk (rows 6-8): that chunk, after the header
-    assert rows_read(lines[:8] + [""] + lines[9:]) == 1 + CHUNK
+    # a blank line in the third chunk (rows 6-8): that chunk, after the
+    # header, up to the blank line, which raises
+    assert rows_read(lines[:8] + [""] + lines[9:]) == 1 + 2
     assert rows_read([",".join(f'"{c}"' for c in line.split(",")) for line in lines]) == 11
     # a NUL, which Python 3.10's csv.reader refuses at its line
     assert rows_read(lines[:-1] + [lines[-1] + "\0"]) >= 10

@@ -309,6 +309,16 @@ class TestRows:
         assert list(row_dicts(d.without_labels())) == [{}, {}, {}]
 
 
+def test_values_constructor_refuses_columns_of_unequal_length():
+    # lengths 3, 1 and 2: the row count is no one column's, and no value is
+    # encoded before the lengths are checked
+    values = {"SEX": np.array(["male", "female", "other"], dtype=object),
+              "AGEP": np.array([3.0]), "COV": np.array(["0", "1"], dtype=object)}
+    with pytest.raises(ParseError,
+                       match=r"^columns of unequal length: \{'SEX': 3, 'AGEP': 1, 'COV': 2\}$"):
+        data.Dataset(schema_from_json(SCHEMA_DOC), values)
+
+
 def test_discrete_columns_are_stored_as_domain_codes():
     schema = schema_from_json(SCHEMA_DOC)
     values = {"SEX": np.array(["male", "female", "male"]), "AGEP": np.array([3.0, 1.5, 2.0]),
@@ -358,6 +368,10 @@ def test_from_codes_builds_what_the_values_build():
     ("AGEP", [np.nan, 1.0], ParseError, "row 0, column 'AGEP': nan is not a finite number"),
     ("AGEP", ["1.5", "2"], ParseError, "row 0, column 'AGEP': '1.5' is not a finite number"),
     ("AGE", [1.0, 2.0], UnknownAttribute, "no attribute named 'AGE'"),
+    # lengths are checked before codes
+    ("SEX", [0, 1, 0], ParseError, r"^columns of unequal length: \{'SEX': 3, 'AGEP': 2, 'COV': 2"),
+    ("AGEP", [np.nan], ParseError, r"^columns of unequal length: \{'SEX': 2, 'AGEP': 1, 'COV': 2"),
+    ("COV", [], ParseError, r"^columns of unequal length: \{'SEX': 2, 'AGEP': 2, 'COV': 0\}$"),
 ])
 def test_from_codes_refuses_what_is_not_a_code(name, cells, error, message):
     columns = {"SEX": np.array([0, 1]), "AGEP": np.array([1.0, 2.0]), "COV": np.array([0, 1])}

@@ -221,95 +221,95 @@ def print_digests() -> None:
 
 
 GOLDEN = {
-    "mixed0-ntdk": "2fb0c3e815aa7fe3",
-    "mixed0-ftdk": "2f47517535939469",
-    "mixed0-ptdk2": "0988648f5ccbb3f4",
-    "mixed0-ptdk3": "cf534ec407452ad8",
-    "mixed1-ntdk": "4b503cf4c33bbac2",
-    "mixed1-ftdk": "75d68d1738170b4a",
-    "mixed1-ptdk2": "384716c5f1a780c0",
-    "mixed1-ptdk3": "e9633290fac61a6b",
-    "mixed2-ntdk": "1d78b8eed59fcb54",
-    "mixed2-ftdk": "0450c8aa8a6c68c6",
-    "mixed2-ptdk2": "e0a157e580af403d",
-    "mixed2-ptdk3": "f2ed09db6bfee5f9",
-    "synth0-ntdk": "93c3b2a797875568",
-    "synth0-ftdk": "d7b46c4574163e02",
-    "synth0-ptdk2": "fdfba9ae13dfb8bd",
-    "synth0-ptdk3": "5315cecfe39af8f7",
-    "synth1-ntdk": "6c8d21ea7447bea2",
-    "synth1-ftdk": "73c1d9f154b76d85",
-    "synth1-ptdk2": "d3203af6288562c0",
-    "synth1-ptdk3": "ac9c1cb093e272d1",
-    "random0-ftdk": "052b587d38581cd3",
-    "random0-ptdk2": "bd01b773c798c1aa",
-    "random1-ftdk": "901e09ad64027502",
-    "random1-ptdk2": "13cd4d6f1b5ae57f",
-    "random2-ftdk": "ecdbb552ecf3bd40",
-    "random2-ptdk2": "d6fea296c501027c",
-    "mixed0-self": "f5e0a2456cd30312",
-    "synth0-self": "bf6d61c7e670dda9",
-    "random0-self": "a2d2a894adfa1b82",
-    "mixed0-ftdk-alpha": "48d83f9db2616ef3",
-    "mixed1-ptdk2-alpha": "d7916e85ae423c60",
-    "mixed0-crosstab-alpha": "c5d87acc2915b1f1",
-    "mixed0-ftdk-pivot-D1": "fd07d05acc950640",
-    "mixed1-ptdk2-pivot-D1": "909fc06cc0fdd9eb",
-    "mixed0-ftdk-pivot-C2": "c7fb3e1a6dae9002",
-    "mixed0-crosstab": "23a3ee7ebd2b265b",
-    "mixed1-crosstab-pivot-C1": "0d293fdec5092fdd",
-    "mixed2-crosstab-no-C2": "4f7d01f1757bee65",
-    "nosrc-c-ftdk": "da93ca566a4664d2",
-    "nosrc-c-ptdk2": "379c15a3b7944068",
-    "notgt-c-ftdk": "9949e6efe72ce396",
-    "notgt-c-ptdk3": "f5f43baae9ea894d",
-    "notgt-low-ftdk": "ebcb107041bb6e99",
+    "mixed0-ntdk": "a3a8a4a9b087a892",
+    "mixed0-ftdk": "d85409c6f1e3cc22",
+    "mixed0-ptdk2": "462586efa681b8a8",
+    "mixed0-ptdk3": "f277a710d051f3a2",
+    "mixed1-ntdk": "6cc01072c3f464c9",
+    "mixed1-ftdk": "8350aa20eb938a50",
+    "mixed1-ptdk2": "565abc26cd6375cc",
+    "mixed1-ptdk3": "8fdda242d32d317e",
+    "mixed2-ntdk": "1f0536fec0459b76",
+    "mixed2-ftdk": "28826aec7a60b90f",
+    "mixed2-ptdk2": "adc409f71e8b4d4d",
+    "mixed2-ptdk3": "bd837222cdf6f59a",
+    "synth0-ntdk": "5d9d034c48e45d87",
+    "synth0-ftdk": "7babcf4dfcefad80",
+    "synth0-ptdk2": "1a3ab024566d0890",
+    "synth0-ptdk3": "17ecdd2733b798b2",
+    "synth1-ntdk": "22cd4d24f6402aef",
+    "synth1-ftdk": "7a259e213c2c32cb",
+    "synth1-ptdk2": "f3cf49dfee829903",
+    "synth1-ptdk3": "a8fb3ff1bb18a119",
+    "random0-ftdk": "c347c7d64375270c",
+    "random0-ptdk2": "fbd1e76941078b6f",
+    "random1-ftdk": "ba262bd4688469ab",
+    "random1-ptdk2": "7eb741993e7cebf5",
+    "random2-ftdk": "8cb55aa64c4e30cf",
+    "random2-ptdk2": "ba47d885854f7850",
+    "mixed0-self": "f18fe6f492d25e0f",
+    "synth0-self": "b7ba41e3129e40e1",
+    "random0-self": "42c78aaf8f28a985",
+    "mixed0-ftdk-alpha": "7f0bc7df96be44c8",
+    "mixed1-ptdk2-alpha": "a976940d40bf9fd3",
+    "mixed0-crosstab-alpha": "8e3def1e22e8bffa",
+    "mixed0-ftdk-pivot-D1": "7e50dcb69f637899",
+    "mixed1-ptdk2-pivot-D1": "00f0ec75b23799cf",
+    "mixed0-ftdk-pivot-C2": "9f9edd3e69844484",
+    "mixed0-crosstab": "7d5e79bb5c3ef0de",
+    "mixed1-crosstab-pivot-C1": "6a294b420e29375d",
+    "mixed2-crosstab-no-C2": "01ed37948f73f416",
+    "nosrc-c-ftdk": "6c7750556b846acd",
+    "nosrc-c-ptdk2": "a1561db348550745",
+    "notgt-c-ftdk": "bd6b9d6e4e8a021b",
+    "notgt-c-ptdk3": "62c26089fedf78ee",
+    "notgt-low-ftdk": "e31270f29888e945",
 }
 
 STRUCTURE = {
-    "mixed0-ntdk": "15008ddb2d34cd6f",
-    "mixed0-ftdk": "d77061dc1c595089",
-    "mixed0-ptdk2": "f2c916179cc1eaf2",
-    "mixed0-ptdk3": "16d370d75ddbe2a6",
-    "mixed1-ntdk": "55c9a33f8cc9660a",
-    "mixed1-ftdk": "067a7c9bbf107219",
-    "mixed1-ptdk2": "9c172cfb9b5c5b5d",
-    "mixed1-ptdk3": "8689c11bb13610db",
-    "mixed2-ntdk": "1dee75b60a1a7767",
-    "mixed2-ftdk": "de1da6ea2d348373",
-    "mixed2-ptdk2": "b47ceedd590205d5",
-    "mixed2-ptdk3": "de1da6ea2d348373",
-    "synth0-ntdk": "2adde7c5eda1c4ca",
-    "synth0-ftdk": "88f92eddb2dfee79",
-    "synth0-ptdk2": "0435f1e67130566c",
-    "synth0-ptdk3": "1ba18557dce42841",
-    "synth1-ntdk": "3ff2f5f5ca12edeb",
-    "synth1-ftdk": "3af72e324a1ec7b1",
-    "synth1-ptdk2": "4b54e7fbec78390c",
-    "synth1-ptdk3": "2061639bf50797b3",
-    "random0-ftdk": "86fc79f4a29fd711",
-    "random0-ptdk2": "6705ad188c3b1862",
-    "random1-ftdk": "146a7890ba2cbb5e",
-    "random1-ptdk2": "1a8d7db4784811ca",
-    "random2-ftdk": "7deabf9ced90fe27",
-    "random2-ptdk2": "0d398bcb023782c6",
-    "mixed0-self": "22e2a92c84b28aa8",
-    "synth0-self": "4bdea4287ed65cbd",
-    "random0-self": "8d52d7f4237127f4",
-    "mixed0-ftdk-alpha": "46497d442d95ab9f",
-    "mixed1-ptdk2-alpha": "b92b5ad27fcda1f5",
-    "mixed0-crosstab-alpha": "0e6ee59af1869298",
-    "mixed0-ftdk-pivot-D1": "7f3a90aef14f0dca",
-    "mixed1-ptdk2-pivot-D1": "fd8c8975ed180792",
-    "mixed0-ftdk-pivot-C2": "fd9fefbfcf8dbaa6",
-    "mixed0-crosstab": "1b4ffdb8f133614f",
-    "mixed1-crosstab-pivot-C1": "2bb2af3bb0e2fefe",
-    "mixed2-crosstab-no-C2": "b609747c79bd0f77",
-    "nosrc-c-ftdk": "164dfdf2032a195f",
-    "nosrc-c-ptdk2": "4acf2bbd1ed1efdd",
-    "notgt-c-ftdk": "33082f306ca29452",
-    "notgt-c-ptdk3": "5ba75da56105f34a",
-    "notgt-low-ftdk": "4d1e48603675650e",
+    "mixed0-ntdk": "38ccbad8de1b745a",
+    "mixed0-ftdk": "6f891a4b7fd06f06",
+    "mixed0-ptdk2": "19a4ecaf7493b900",
+    "mixed0-ptdk3": "fd482fd09ca1d8e3",
+    "mixed1-ntdk": "e8561e5ac42c8606",
+    "mixed1-ftdk": "8b569f628e5486c0",
+    "mixed1-ptdk2": "b5496e93d1dfe424",
+    "mixed1-ptdk3": "24dc5375cdf713eb",
+    "mixed2-ntdk": "e03991276980c946",
+    "mixed2-ftdk": "3d2d1abedadda32b",
+    "mixed2-ptdk2": "44698314a1485ea5",
+    "mixed2-ptdk3": "3d2d1abedadda32b",
+    "synth0-ntdk": "78ee993adc4e184a",
+    "synth0-ftdk": "eccb444e984e4ed9",
+    "synth0-ptdk2": "dfb3323bf4a570e5",
+    "synth0-ptdk3": "e5370cbc38758e6e",
+    "synth1-ntdk": "9062b36026fe03d3",
+    "synth1-ftdk": "4fcd2deccf2c5812",
+    "synth1-ptdk2": "dfa6252d71ceda63",
+    "synth1-ptdk3": "b4a746bcd2459927",
+    "random0-ftdk": "76796e4fd0d98877",
+    "random0-ptdk2": "75e78556868ceb09",
+    "random1-ftdk": "f4fce30782788b85",
+    "random1-ptdk2": "4b3af41afda429df",
+    "random2-ftdk": "952019490ba52a57",
+    "random2-ptdk2": "c851b0bdcc140215",
+    "mixed0-self": "2f550968c3e9d6c7",
+    "synth0-self": "ae034cbd41f1de63",
+    "random0-self": "ea9f6fcce5c6a575",
+    "mixed0-ftdk-alpha": "445d168b88af2809",
+    "mixed1-ptdk2-alpha": "8122c365b03e8a34",
+    "mixed0-crosstab-alpha": "2bddbca758a1a0d8",
+    "mixed0-ftdk-pivot-D1": "381b8c42e60638b7",
+    "mixed1-ptdk2-pivot-D1": "7d6f9410c6858e29",
+    "mixed0-ftdk-pivot-C2": "5cca7028566f199a",
+    "mixed0-crosstab": "484557ebb54bcc8f",
+    "mixed1-crosstab-pivot-C1": "9d4de04e18f33bd0",
+    "mixed2-crosstab-no-C2": "8e044ba70c0cc878",
+    "nosrc-c-ftdk": "ffe190aa83dc9669",
+    "nosrc-c-ptdk2": "d2b28ff5b4241e4e",
+    "notgt-c-ftdk": "8a775c2311c4bf00",
+    "notgt-c-ptdk3": "841c6cf735b47982",
+    "notgt-low-ftdk": "ce5afb0a77857157",
 }
 
 

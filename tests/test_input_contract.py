@@ -133,9 +133,10 @@ BAD_INPUTS = {
     "tree-schema-not-object": ("predict", "tree.json", lambda c: with_value(c, "schema", [1])),
     "tree-depth-fractional": ("predict", "tree.json",
                               lambda c: with_value(c, "config", "max_depth", 2.5)),
-    "tree-route-unseen-not-bool": ("predict", "tree.json",
-                                   lambda c: with_value(c, "config", "route_unseen_right",
-                                                        "false")),
+    # a key that older versions took, at the value they defaulted to
+    "config-tree-route-unseen-right": ("experiment", "config.json",
+                                       lambda c: with_value(c, "tree", "route_unseen_right",
+                                                            False)),
     "config-tree-pivot-not-name": ("experiment", "config.json",
                                    lambda c: with_value(c, "tree", "x_w_override", 3)),
     "tree-row-count-infinite": ("predict", "tree.json",

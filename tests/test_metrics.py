@@ -34,9 +34,16 @@ from dadt.metrics import (
     tree_shift_distance,
 )
 from dadt.stats import Distribution, wasserstein
-from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, route, tree_to_json
+from dadt.tree import DecisionTree, Internal, Leaf, TreeConfig, grow, tree_to_json
 
-from conftest import binary_schema, random_dataset, random_mixed_schema, row_dicts, rows_dataset
+from conftest import (
+    binary_schema,
+    random_dataset,
+    random_mixed_schema,
+    route_reference,
+    row_dicts,
+    rows_dataset,
+)
 
 
 class ConstantModel:
@@ -382,7 +389,7 @@ class TestShiftDiagnostics:
             truth = d.class_column()
             counts, leaves = {}, {}
             for i, row in enumerate(row_dicts(d)):
-                leaf = route(tree, row)
+                leaf = route_reference(tree, row)
                 if id(leaf) not in counts:
                     counts[id(leaf)] = np.zeros(len(support))
                     leaves[id(leaf)] = leaf

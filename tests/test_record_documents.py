@@ -148,7 +148,7 @@ def ref_node(node) -> dict:
 
 
 CONFIG_KEYS = ("max_depth", "min_node_fraction", "purity_stop", "alpha_override",
-               "x_w_override", "route_unseen_right")
+               "x_w_override")
 
 
 def ref_tree_json(tree) -> str:
@@ -161,7 +161,6 @@ def ref_tree_json(tree) -> str:
             "purity_stop": cfg.purity_stop,
             "alpha_override": cfg.alpha_override,
             "x_w_override": cfg.x_w_override,
-            "route_unseen_right": cfg.route_unseen_right,
         },
         "x_w": tree.x_w,
         "diagnostics": {key: tree.diagnostics.get(key, 0)
@@ -175,8 +174,7 @@ def ref_tree_config(c: dict) -> TreeConfig:
     return TreeConfig(
         max_depth=c["max_depth"], min_node_fraction=c["min_node_fraction"],
         purity_stop=c["purity_stop"],
-        alpha_override=c["alpha_override"], x_w_override=c["x_w_override"],
-        route_unseen_right=c["route_unseen_right"])
+        alpha_override=c["alpha_override"], x_w_override=c["x_w_override"])
 
 
 # -- experiment results --------------------------------------------------------
@@ -336,8 +334,7 @@ def _grown_trees():
     rng = np.random.default_rng(12)
     trees = []
     for cfg_kwargs in ({}, {"max_depth": 3, "alpha_override": 0.25},
-                       {"max_depth": 4, "min_node_fraction": 0.1, "purity_stop": 0.9,
-                        "route_unseen_right": True}):
+                       {"max_depth": 4, "min_node_fraction": 0.1, "purity_stop": 0.9}):
         schema = random_mixed_schema(rng)
         source = random_dataset(rng, schema, 200)
         target = random_dataset(rng, schema, 200)
@@ -369,7 +366,6 @@ def test_grown_trees_cover_the_config_and_both_kinds_of_split():
     configs = [t.config for t in TREES]
     assert any(c.alpha_override is not None for c in configs)
     assert any(c.x_w_override is not None for c in configs)
-    assert any(c.route_unseen_right for c in configs)
     ops = {t.root.condition.op for t in TREES if not isinstance(t.root, Leaf)}
     assert {EQ, LEQ} <= ops
 

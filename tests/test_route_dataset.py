@@ -1,4 +1,4 @@
-"""Whole-dataset routing and scoring against per-row routing."""
+"""Whole-dataset routing and scoring against per-row routing (`route_reference`)."""
 
 from __future__ import annotations
 
@@ -42,24 +42,23 @@ from dadt.tree import (
     Leaf,
     TreeConfig,
     grow,
-    predict,
     predict_dataset,
-    route,
     route_dataset,
     tree_from_json,
     tree_to_json,
 )
 
-from conftest import random_dataset, random_mixed_schema, row_dicts
+from conftest import random_dataset, random_mixed_schema, route_reference, row_dicts
 
 
 def per_row_ids(tree, d):
     """Each row's leaf position in `tree.leaves()`, routed one row at a time."""
     position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
-    return np.array([position[id(route(tree, row))] for row in row_dicts(d)], dtype=np.intp)
+    return np.array([position[id(route_reference(tree, row))] for row in row_dicts(d)],
+                    dtype=np.intp)
 
 
-def assert_routes_like_route(tree, d):
+def assert_routes_like_reference(tree, d):
     got = route_dataset(tree, d)
     assert got.dtype == np.intp and got.shape == (d.n,)
     assert np.array_equal(got, per_row_ids(tree, d))
@@ -114,8 +113,8 @@ class TestRouteDataset:
                   build_from_target_sample(target, KnowledgeRegime.full()))
             tree = grow(source, ks, TreeConfig())
             rows = random_dataset(rng, schema, int(rng.integers(1, 300)))
-            assert_routes_like_route(tree, rows)
-            assert_routes_like_route(tree, source)
+            assert_routes_like_reference(tree, rows)
+            assert_routes_like_reference(tree, source)
             # rows exactly on every continuous split's threshold
             on_split = []
             for cond, row in zip(split_conditions(tree.root), row_dicts(rows)):
@@ -123,7 +122,7 @@ class TestRouteDataset:
                     on_split.append({**row, cond.attribute: cond.threshold})
             if on_split:
                 n_split_values += len(on_split)
-                assert_routes_like_route(tree, dataset_from_rows(schema, on_split))
+                assert_routes_like_reference(tree, dataset_from_rows(schema, on_split))
         assert n_split_values > 0
 
     def test_hand_built_tree_with_every_op(self):
@@ -141,7 +140,7 @@ class TestRouteDataset:
             {"C": "y", "A": 3.0, "G": "b", "Y": "1"},   # C != y fails
         ])
         assert route_dataset(tree, d).tolist() == [3, 0, 4]
-        assert_routes_like_route(tree, d)
+        assert_routes_like_reference(tree, d)
 
     def test_single_leaf_tree(self):
         tree = DecisionTree(root=leaf(0.5), config=TreeConfig(), schema=HAND_SCHEMA,
@@ -156,10 +155,10 @@ class TestRouteDataset:
     def test_more_rows_than_one_chunk(self):
         tree = hand_tree()
         d = hand_rows(2 * data._ROW_CHUNK + 9, np.random.default_rng(3))
-        assert_routes_like_route(tree, d)
+        assert_routes_like_reference(tree, d)
         # a view whose rows are not in storage order and cross chunk ends
         view = d.subset(np.random.default_rng(4).permutation(d.n)[:data._ROW_CHUNK + 3])
-        assert_routes_like_route(tree, view)
+        assert_routes_like_reference(tree, view)
 
 
 class TestPostprocessedPrediction:
@@ -182,21 +181,26 @@ class TestPostprocessedPrediction:
                 assert np.array_equal(model.predict_dataset(d), expect)
 
 
-# Per-row references: scoring as `predict(tree, row)` gives it, one row dict
-# at a time, and the evaluation report counted row by row from those labels.
+# Per-row references: scoring from the leaf `route_reference` gives, one row
+# dict at a time, and the evaluation report counted row by row from those
+# labels.
+
+def dist_per_row(tree, row):
+    return route_reference(tree, row).class_dist
+
 
 def labels_per_row(tree, d):
-    return np.array([predict(tree, row)[0] for row in row_dicts(d)], dtype=object)
+    return np.array([dist_per_row(tree, row).argmax() for row in row_dicts(d)], dtype=object)
 
 
 def scores_per_row(tree, d, positive_label):
-    return np.array([predict(tree, row)[1].prob(positive_label) for row in row_dicts(d)],
+    return np.array([dist_per_row(tree, row).prob(positive_label) for row in row_dicts(d)],
                     dtype=float)
 
 
 def postprocessed_per_row(model, d):
     return np.array([model.positive_label
-                     if predict(model.tree, row)[1].prob(model.positive_label)
+                     if dist_per_row(model.tree, row).prob(model.positive_label)
                      >= model.thresholds[row[model.protected]] else model.negative_label
                      for row in row_dicts(d)], dtype=object)
 
@@ -236,8 +240,8 @@ def preds_csv_per_row(tree, d) -> bytes:
     writer.writerow([f"predicted_{tree.schema.class_attr.name}"]
                     + [f"p_{y}" for y in tree.schema.class_values])
     for row in row_dicts(d):
-        label, dist = predict(tree, row)
-        writer.writerow([label] + [repr(p) for p in dist.probs])
+        dist = dist_per_row(tree, row)
+        writer.writerow([dist.argmax()] + [repr(p) for p in dist.probs])
     return buf.getvalue().encode("utf-8")
 
 

@@ -56,13 +56,19 @@ from dadt.tree import (
     _child_targets,
     _continuous_bin_edges,
     predict,
-    route,
     select_pivot,
     tree_from_json,
     tree_to_json,
 )
 
-from conftest import binary_schema, random_dataset, random_mixed_schema, row_dicts, rows_dataset
+from conftest import (
+    binary_schema,
+    random_dataset,
+    random_mixed_schema,
+    route_reference,
+    row_dicts,
+    rows_dataset,
+)
 
 
 def eq(attr, v):
@@ -94,8 +100,7 @@ class TestConfig:
         ("max_depth", math.nan), ("max_depth", math.inf), ("max_depth", 2.5),
         ("max_depth", True), ("min_node_fraction", True), ("purity_stop", True),
         ("alpha_override", True), ("alpha_override", False), ("x_w_override", 1),
-        ("x_w_override", ["X1"]), ("route_unseen_right", "false"),
-        ("route_unseen_right", 1), ("route_unseen_right", None)])
+        ("x_w_override", ["X1"])])
     def test_validation_refuses_wrong_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TreeConfig(**{field: value})
@@ -394,13 +399,23 @@ class TestPredict:
 
     def test_unseen_discrete_value(self):
         t = self.hand_tree()
-        with pytest.raises(ValueOutOfDomain):
+        with pytest.raises(ValueOutOfDomain,
+                           match=r"^row 0, column 'C': value 'zzz' not in domain \['x', 'y'\]$"):
             predict(t, {"C": "zzz", "A": 1.0})
 
-    def test_route_unseen_right_flag(self):
+    def test_row_is_typed_as_a_one_row_dataset(self):
+        # every predictive attribute is read, on the row's path or not, and
+        # typed as CSV loading types it; other keys are ignored
         t = self.hand_tree()
-        t.config = TreeConfig(route_unseen_right=True)
-        assert predict(t, {"C": "zzz", "A": 1.0})[0] == "0"
+        assert predict(t, {"C": "x", "A": "5", "Y": "no such class"})[0] == "1"
+        assert predict(t, {"C": "y", "A": 7})[0] == "0"
+        for value in (math.nan, math.inf, "-inf"):
+            with pytest.raises(ParseError, match=r"^row 0, column 'A': non-finite value"):
+                predict(t, {"C": "y", "A": value})
+        with pytest.raises(ParseError, match="cannot parse 'abc' as a number"):
+            predict(t, {"C": "y", "A": "abc"})
+        with pytest.raises(KeyError):
+            predict(t, {"C": "y"})
 
     @pytest.mark.parametrize("op", [EQ, NEQ, LEQ, GT])
     def test_route_agrees_with_matches(self, op):
@@ -415,57 +430,50 @@ class TestPredict:
             for v in values:
                 row = {"C": "x", "A": 0.0, attr: v}
                 expect = bool(cond.matches(np.array([v], dtype=object))[0])
-                assert (route(tree, row) is left) == expect, (op, attr, v)
+                assert (route_reference(tree, row) is left) == expect, (op, attr, v)
+                assert (predict(tree, row)[1] is left.class_dist) == expect, (op, attr, v)
 
-    @pytest.mark.parametrize("unseen_right", [False, True])
-    def test_route_agrees_with_a_per_node_reference(self, unseen_right):
-        # the reference walks the tree objects and looks each attribute up in
-        # the schema at every node; `route` walks its compiled form
-        def reference(tree, row):
-            node = tree.root
-            while isinstance(node, Internal):
-                cond = node.condition
-                attr = tree.schema.attribute(cond.attribute)
-                value = row[cond.attribute]
-                if attr.is_discrete:
-                    value = str(value)
-                    if value not in attr.domain:
-                        if tree.config.route_unseen_right:
-                            node = node.right
-                            continue
-                        raise ValueOutOfDomain(
-                            f"value {value!r} of {cond.attribute!r} was never declared")
-                else:
-                    value = float(value)
-                go_left = bool(cond.matches(np.array([value], dtype=object))[0])
-                node = node.left if go_left else node.right
-            return node
-
-        def outcome(f, tree, row):
-            try:
-                return id(f(tree, row))
-            except ValueOutOfDomain as exc:
-                return str(exc)
-
+    def test_route_agrees_with_a_per_node_reference(self):
+        # `predict` routes a one-row dataset through `route_dataset`; the
+        # reference walks the tree objects and looks each attribute up in the
+        # schema at every node. Numbers come as strings, some rows hold an
+        # undeclared value (on the path or off it), and one row a NaN.
         rng = np.random.default_rng(21)
-        n_raised = 0
+        n_both_raised = n_nan = 0
         for _ in range(6):
             schema = random_mixed_schema(rng)
-            source = random_dataset(rng, schema, 150)
-            tree = grow(source, KnowledgeStore.empty(schema),
-                        TreeConfig(route_unseen_right=unseen_right))
+            tree = grow(random_dataset(rng, schema, 150), KnowledgeStore.empty(schema),
+                        TreeConfig())
             rows = list(row_dicts(random_dataset(rng, schema, 60)))
-            for row in rows[:20]:  # unseen discrete values, numbers as strings
+            for row in rows[:20]:
                 for a in schema.predictive:
                     if a.is_discrete and rng.random() < 0.5:
                         row[a.name] = "unseen"
                     elif not a.is_discrete:
                         row[a.name] = repr(row[a.name])
-            for row in rows:
-                got = outcome(route, tree, row)
-                assert got == outcome(reference, tree, row)
-                n_raised += isinstance(got, str)
-        assert (n_raised == 0) == unseen_right
+            continuous = [a.name for a in schema.predictive if not a.is_discrete]
+            if continuous:
+                rows[20][continuous[0]] = math.nan
+            for i, row in enumerate(rows):
+                undeclared = [a.name for a in schema.predictive
+                              if a.is_discrete and row[a.name] not in a.domain]
+                if i == 20 and continuous:  # the reference routes a NaN right
+                    with pytest.raises(ParseError, match="non-finite value nan"):
+                        predict(tree, row)
+                    n_nan += 1
+                elif undeclared:
+                    # the first undeclared column in schema order, on the
+                    # row's path or not
+                    with pytest.raises(ValueOutOfDomain,
+                                       match=f"^row 0, column '{undeclared[0]}': value 'unseen'"):
+                        predict(tree, row)
+                    try:
+                        route_reference(tree, row)
+                    except ValueOutOfDomain:
+                        n_both_raised += 1
+                else:
+                    assert predict(tree, row)[1] is route_reference(tree, row).class_dist
+        assert n_both_raised > 0 and n_nan > 0
 
 
 class TestContinuousBinEdges:
@@ -609,7 +617,8 @@ class TestSerialization:
         tree = grow(d, KnowledgeStore.empty(schema), TreeConfig(max_depth=3))
         doc = json.loads(tree_to_json(tree))
         doc["config"].update({"regime": {"variant": "full", "arity": None},
-                              "seed": 3, "knowledge_at_leaves": True})
+                              "seed": 3, "knowledge_at_leaves": True,
+                              "route_unseen_right": True})
         doc["schema"]["predictive"][0]["bounds"] = [-5.0, 5.0]
         old = tree_from_json(json.dumps(doc))
         assert old.config == tree.config
